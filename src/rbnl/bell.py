@@ -19,11 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import tensor
-from .nonlocality import OptimizerConfig
-from .states import PAULIS, BlochVector, DensityMatrix
+from .linalg import EIG_CLIP, tensor
+from .search import OptimizerConfig, grid_refine, sphere_grid
+from .states import BlochVector, DensityMatrix, fano_form
 
 SQRT2 = math.sqrt(2)
 TSIRELSON = 2 * SQRT2
@@ -93,11 +92,7 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], so that
     correlator(rho, u, v) = u . T v."""
     _check_two_qubit(rho)
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = float(np.real(np.trace(rho.matrix @ tensor(si, sj))))
-    return t
+    return fano_form(rho)[1:, 1:]
 
 
 def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
@@ -118,49 +113,42 @@ def nmax_werner(mu: float) -> float:
     return max(0.0, mu * SQRT2 - 1.0)
 
 
-def _nmax_objective(t: np.ndarray, angles) -> float:
-    # for fixed v1, v2 the best u's are analytic:
-    # max_u1,u2 B = |T(v1+v2)| + |T(v1-v2)|
-    tv, pv, tw, pw = angles
-    v1 = np.array([math.sin(tv) * math.cos(pv), math.sin(tv) * math.sin(pv), math.cos(tv)])
-    v2 = np.array([math.sin(tw) * math.cos(pw), math.sin(tw) * math.sin(pw), math.cos(tw)])
-    return float(np.linalg.norm(t @ (v1 + v2)) + np.linalg.norm(t @ (v1 - v2)))
+def _chsh_objective(t: np.ndarray):
+    """For fixed v1, v2 the best u's are analytic:
+    max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. Batched over rows of
+    (v1, v2), with the gradients in v1 and v2."""
+
+    def objective(v1, v2):
+        plus, minus = (v1 + v2) @ t.T, (v1 - v2) @ t.T
+        rp = np.linalg.norm(plus, axis=1, keepdims=True)
+        rm = np.linalg.norm(minus, axis=1, keepdims=True)
+        # d|T w|/dw = T^T (T w) / |T w|; where |T w| = 0 (a kink), 0 is a
+        # valid subgradient
+        g_plus = (plus / np.maximum(rp, EIG_CLIP)) @ t
+        g_minus = (minus / np.maximum(rm, EIG_CLIP)) @ t
+        return (rp + rm)[:, 0], g_plus + g_minus, g_plus - g_minus
+
+    return objective
 
 
 def nmax_numeric(rho: DensityMatrix, cfg: OptimizerConfig = None) -> float:
     """Best CHSH value over all settings, reported as max(0, B/2 - 1).
 
-    Grid plus simplex refinement over the two v directions; the u directions
-    are eliminated analytically through the correlation matrix.
+    Grid plus batched damped Newton refinement (rbnl.search) over the two v
+    directions; the u directions are eliminated analytically through the
+    correlation matrix.
     """
     if cfg is None:
         cfg = OptimizerConfig()
     t = correlation_matrix(rho)
-    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
-    phis = np.linspace(0.0, 2 * math.pi, cfg.phi_points, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg = tg.ravel()
-    pg = pg.ravel()
-    st = np.sin(tg)
-    dirs = np.stack([st * np.cos(pg), st * np.sin(pg), np.cos(tg)], axis=1)
+    dirs = sphere_grid(cfg)
     tv = dirs @ t.T  # T v for every grid direction
-    plus = np.linalg.norm(tv[:, np.newaxis, :] + tv[np.newaxis, :, :], axis=2)
-    minus = np.linalg.norm(tv[:, np.newaxis, :] - tv[np.newaxis, :, :], axis=2)
-    grid = plus + minus
-    flat = grid.ravel()
-    ranked = np.argsort(-flat, kind="stable")[: cfg.restarts]
-    best = float(flat[ranked[0]])
-    n_grid = len(tg)
-    for idx in ranked:
-        i, j = divmod(int(idx), n_grid)
-        x0 = np.array([tg[i], pg[i], tg[j], pg[j]])
-        res = minimize(
-            lambda x: -_nmax_objective(t, x),
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.refine_iterations, "xatol": 1e-7, "fatol": cfg.value_tol},
-        )
-        best = max(best, float(-res.fun))
+    norm2 = np.sum(tv * tv, axis=1)
+    sq = norm2[:, np.newaxis] + norm2[np.newaxis, :]
+    cross = 2 * (tv @ tv.T)
+    # |T(v1 +- v2)| over all grid pairs from the Gram matrix; it only ranks
+    table = np.sqrt(np.maximum(sq + cross, 0.0)) + np.sqrt(np.maximum(sq - cross, 0.0))
+    best = grid_refine(table, dirs, _chsh_objective(t), cfg)[0]
     return max(0.0, best / 2 - 1.0)
 
 

@@ -179,9 +179,22 @@ def cmd_decay(t_max: float, steps: int, out_path: str, argv=()) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get("RNL_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"RNL_SEED must be an integer, got {env!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--samples", type=int, default=10**6)
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
-    vl.add_argument("--workers", type=int, default=1)
+    vl.add_argument("--workers", type=_positive_int, default=1)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")
     dc.add_argument("--t-max", type=float, default=5.0)
@@ -225,8 +238,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
     seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
+    if seed is None and hasattr(args, "seed"):
+        try:
+            seed = _default_seed()
+        except ValueError as exc:  # a usage error, like a bad --seed
+            print(f"rbnl: {exc}", file=sys.stderr)
+            return 2
     try:
         if args.command == "sweep":
             return cmd_sweep(args.mu_start, args.mu_end, args.steps,

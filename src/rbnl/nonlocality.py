@@ -3,15 +3,19 @@ observable pairs.
 
 For pure states the maximum is attained on the Schmidt bases and equals the
 entanglement entropy, so no search is needed. For mixed two-qubit states the
-search runs over sharp qubit observables u.sigma and v.sigma, parametrized
-by two spherical angles each: an exhaustive coarse grid localizes the basins
-and derivative-free simplex refinement polishes the best candidates. The
-objective uses the symmetric entropy form
+search runs over sharp qubit observables u.sigma and v.sigma, u and v unit
+Bloch vectors, of the objective
 
-    S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho)
+    S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho).
 
-evaluated through 2x2 blocks in the rotated product basis, which avoids
-forming any 4x4 dephased matrix in the hot loop.
+In the Fano form rho = (I + a.sigma (x) I + I (x) b.sigma
++ sum_ij T_ij sigma_i (x) sigma_j) / 4 every term is closed form, with an
+analytic gradient: S(Phi_u rho) is the entropy of the four eigenvalues
+(1 + s a.u +- |b + s T^T u|) / 4, s = +-1, its mirror image gives
+S(Phi_v rho), and S(Phi_u Phi_v rho) is the Shannon entropy of
+(1 + s a.u + t b.v + st u^T T v) / 4. A grid over both spheres localizes
+the basins and a batched damped Newton iteration (rbnl.search) polishes the
+best candidates.
 """
 from __future__ import annotations
 
@@ -19,33 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import EIG_CLIP, entropy_from_eigenvalues, hermitian_spectrum
-from .states import PVM, BlochVector, DensityMatrix, PureState
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Search knobs for the two-qubit maximization.
-
-    theta_points x phi_points is the coarse grid per sphere. The seed field
-    is reserved plumbing: the whole search is deterministic, restarts come
-    from the grid ranking with lexicographic tie-break.
-    """
-
-    theta_points: int = 12
-    phi_points: int = 24
-    refine_iterations: int = 200
-    restarts: int = 8
-    value_tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.theta_points < 1 or self.phi_points < 1:
-            raise ValueError("grid resolutions must be positive")
-        if self.refine_iterations < 1 or self.restarts < 1:
-            raise ValueError("refinement iterations and restarts must be positive")
+from .search import OptimizerConfig, grid_refine, sphere_grid
+from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
 
 @dataclass(frozen=True)
@@ -169,65 +150,76 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
 # ---------------------------------------------------------------------------
 # two-qubit search
 
-
-def _spinors(theta, phi):
-    """Eigenvector pair of u.sigma for u = (sin t cos p, sin t sin p, cos t).
-
-    Returns shape (..., 2, 2): [..., 0, :] is the +1 eigenvector,
-    [..., 1, :] the -1 eigenvector.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c = np.cos(theta / 2)
-    s = np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    plus = np.stack([c + 0j, e * s], axis=-1)
-    minus = np.stack([-np.conj(e) * s, c + 0j], axis=-1)
-    return np.stack([plus, minus], axis=-2)
+def _neg_xlogx(p):
+    """-p ln p elementwise, 0 where p <= EIG_CLIP."""
+    out = np.log(np.maximum(p, EIG_CLIP))
+    out *= -p
+    out[p <= EIG_CLIP] = 0.0
+    return out
 
 
-def _angles_to_vec(theta, phi):
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+def _neg_xlogx_slope(p):
+    """The derivative -(ln p + 1) of -p ln p, 0 where p <= EIG_CLIP."""
+    return np.where(p > EIG_CLIP, -1.0 - np.log(np.maximum(p, EIG_CLIP)), 0.0)
 
 
-def _xlogx(p):
-    return np.where(p > EIG_CLIP, p * np.log(np.maximum(p, EIG_CLIP)), 0.0)
+def _dephased_entropy(a, b, t, u):
+    """S(Phi_u rho) for site-A directions u (m, 3) of the state (a, b, T), and
+    its gradient in u. In the u.sigma = s block the B part is
+    ((1 + s a.u) I + (b + s T^T u).sigma) / 4, so the spectrum is
+    (1 + s a.u +- |b + s T^T u|) / 4. Called with (b, a, T^T) for site B."""
+    au, tu = u @ a, u @ t
+    ent, grad = 0.0, 0.0
+    for s in (1.0, -1.0):
+        w = b + s * tu
+        r = np.linalg.norm(w, axis=1)
+        # d|w|/du = s T w / |w|; where |w| = 0 the two eigenvalues coincide
+        # and their terms cancel
+        tw = (w / np.maximum(r, EIG_CLIP)[:, None]) @ t.T
+        for pm in (1.0, -1.0):
+            lam = (1.0 + s * au + pm * r) / 4
+            ent = ent + _neg_xlogx(lam)
+            grad = grad + (s / 4) * _neg_xlogx_slope(lam)[:, None] * (a + pm * tw)
+    return ent, grad
 
 
-def _block_entropy(blocks):
-    """Entropy of a direct sum of 2x2 Hermitian blocks, shape (..., 2, 2, 2)
-    with axis -3 enumerating the blocks. Closed-form 2x2 eigenvalues."""
-    a = blocks[..., 0, 0].real
-    d = blocks[..., 1, 1].real
-    c = blocks[..., 0, 1]
-    h = np.sqrt(((a - d) / 2) ** 2 + (c * c.conj()).real)
-    lam = np.stack([(a + d) / 2 + h, (a + d) / 2 - h], axis=-1)
-    lam = np.clip(lam, 0.0, None)
-    return -np.sum(_xlogx(lam), axis=(-2, -1))
+def _joint_probs(au, bv, utv):
+    """Yield (s, q, p) for the four outcome probabilities
+    p = (1 + s a.u + q b.v + s q u^T T v) / 4, s, q = +-1, of the doubly
+    dephased state."""
+    for s in (1.0, -1.0):
+        for q in (1.0, -1.0):
+            yield s, q, (1.0 + s * au + q * bv + s * q * utv) / 4
 
 
-def _pair_objective(rho4, s_rho, angles):
-    """Irreality drop for one observable pair, angles = (tu, pu, tv, pv)."""
-    u = _spinors(angles[0], angles[1])
-    v = _spinors(angles[2], angles[3])
-    m = np.einsum("ai,ikjl,aj->akl", u.conj(), rho4, u)
-    n = np.einsum("bk,ikjl,bl->bij", v.conj(), rho4, v)
-    s_a = float(_block_entropy(m))
-    s_b = float(_block_entropy(n))
-    p = np.einsum("akl,bk,bl->ab", m, v.conj(), v).real
-    p = np.clip(p, 0.0, None)
-    s_ab = -float(np.sum(_xlogx(p)))
-    return s_a + s_b - s_ab - s_rho
+def _drop_objective(fano, s_rho):
+    """The irreality drop S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) -
+    S(rho) as a batched function of (u, v) with its analytic gradients."""
+    a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
+
+    def objective(u, v):
+        s_a, g_u = _dephased_entropy(a, b, t, u)
+        s_b, g_v = _dephased_entropy(b, a, t.T, v)
+        tv, tu = v @ t.T, u @ t
+        s_ab = 0.0
+        for s, q, p in _joint_probs(u @ a, v @ b, np.sum(u * tv, axis=1)):
+            s_ab = s_ab + _neg_xlogx(p)
+            slope = _neg_xlogx_slope(p)[:, None] / 4
+            g_u = g_u - slope * (s * a + s * q * tv)
+            g_v = g_v - slope * (q * b + s * q * tu)
+        return s_a + s_b - s_ab - s_rho, g_u, g_v
+
+    return objective
 
 
 def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> NrbResult:
     """Maximize the irreality drop over sharp qubit observable pairs.
 
-    Coarse grid over both spheres evaluated in one vectorized pass, then
-    Nelder-Mead refinement from the best cfg.restarts grid points (ties
-    broken by lexicographic angle order). The returned value never falls
-    below the grid maximum.
+    The state is taken in its Fano form (a, b, T). The drop is scored on
+    every pair of the grid, with S(Phi_u rho) and S(Phi_v rho) computed once
+    per direction, and the best cfg.restarts pairs are refined as one
+    batch (see rbnl.search). The returned value never falls below the grid
+    maximum.
 
     The search space is rank-1 qubit observables. That is the natural space
     for two qubits, but for general mixed states there is no guarantee that
@@ -237,55 +229,20 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     d_a, d_b = rho.dims
     if (d_a, d_b) != (2, 2):
         raise ValueError(f"two-qubit search needs dims (2, 2), got ({d_a}, {d_b})")
-    rho4 = rho.matrix.reshape(2, 2, 2, 2)
+    fano = fano_form(rho)
+    a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
-
-    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
-    phis = np.linspace(0.0, 2 * math.pi, cfg.phi_points, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg = tg.ravel()
-    pg = pg.ravel()
-    spin = _spinors(tg, pg)  # (n, 2, 2), same grid for both spheres
-
-    # site-A blocks and their entropies, one per grid direction
-    m = np.einsum("nai,ikjl,naj->nakl", spin.conj(), rho4, spin, optimize=True)
-    s_a = _block_entropy(m)
-    n = np.einsum("nbk,ikjl,nbl->nbij", spin.conj(), rho4, spin, optimize=True)
-    s_b = _block_entropy(n)
-    # joint dephasing probabilities for every (u, v) grid pair
-    p = np.einsum("nakl,mbk,mbl->nmab", m, spin.conj(), spin, optimize=True).real
-    p = np.clip(p, 0.0, None)
-    s_ab = -np.sum(_xlogx(p), axis=(2, 3))
-    grid = s_a[:, np.newaxis] + s_b[np.newaxis, :] - s_ab - s_rho
-
-    flat = grid.ravel()
-    ranked = np.argsort(-flat, kind="stable")[: cfg.restarts]
-    n_grid = len(tg)
-    iu0, iv0 = divmod(int(ranked[0]), n_grid)
-    best_val = float(flat[ranked[0]])
-    best_angles = np.array([tg[iu0], pg[iu0], tg[iv0], pg[iv0]])
-    for idx in ranked:
-        iu, iv = divmod(int(idx), n_grid)
-        x0 = np.array([tg[iu], pg[iu], tg[iv], pg[iv]])
-        res = minimize(
-            lambda x: -_pair_objective(rho4, s_rho, x),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.refine_iterations,
-                "xatol": 1e-7,
-                "fatol": cfg.value_tol,
-            },
-        )
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_angles = res.x
-    u = _angles_to_vec(best_angles[0], best_angles[1])
-    v = _angles_to_vec(best_angles[2], best_angles[3])
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
+    dirs = sphere_grid(cfg)
+    s_a = _dephased_entropy(a, b, t, dirs)[0]
+    s_b = _dephased_entropy(b, a, t.T, dirs)[0]
+    s_ab = sum(_neg_xlogx(p) for _, _, p in
+               _joint_probs((dirs @ a)[:, None], (dirs @ b)[None, :], dirs @ t @ dirs.T))
+    table = s_a[:, None] + s_b[None, :] - s_ab - s_rho
+    value, u, v = grid_refine(table, dirs, _drop_objective(fano, s_rho), cfg)
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
     eta = min(abs(float(u @ v)), 1.0)
-    return NrbResult(max(best_val, 0.0), BlochVector(u), BlochVector(v), eta)
+    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta)
 
 
 def _h(x: float) -> float:

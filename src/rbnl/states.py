@@ -25,6 +25,12 @@ for _p in PAULIS:
     _p.setflags(write=False)
 
 
+def _check_finite(arr):
+    # first, so that no later guard compares against NaN
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite, got NaN or infinity")
+
+
 def _freeze(obj, name, arr):
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -45,6 +51,7 @@ class DensityMatrix:
         if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
+        _check_finite(m)
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERM_TOL:
             raise ValueError(f"not Hermitian: max |m - m^H| = {asym:.3e}")
@@ -78,6 +85,7 @@ class PureState:
         if d_a < 1 or d_b < 1 or v.shape != (d_a * d_b,):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with vector length {v.shape[0]}")
+        _check_finite(v)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"norm is {nrm:.12g}, not 1")
@@ -166,6 +174,18 @@ def werner(mu: float) -> DensityMatrix:
     s = singlet().vector
     m = (1.0 - mu) * np.eye(4, dtype=complex) / 4 + mu * np.outer(s, s.conj())
     return DensityMatrix(m, (2, 2))
+
+
+def fano_form(rho: DensityMatrix) -> np.ndarray:
+    """Real 4x4 R with R[i, j] = Tr[rho (s_i (x) s_j)], s_0 = I and s_1..3
+    the Paulis, so that rho = sum_ij R[i, j] s_i (x) s_j / 4 (Fano, Rev. Mod.
+    Phys. 55, 855, 1983). R[1:, 0] is the Bloch vector a of A, R[0, 1:] the
+    Bloch vector b of B and R[1:, 1:] the correlation matrix T."""
+    if rho.dims != (2, 2):
+        raise ValueError(f"need a two-qubit state, got dims {rho.dims}")
+    basis = np.stack([np.eye(2), *PAULIS])
+    return np.einsum("ikjl,aji,blk->ab", rho.matrix.reshape(2, 2, 2, 2),
+                     basis, basis).real
 
 
 def bloch_pvm(u: BlochVector) -> PVM:

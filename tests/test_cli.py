@@ -11,7 +11,8 @@ import pytest
 
 import rbnl
 from rbnl.cli import main
-from rbnl.states import random_density, save_state, singlet, werner
+from rbnl.states import (random_density, save_state, singlet, state_to_json,
+                         werner)
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -146,6 +147,18 @@ def test_state_invalid_matrix(tmp_path, capsys):
     assert "trace" in err
 
 
+def test_state_non_finite_matrix(tmp_path, capsys):
+    doc = json.loads(state_to_json(werner(0.5)))
+    doc["matrix"][0][1]["re"] = doc["matrix"][1][0]["re"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    code, out, err = run(["state", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rbnl: ") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_vol_report(capsys):
     code, out, _ = run(["vol", "--mu", "0.9", "--samples", "100000",
                         "--seed", "4"], capsys)
@@ -167,6 +180,23 @@ def test_vol_zero_region(capsys):
 def test_vol_invalid_mu(capsys):
     code, _, _ = run(["vol", "--mu", "1.4", "--samples", "1000"], capsys)
     assert code == 1
+
+
+def test_vol_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("RNL_SEED", "abc")
+    code, out, err = run(["vol", "--mu", "0.9", "--samples", "1000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rbnl: ") and "RNL_SEED" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_vol_rejects_bad_workers(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["vol", "--mu", "0.9", "--samples", "1000", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_vol_seed_env_and_flag(capsys, monkeypatch):
@@ -254,3 +284,12 @@ def test_module_invocation(tmp_path):
 def test_usage_error_exit_code():
     proc = run_console_script("unknown-command")
     assert proc.returncode == 2
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rbnl, rbnl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -26,6 +26,21 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims do not match the shape
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan)])
+def test_density_matrix_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(m, (2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite(bad):
+    v = np.array([bad, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        PureState(v, (2, 2))
+
+
 def test_density_matrix_is_immutable():
     rho = werner(0.3)
     with pytest.raises(ValueError):
