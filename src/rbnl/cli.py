@@ -6,14 +6,17 @@ Subcommands:
   vol     Monte Carlo violation fraction vs the closed form, JSON on stdout
   decay   exponential-noise comparison of the normalized quantifiers, CSV
 
-Exit codes: 0 success, 1 domain or validation error, 2 I/O error.
+Exit codes: 0 success, 1 domain or validation error, 2 I/O or usage error.
 Every CSV gets a .manifest.json sibling recording the invocation. CSVs are
 bit-identical across runs for identical flags and seed: comma separated,
-LF line endings, 12 significant digits.
+LF line endings, 12 significant digits. Every output file is written to a
+temp file in its directory and renamed into place, so a failed run leaves no
+partial file behind.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -70,6 +73,23 @@ def sweep_rows(mu_values) -> list:
     return rows
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temp file next to path, then rename it onto path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(_fmt(x) for x in r) + "\n" for r in rows)
+
+
 def _write_manifest(out_path: str, argv, seed, samples) -> None:
     doc = {
         "command": "rbnl " + " ".join(str(a) for a in argv),
@@ -78,9 +98,7 @@ def _write_manifest(out_path: str, argv, seed, samples) -> None:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_atomic(out_path + ".manifest.json", json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
@@ -91,21 +109,17 @@ def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
         raise ValueError(f"steps must be >= 2, got {steps}")
     mus = np.linspace(mu_start, mu_end, steps)
     rows = sweep_rows(mus)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max\n")
-        for r in rows:
-            fh.write(",".join(_fmt(x) for x in
-                              (r.mu, r.n_rb, r.n_vol, r.n_max,
-                               r.norm_rb, r.norm_vol, r.norm_max)) + "\n")
+    outputs = {out_path: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max",
+                              ((r.mu, r.n_rb, r.n_vol, r.n_max,
+                                r.norm_rb, r.norm_vol, r.norm_max) for r in rows))}
     if mc_samples > 0:
         # companion file: the fixed main header has no room for MC columns
-        mc_path = out_path + ".mc.csv"
-        with open(mc_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("mu,mc_fraction,mc_std_error\n")
-            for r in rows:
-                est = nvol_mc(r.mu, McConfig(n=mc_samples, seed=seed))
-                fh.write(",".join(_fmt(x) for x in
-                                  (r.mu, est.fraction, est.std_error)) + "\n")
+        ests = [nvol_mc(r.mu, McConfig(n=mc_samples, seed=seed)) for r in rows]
+        outputs[out_path + ".mc.csv"] = _csv(
+            "mu,mc_fraction,mc_std_error",
+            ((r.mu, e.fraction, e.std_error) for r, e in zip(rows, ests)))
+    for path, text in outputs.items():
+        _write_atomic(path, text)
     _write_manifest(out_path, argv, seed, mc_samples if mc_samples > 0 else None)
     return 0
 
@@ -161,18 +175,15 @@ def cmd_vol(mu: float, samples: int, seed: int, method: str, workers: int) -> in
 
 
 def cmd_decay(t_max: float, steps: int, out_path: str, argv=()) -> int:
-    if t_max <= 0.0:
-        raise ValueError(f"t-max must be positive, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t-max must be positive and finite, got {t_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     ts = np.linspace(0.0, t_max, steps)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,mu,norm_rb,norm_vol,norm_max\n")
-        for t in ts:
-            mu = math.exp(-float(t))
-            row = sweep_rows([mu])[0]
-            fh.write(",".join(_fmt(x) for x in
-                              (t, mu, row.norm_rb, row.norm_vol, row.norm_max)) + "\n")
+    rows = sweep_rows([math.exp(-float(t)) for t in ts])
+    _write_atomic(out_path, _csv("t,mu,norm_rb,norm_vol,norm_max",
+                                 ((t, r.mu, r.norm_rb, r.norm_vol, r.norm_max)
+                                  for t, r in zip(ts, rows))))
     _write_manifest(out_path, argv, None, None)
     return 0
 
@@ -187,14 +198,19 @@ def _default_seed() -> int:
         raise ValueError(f"RNL_SEED must be an integer, got {env!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-start", type=float, default=0.0)
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
-    sw.add_argument("--samples", type=int, default=0,
+    sw.add_argument("--samples", type=_int_at_least(0), default=0,
                     help="per-row MC samples; > 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)
@@ -224,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--samples", type=int, default=10**6)
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
-    vl.add_argument("--workers", type=_positive_int, default=1)
+    vl.add_argument("--workers", type=_int_at_least(1), default=1)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")
     dc.add_argument("--t-max", type=float, default=5.0)

@@ -156,6 +156,43 @@ def test_nvol_quadrature_agrees():
         nvol_quadrature(0.9, resolution=50)
 
 
+def count_cells(mu, res):
+    """The original O(res^3) quadrature: count the midpoint cells of the
+    reduced box that violate CHSH."""
+    xs = -1.0 + 2.0 * (np.arange(res) + 0.5) / res
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    count = 0
+    for z in (np.arange(res) + 0.5) / res:
+        b = np.abs(gx * math.sqrt(z) + gy * math.sqrt(1.0 - z))
+        count += int(np.count_nonzero(b > 1.0 / mu))
+    return count / res**3
+
+
+def test_nvol_quadrature_matches_cell_count():
+    for mu in (0.75, 0.9, 1.0):
+        assert abs(nvol_quadrature(mu, 200) - count_cells(mu, 200)) < 1e-3, mu
+
+
+def test_nvol_quadrature_close_to_analytic():
+    for mu in (0.75, 0.8, 0.9, 1.0):
+        assert abs(nvol_quadrature(mu, 1000) - nvol_werner_analytic(mu)) < 1e-5, mu
+
+
+def test_nvol_quadrature_exact_zero_below_threshold():
+    for mu in (0.0, 0.5, 1 / SQRT2):
+        for res in (100, 1000):
+            assert nvol_quadrature(mu, res) == 0.0
+
+
+def test_nvol_quadrature_converges():
+    # midpoint rule in z: refining the grid never makes the error worse
+    for mu in np.linspace(0.05, 1.0, 40):
+        exact = nvol_werner_analytic(float(mu))
+        coarse = abs(nvol_quadrature(float(mu), 100) - exact)
+        fine = abs(nvol_quadrature(float(mu), 1000) - exact)
+        assert fine <= coarse, mu
+
+
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(n=0)

@@ -55,6 +55,34 @@ def test_sweep_mc_companion(tmp_path, capsys):
     assert len(lines) == 4
     row = dict(zip(("mu", "f", "se"), (float(t) for t in lines[1].split(","))))
     assert row["mu"] == 0.6 and row["f"] == 0.0
+    # atomic writes leave no temp file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "s.csv", "s.csv.manifest.json", "s.csv.mc.csv"]
+
+
+def test_sweep_samples_must_be_non_negative(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--steps", "3", "--samples", "-5",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # zero keeps its meaning: no Monte Carlo companion
+    assert run(["sweep", "--steps", "3", "--samples", "0",
+                "--out", str(tmp_path / "z.csv")], capsys)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "z.csv", "z.csv.manifest.json"]
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys):
+    # the output path is a directory: the rename onto it fails
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run(["sweep", "--steps", "5", "--out", str(target)], capsys)
+    assert code == 2
+    assert "i/o error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 def test_sweep_bad_range(tmp_path, capsys):
@@ -232,6 +260,20 @@ def test_decay_bad_tmax(tmp_path, capsys):
     code, _, _ = run(["decay", "--t-max", "-1",
                       "--out", str(tmp_path / "d.csv")], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_decay_non_finite_tmax(tmp_path, t_max):
+    # a child process, so that a numpy warning would show on its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbnl", "decay", "--t-max", t_max,
+         "--out", str(tmp_path / "d.csv")], capture_output=True, text=True,
+        env=child_env())
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("rbnl: ") and "t-max" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def child_env():
