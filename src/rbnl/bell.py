@@ -92,8 +92,7 @@ def correlator(rho: DensityMatrix, u: BlochVector, v: BlochVector) -> float:
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], so that
-    correlator(rho, u, v) = u . T v."""
-    _check_two_qubit(rho)
+    correlator(rho, u, v) = u . T v. fano_form rejects other dims."""
     return fano_form(rho)[1:, 1:]
 
 

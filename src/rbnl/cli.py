@@ -124,7 +124,7 @@ def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
     return 0
 
 
-def cmd_state(state_file: str, grid: int, restarts: int, seed: int) -> int:
+def cmd_state(state_file: str, grid: int, restarts: int) -> int:
     rho = load_state(state_file)
     if rho.purity() > 1.0 - PURITY_CUTOFF:
         spec = hermitian_spectrum(rho.matrix)
@@ -142,7 +142,7 @@ def cmd_state(state_file: str, grid: int, restarts: int, seed: int) -> int:
             raise ValueError(
                 f"mixed-state search supports only two qubits, got dims {list(rho.dims)}")
         cfg = OptimizerConfig(theta_points=grid, phi_points=2 * grid,
-                              restarts=restarts, seed=seed)
+                              restarts=restarts)
         res = nrb_two_qubit(rho, cfg)
         report = {
             "n_rb": res.value,
@@ -233,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--grid", type=int, default=12,
                     help="theta resolution; the azimuth grid is twice this")
     st.add_argument("--restarts", type=int, default=8)
-    st.add_argument("--seed", type=int, default=None)
 
     vl = sub.add_parser("vol", help="Monte Carlo violation fraction")
     vl.add_argument("--mu", type=float, required=True)
@@ -265,7 +264,7 @@ def main(argv=None) -> int:
             return cmd_sweep(args.mu_start, args.mu_end, args.steps,
                              args.samples, seed, args.out, argv)
         if args.command == "state":
-            return cmd_state(args.state_file, args.grid, args.restarts, seed)
+            return cmd_state(args.state_file, args.grid, args.restarts)
         if args.command == "vol":
             return cmd_vol(args.mu, args.samples, seed, args.method, args.workers)
         if args.command == "decay":

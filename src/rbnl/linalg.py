@@ -95,16 +95,26 @@ def _canonicalize_degenerate(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the square array m has finite entries and lies
+    within HERM_TOL of its conjugate transpose. Finiteness is checked first:
+    m - m^H on an infinite entry would raise a numpy warning."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite, got NaN or infinity")
+    asym = float(np.max(np.abs(m - m.conj().T)))
+    if asym > HERM_TOL:
+        raise ValueError(f"{what} is not Hermitian: max |m - m^H| = {asym:.3e}")
+
+
 def hermitian_spectrum(m) -> Spectrum:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    Inputs farther than HERM_TOL from self-adjoint are rejected with the
-    measured asymmetry. Degenerate eigenspaces get a deterministic basis.
+    Inputs with non-finite entries or farther than HERM_TOL from
+    self-adjoint are rejected by check_hermitian. Degenerate eigenspaces get
+    a deterministic basis.
     """
     m = np.asarray(m, dtype=complex)
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^H| = {asym:.3e}")
+    check_hermitian(m, "matrix")
     vals, vecs = np.linalg.eigh(m)
     vecs = _canonicalize_degenerate(vals, vecs)
     return Spectrum(vals, vecs)
@@ -113,24 +123,24 @@ def hermitian_spectrum(m) -> Spectrum:
 def entropy_from_eigenvalues(vals) -> float:
     """-sum(l ln l) over a probability-like spectrum; 0 ln 0 := 0.
 
-    Eigenvalues below -PSD_TOL mean the input was not a state. Values in
-    (-PSD_TOL, EIG_CLIP) are treated as exact zeros.
+    Eigenvalues below -PSD_TOL, NaN or infinite mean the input was not a
+    state. Values in (-PSD_TOL, EIG_CLIP) are treated as exact zeros. An
+    entropy of zero is returned as +0.0.
     """
     v = np.asarray(vals, dtype=float)
     lo = float(v.min()) if v.size else 0.0
-    if lo < -PSD_TOL:
-        raise ValueError(f"eigenvalue {lo:.3e} < -{PSD_TOL:.0e}: not a state")
+    if not lo >= -PSD_TOL:  # NaN fails too
+        raise ValueError(f"minimum eigenvalue {lo:.3e} is not >= -{PSD_TOL:.0e}: not a state")
     v = v[v > EIG_CLIP]
-    if v.size == 0:
-        return 0.0
-    return max(float(-np.sum(v * np.log(v))), 0.0)
+    s = float(-np.sum(v * np.log(v)))
+    if s == -np.inf:
+        raise ValueError("infinite eigenvalue: not a state")
+    return s if s > 0.0 else 0.0
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats, clamped to [0, ln dim]."""
     m = np.asarray(rho, dtype=complex)
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^H| = {asym:.3e}")
+    check_hermitian(m, "matrix")
     s = entropy_from_eigenvalues(np.linalg.eigvalsh(m))
     return min(s, float(np.log(m.shape[0])))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLIP, entropy_from_eigenvalues, hermitian_spectrum
+from .linalg import EIG_CLIP, entropy_from_eigenvalues
 from .search import OptimizerConfig, grid_refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
@@ -37,7 +37,7 @@ class NrbResult:
     eta: float  # |u . v| at the argmax
 
     def __post_init__(self):
-        if self.value < -1e-12:
+        if not self.value >= -1e-12:  # NaN fails too
             raise ValueError(f"negative value {self.value:.3e}")
         if not -1e-12 <= self.eta <= 1 + 1e-12:
             raise ValueError(f"eta {self.eta!r} outside [0, 1]")
@@ -57,13 +57,14 @@ class SchmidtDecomposition:
         xi = np.array(self.coefficients, dtype=float)
         ua = np.array(self.basis_a, dtype=complex)
         ub = np.array(self.basis_b, dtype=complex)
-        if xi.min() < -1e-10:
+        # each guard is written so that NaN fails it
+        if not xi.min() >= -1e-10:
             raise ValueError(f"negative coefficient {xi.min():.3e}")
-        if abs(xi.sum() - 1.0) > 1e-10:
+        if not abs(xi.sum() - 1.0) <= 1e-10:
             raise ValueError(f"coefficients sum to {xi.sum():.15g}, not 1")
         for u in (ua, ub):
             gram = u.conj().T @ u
-            if np.max(np.abs(gram - np.eye(u.shape[1]))) > 1e-10:
+            if not np.max(np.abs(gram - np.eye(u.shape[1]))) <= 1e-10:
                 raise ValueError("basis not orthonormal")
         xi.setflags(write=False)
         ua.setflags(write=False)
@@ -84,48 +85,16 @@ class PureNrbResult:
     decomposition: SchmidtDecomposition
 
 
-def _complete_basis(cols, d):
-    """Extend orthonormal columns to a full basis by Gram-Schmidt over the
-    canonical basis, in canonical order."""
-    out = [np.array(c, dtype=complex) for c in cols]
-    for e in range(d):
-        cand = np.zeros(d, dtype=complex)
-        cand[e] = 1.0
-        for c in out:
-            cand -= c * np.vdot(c, cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            out.append(cand / nrm)
-        if len(out) == d:
-            break
-    return np.column_stack(out)
-
-
 def schmidt(psi: PureState) -> SchmidtDecomposition:
-    """Biorthogonal decomposition via the spectrum of the A marginal.
-
-    The B vectors for nonzero coefficients are (<alpha_i| (x) I)|psi>
-    rescaled, which is automatically orthonormal; zero-coefficient slots are
-    filled by canonical completion. Reconstruction
-    sum_i sqrt(xi_i)|alpha_i>|beta_i> recovers psi exactly (no phase left
-    over, since each beta_i already carries its phase from psi).
+    """Biorthogonal decomposition from one full SVD of the coefficient
+    matrix: psi = sum_i s_i |alpha_i>|beta_i> with alpha_i the columns of U
+    and beta_i the rows of V^H, so xi_i = s_i^2 and both bases come out
+    complete, zero-coefficient slots included. Reconstruction
+    sum_i sqrt(xi_i)|alpha_i>|beta_i> recovers psi exactly.
     """
-    d_a, d_b = psi.dims
-    mat = psi.vector.reshape(d_a, d_b)
-    spec = hermitian_spectrum(mat @ mat.conj().T)
-    order = np.argsort(-spec.values, kind="stable")
-    vals = spec.values[order]
-    basis_a = spec.vectors[:, order]
-    k = min(d_a, d_b)
-    xi = np.clip(vals[:k], 0.0, None)
-    xi = xi / xi.sum()
-    bcols = []
-    for i in range(k):
-        if xi[i] > EIG_CLIP:
-            b = basis_a[:, i].conj() @ mat
-            bcols.append(b / np.linalg.norm(b))
-    basis_b = _complete_basis(bcols, d_b)
-    return SchmidtDecomposition(xi, basis_a, basis_b)
+    u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims))
+    xi = s * s
+    return SchmidtDecomposition(xi / xi.sum(), u, vh.T)
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -226,10 +195,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     coarser observables could not do better; callers should treat the result
     as a maximum over sharp observables.
     """
-    d_a, d_b = rho.dims
-    if (d_a, d_b) != (2, 2):
-        raise ValueError(f"two-qubit search needs dims (2, 2), got ({d_a}, {d_b})")
-    fano = fano_form(rho)
+    fano = fano_form(rho)  # rejects dims other than (2, 2)
     a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     dirs = sphere_grid(cfg)

@@ -46,9 +46,10 @@ class RealityComponents:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or len(w) != len(self.states_a) or len(w) != len(self.states_b):
             raise ValueError("weights and component lists disagree in length")
-        if w.min() < 0:
+        # both guards are written so that NaN fails them
+        if not w.min() >= 0:
             raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum():.15g}, not 1")
         sa = tuple(np.array(s, dtype=complex) for s in self.states_a)
         sb = tuple(np.array(s, dtype=complex) for s in self.states_b)

@@ -42,7 +42,7 @@ class OptimizerConfig:
     and retried with more damping in the next iteration. A restart
     finishes early when an accepted step raises the value by less than
     `value_tol`, or when its Riemannian gradient norm is at most 1e-10.
-    The seed field is reserved plumbing: the whole search is deterministic.
+    The search is deterministic.
     """
 
     theta_points: int = 12
@@ -50,7 +50,6 @@ class OptimizerConfig:
     refine_iterations: int = 200
     restarts: int = 8
     value_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.theta_points < 1 or self.phi_points < 1:

@@ -7,11 +7,12 @@ and the singlet carries the sign (|01> - |10>)/sqrt(2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_TOL
+from .linalg import HERM_TOL, PSD_TOL, check_hermitian
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -23,12 +24,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 for _p in PAULIS:
     _p.setflags(write=False)
-
-
-def _check_finite(arr):
-    # first, so that no later guard compares against NaN
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite, got NaN or infinity")
 
 
 def _freeze(obj, name, arr):
@@ -51,10 +46,7 @@ class DensityMatrix:
         if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
-        _check_finite(m)
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > HERM_TOL:
-            raise ValueError(f"not Hermitian: max |m - m^H| = {asym:.3e}")
+        check_hermitian(m, "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr.real:.12g}, not 1")
@@ -85,8 +77,9 @@ class PureState:
         if d_a < 1 or d_b < 1 or v.shape != (d_a * d_b,):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with vector length {v.shape[0]}")
-        _check_finite(v)
         nrm = float(np.linalg.norm(v))
+        if not math.isfinite(nrm):  # NaN or infinity in v
+            raise ValueError("entries must be finite, got NaN or infinity")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"norm is {nrm:.12g}, not 1")
         _freeze(self, "vector", v)
@@ -112,8 +105,7 @@ class PVM:
         for p in projs:
             if p.shape != (d, d):
                 raise ValueError("projector shapes disagree")
-            if np.max(np.abs(p - p.conj().T)) > HERM_TOL:
-                raise ValueError("projector not Hermitian")
+            check_hermitian(p, "projector")
             if np.max(np.abs(p @ p - p)) > HERM_TOL:
                 raise ValueError("projector not idempotent")
         for i in range(len(projs)):
@@ -150,7 +142,7 @@ class BlochVector:
         if c.shape != (3,):
             raise ValueError("Bloch vector needs exactly 3 components")
         nrm = float(np.linalg.norm(c))
-        if abs(nrm - 1.0) > BLOCH_TOL:
+        if not abs(nrm - 1.0) <= BLOCH_TOL:  # NaN fails too
             raise ValueError(f"norm is {nrm:.15g}, not 1")
         _freeze(self, "components", c)
 
@@ -198,8 +190,8 @@ def bloch_pvm(u: BlochVector) -> PVM:
 
 def qutrit_family(gamma: float) -> PureState:
     """(|00> + gamma |11> + |22>)/sqrt(2 + gamma^2) on a 3x3 system."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     v = np.zeros(9, dtype=complex)
     v[0] = 1.0
     v[4] = gamma
@@ -256,9 +248,11 @@ def state_from_json(text: str) -> DensityMatrix:
                       for row in rows], dtype=complex)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed state document: {exc!r}") from exc
-    if len(dims) != 2:
-        raise ValueError("malformed state document: dims must have 2 entries")
-    return DensityMatrix(m, (int(dims[0]), int(dims[1])))
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(type(d) is int for d in dims)):
+        raise ValueError(
+            f"malformed state document: dims must be a list of two integers, got {dims!r}")
+    return DensityMatrix(m, tuple(dims))
 
 
 def load_state(path) -> DensityMatrix:

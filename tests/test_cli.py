@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 import rbnl
 from rbnl.cli import main
-from rbnl.states import (random_density, save_state, singlet, state_to_json,
-                         werner)
+from rbnl.states import (PureState, random_density, save_state, singlet,
+                         state_to_json, werner)
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -131,6 +132,12 @@ def test_state_pure_any_dims(tmp_path, capsys):
     code, out, _ = run(["state", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["n_rb"] == pytest.approx(math.log(3), abs=1e-9)
+    v = np.zeros(6, dtype=complex)
+    v[0] = 1.0
+    save_state(PureState(v, (2, 3)).density(), path)
+    code, out, _ = run(["state", str(path)], capsys)
+    assert code == 0
+    assert '"n_rb": 0.0' in out and "-0.0" not in out
 
 
 def test_state_mixed_unsupported_dims(tmp_path, capsys):
@@ -156,10 +163,17 @@ def test_state_unparseable_json(tmp_path, capsys):
 
 def test_state_schema_violation(tmp_path, capsys):
     path = tmp_path / "wrong.json"
-    path.write_text('{"dims": [2, 2], "matrix": "nope"}')
-    code, _, err = run(["state", str(path)], capsys)
-    assert code == 1
-    assert "malformed" in err
+    cell = '[[{"re": 1, "im": 0}]]'
+    for doc in ('{"dims": [2, 2], "matrix": "nope"}',
+                '{"dims": 5, "matrix": %s}' % cell,
+                '{"dims": null, "matrix": %s}' % cell,
+                '{"dims": [1.7, 1], "matrix": %s}' % cell):
+        path.write_text(doc)
+        code, out, err = run(["state", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rbnl: ") and "malformed" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_state_invalid_matrix(tmp_path, capsys):
@@ -176,15 +190,31 @@ def test_state_invalid_matrix(tmp_path, capsys):
 
 
 def test_state_non_finite_matrix(tmp_path, capsys):
-    doc = json.loads(state_to_json(werner(0.5)))
-    doc["matrix"][0][1]["re"] = doc["matrix"][1][0]["re"] = math.nan
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
-    code, out, err = run(["state", str(path)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("rbnl: ") and "finite" in err
-    assert len(err.strip().splitlines()) == 1
+    for bad in (math.nan, math.inf):
+        doc = json.loads(state_to_json(werner(0.5)))
+        doc["matrix"][0][1]["re"] = doc["matrix"][1][0]["re"] = bad
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would reach stderr
+            code, out, err = run(["state", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rbnl: ") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_state_has_no_seed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "w.json"
+    save_state(werner(0.5), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["state", str(path), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    # no seed is resolved, so a bad RNL_SEED does not concern `state`
+    monkeypatch.setenv("RNL_SEED", "abc")
+    code, _, _ = run(["state", str(path), "--grid", "4", "--restarts", "2"], capsys)
+    assert code == 0
 
 
 def test_vol_report(capsys):

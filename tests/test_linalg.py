@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,25 @@ def test_hermitian_spectrum_rejects_nonhermitian():
         hermitian_spectrum(m)
 
 
+def raises_one_line(fn, *args, match=None):
+    """fn(*args) raises a one-line ValueError and emits no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match) as exc:
+            fn(*args)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("fn", [hermitian_spectrum, von_neumann_entropy])
+def test_non_finite_matrix_rejected(fn, bad):
+    m = np.diag([bad, 1.0, 0.0, 0.0]).astype(complex)
+    raises_one_line(fn, m, match="finite")
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = bad  # off the diagonal, where m - m^H would meet it
+    raises_one_line(fn, m, match="finite")
+
+
 def test_degenerate_spectrum_is_canonical():
     # fully degenerate: the canonical basis must come back, in order
     spec = hermitian_spectrum(np.eye(3, dtype=complex))
@@ -103,6 +125,12 @@ def test_entropy_from_eigenvalues():
     assert entropy_from_eigenvalues(np.array([1.0, -1e-14])) == 0.0
     with pytest.raises(ValueError, match="not a state"):
         entropy_from_eigenvalues(np.array([1.1, -0.1]))
+    # a zero entropy is +0.0, so that reports never print -0.0
+    for vals in ([1.0, 0.0], [1.0], [], [1.0, -1e-14]):
+        assert math.copysign(1.0, entropy_from_eigenvalues(np.array(vals))) == 1.0
+    for vals in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0],
+                 [0.5, 0.5, np.nan]):
+        raises_one_line(entropy_from_eigenvalues, np.array(vals), match="not a state")
 
 
 def test_von_neumann_entropy_matches_eigenvalue_route():
@@ -121,3 +149,4 @@ def test_von_neumann_entropy_bounds():
     psi = np.zeros((d, 1), dtype=complex)
     psi[0, 0] = 1.0
     assert von_neumann_entropy(psi @ psi.conj().T) == 0.0
+    assert math.copysign(1.0, von_neumann_entropy(psi @ psi.conj().T)) == 1.0

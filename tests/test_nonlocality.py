@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,25 @@ from rbnl.nonlocality import (NrbResult, OptimizerConfig, SchmidtDecomposition,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
 from rbnl.states import (BlochVector, DensityMatrix, PureState, bloch_pvm,
-                         random_density, random_pure, singlet, werner)
+                         qutrit_family, random_density, random_pure, singlet,
+                         werner)
 
 LN2 = np.log(2.0)
+
+
+def product_state(d_a, d_b):
+    """A non-canonical product state: both factors are random unit vectors."""
+    rng = np.random.default_rng(d_a * 10 + d_b)
+    a = random_pure(d_a, 1, seed=rng).vector
+    b = random_pure(1, d_b, seed=rng).vector
+    return PureState(np.kron(a, b), (d_a, d_b))
+
+
+def degenerate_states():
+    """Schmidt spectra with ties and zero slots: equal coefficients, a
+    vanishing middle coefficient, and products in both unequal shapes."""
+    return [singlet(), qutrit_family(1.0), qutrit_family(0.0),
+            product_state(2, 3), product_state(3, 2)]
 
 
 def test_optimizer_config_validation():
@@ -24,29 +42,30 @@ def test_optimizer_config_validation():
 
 def test_schmidt_reconstructs_state():
     rng = np.random.default_rng(20)
-    for d_a, d_b in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        for k in range(10):
-            psi = random_pure(d_a, d_b, seed=rng)
-            dec = schmidt(psi)
-            coeffs = dec.coefficients
-            assert np.all(np.diff(coeffs) <= 1e-14)  # descending
-            assert abs(coeffs.sum() - 1.0) < 1e-10
-            rebuilt = np.zeros(d_a * d_b, dtype=complex)
-            for i in range(min(d_a, d_b)):
-                rebuilt += np.sqrt(coeffs[i]) * tensor(
-                    dec.basis_a[:, i].reshape(-1, 1),
-                    dec.basis_b[:, i].reshape(-1, 1)).ravel()
-            # equality up to a global phase
-            overlap = abs(np.vdot(rebuilt, psi.vector))
-            assert abs(overlap - 1.0) < 1e-10
+    states = [random_pure(d_a, d_b, seed=rng)
+              for d_a, d_b in [(2, 2), (2, 3), (3, 2), (3, 3)] for _ in range(10)]
+    for psi in states + degenerate_states():
+        d_a, d_b = psi.dims
+        dec = schmidt(psi)
+        coeffs = dec.coefficients
+        assert np.all(np.diff(coeffs) <= 1e-14)  # descending
+        assert abs(coeffs.sum() - 1.0) < 1e-10
+        rebuilt = np.zeros(d_a * d_b, dtype=complex)
+        for i in range(min(d_a, d_b)):
+            rebuilt += np.sqrt(coeffs[i]) * tensor(
+                dec.basis_a[:, i].reshape(-1, 1),
+                dec.basis_b[:, i].reshape(-1, 1)).ravel()
+        # equality up to a global phase
+        overlap = abs(np.vdot(rebuilt, psi.vector))
+        assert abs(overlap - 1.0) < 1e-10
 
 
 def test_schmidt_bases_orthonormal():
-    psi = random_pure(3, 2, seed=77)
-    dec = schmidt(psi)
-    for basis, d in ((dec.basis_a, 3), (dec.basis_b, 2)):
-        assert basis.shape == (d, d)
-        assert np.allclose(basis.conj().T @ basis, np.eye(d), atol=1e-12)
+    for psi in [random_pure(3, 2, seed=77)] + degenerate_states():
+        dec = schmidt(psi)
+        for basis, d in zip((dec.basis_a, dec.basis_b), psi.dims):
+            assert basis.shape == (d, d)
+            assert np.allclose(basis.conj().T @ basis, np.eye(d), atol=1e-12)
 
 
 def test_schmidt_product_state():
@@ -55,6 +74,10 @@ def test_schmidt_product_state():
     dec = schmidt(PureState(v, (2, 2)))
     assert np.allclose(dec.coefficients, [1.0, 0.0], atol=1e-14)
     assert entanglement_entropy(PureState(v, (2, 2))) == 0.0
+    for psi in (PureState(v, (2, 2)), product_state(2, 3), product_state(3, 2)):
+        # +0.0, so that reports never print -0.0
+        assert math.copysign(1.0, entanglement_entropy(psi)) == 1.0
+        assert math.copysign(1.0, nrb_pure(psi).value) == 1.0
 
 
 def test_entanglement_entropy_bell_state():
@@ -74,15 +97,15 @@ def test_nrb_pure_value_via_dephasing_route():
     # the optimal observables returned must attain the value through the
     # generic entropy route, not just by construction
     rng = np.random.default_rng(22)
-    for d_a, d_b in [(2, 2), (3, 3)]:
-        for _ in range(5):
-            psi = random_pure(d_a, d_b, seed=rng)
-            res = nrb_pure(psi)
-            rho = psi.density()
-            di = delta_irreality(LocalPVM(res.pvm_a, "A"),
-                                 LocalPVM(res.pvm_b, "B"), rho)
-            assert abs(di - res.value) < 1e-10
-            assert abs(res.value - entanglement_entropy(psi)) < 1e-12
+    states = [random_pure(d_a, d_b, seed=rng)
+              for d_a, d_b in [(2, 2), (3, 3)] for _ in range(5)]
+    for psi in states + degenerate_states():
+        res = nrb_pure(psi)
+        rho = psi.density()
+        di = delta_irreality(LocalPVM(res.pvm_a, "A"),
+                             LocalPVM(res.pvm_b, "B"), rho)
+        assert abs(di - res.value) < 1e-10
+        assert abs(res.value - entanglement_entropy(psi)) < 1e-12
 
 
 def test_nrb_two_qubit_matches_closed_form():
@@ -122,6 +145,9 @@ def test_nrb_result_invariants():
     with pytest.raises(ValueError):
         NrbResult(0.5, BlochVector(np.array([0.0, 0.0, 1.0])),
                   BlochVector(np.array([0.0, 0.0, 1.0])), 1.5)
+    with pytest.raises(ValueError):
+        NrbResult(np.nan, BlochVector(np.array([0.0, 0.0, 1.0])),
+                  BlochVector(np.array([0.0, 0.0, 1.0])), 1.0)
 
 
 def test_closed_form_anchors():
@@ -179,4 +205,13 @@ def test_schmidt_decomposition_validation():
     with pytest.raises(ValueError):
         SchmidtDecomposition(np.array([0.5, 0.5]),
                              np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
+                             np.eye(2, dtype=complex))
+    for xi in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError):
+            SchmidtDecomposition(np.array(xi), np.eye(2, dtype=complex),
+                                 np.eye(2, dtype=complex))
+    nan_basis = np.eye(2, dtype=complex)
+    nan_basis[0, 1] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        SchmidtDecomposition(np.array([0.5, 0.5]), nan_basis,
                              np.eye(2, dtype=complex))

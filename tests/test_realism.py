@@ -123,6 +123,9 @@ def test_reality_components_validation():
         RealityComponents((0.7, 0.7), (rho_a, rho_a), (rho_a, rho_a))
     with pytest.raises(ValueError, match="negative weight"):
         RealityComponents((1.5, -0.5), (rho_a, rho_a), (rho_a, rho_a))
+    for w in ((np.nan, 1.0), (np.nan, np.nan), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            RealityComponents(w, (rho_a, rho_a), (rho_a, rho_a))
 
 
 def test_reality_state_fixed_point():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,11 +81,21 @@ def test_pvm_validation():
         PVM((np.full((2, 2), 0.5) * 1.3, np.eye(2) - np.full((2, 2), 0.5) * 1.3))
     with pytest.raises(ValueError):
         PVM((p0, p1), labels=(1.0,))
+    for bad in (np.nan, np.inf):
+        p_bad = p1.copy()
+        p_bad[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            with pytest.raises(ValueError, match="finite"):
+                PVM((p0, p_bad))
 
 
 def test_bloch_vector():
     with pytest.raises(ValueError):
         BlochVector(np.array([1.0, 1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="norm"):
+            BlochVector(np.array([0.0, bad, 1.0]))
     u = BlochVector(np.array([0.0, 0.0, 1.0]))
     assert np.allclose(u.dot_sigma(), PAULIS[2], atol=0.0)
     rng = np.random.default_rng(5)
@@ -132,8 +143,11 @@ def test_qutrit_family():
     # vanishing middle weight is allowed
     psi0 = qutrit_family(0.0)
     assert abs(np.linalg.norm(psi0.vector) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        qutrit_family(-0.5)
+    for gamma in (-0.5, np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma"):
+                qutrit_family(gamma)
 
 
 def test_qutrit_family_entropy_closed_form():
@@ -175,7 +189,13 @@ def test_json_round_trip():
 def test_json_malformed_documents():
     for doc in ('{"dims": [2, 2]}',
                 '{"dims": [2], "matrix": []}',
-                '{"dims": [2, 2], "matrix": [[1, 2], [3, 4]]}'):
+                '{"dims": [2, 2], "matrix": [[1, 2], [3, 4]]}',
+                '{"dims": 5, "matrix": []}',
+                '{"dims": null, "matrix": []}',
+                '{"dims": "22", "matrix": []}',
+                '{"dims": [2, 2, 1], "matrix": []}',
+                '{"dims": [1.7, 1], "matrix": [[{"re": 1, "im": 0}]]}',
+                '{"dims": [true, 1], "matrix": [[{"re": 1, "im": 0}]]}'):
         with pytest.raises(ValueError, match="malformed state document"):
             state_from_json(doc)
 
