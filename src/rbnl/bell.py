@@ -2,6 +2,10 @@
 and the violation-volume fraction with analytic, quadrature, and Monte
 Carlo routes.
 
+The maximal violation N_max comes from the Horodecki closed form: the best
+CHSH value of a two-qubit state is 2 sqrt(l1 + l2), l1 and l2 the two
+largest eigenvalues of T^T T for the correlation matrix T.
+
 The volume fraction reduces the eight measurement angles to three variables
 
     x = u1.(v1 + v2)/|v1 + v2|,  y = u2.(v1 - v2)/|v1 - v2|,
@@ -22,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLIP, tensor
-from .search import OptimizerConfig, grid_refine, sphere_grid
+from .linalg import tensor
 from .states import BlochVector, DensityMatrix, fano_form
 
 SQRT2 = math.sqrt(2)
@@ -114,43 +117,15 @@ def nmax_werner(mu: float) -> float:
     return max(0.0, mu * SQRT2 - 1.0)
 
 
-def _chsh_objective(t: np.ndarray):
-    """For fixed v1, v2 the best u's are analytic:
-    max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. Batched over rows of
-    (v1, v2), with the gradients in v1 and v2."""
-
-    def objective(v1, v2):
-        plus, minus = (v1 + v2) @ t.T, (v1 - v2) @ t.T
-        rp = np.linalg.norm(plus, axis=1, keepdims=True)
-        rm = np.linalg.norm(minus, axis=1, keepdims=True)
-        # d|T w|/dw = T^T (T w) / |T w|; where |T w| = 0 (a kink), 0 is a
-        # valid subgradient
-        g_plus = (plus / np.maximum(rp, EIG_CLIP)) @ t
-        g_minus = (minus / np.maximum(rm, EIG_CLIP)) @ t
-        return (rp + rm)[:, 0], g_plus + g_minus, g_plus - g_minus
-
-    return objective
-
-
-def nmax_numeric(rho: DensityMatrix, cfg: OptimizerConfig = None) -> float:
+def nmax_numeric(rho: DensityMatrix) -> float:
     """Best CHSH value over all settings, reported as max(0, B/2 - 1).
 
-    Grid plus batched damped Newton refinement (rbnl.search) over the two v
-    directions; the u directions are eliminated analytically through the
-    correlation matrix.
+    Closed form (R., P. and M. Horodecki, Phys. Lett. A 200, 340, 1995):
+    B = 2 sqrt(l1 + l2) for the two largest eigenvalues l1, l2 of T^T T, that
+    is the two largest squared singular values of the correlation matrix.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
-    t = correlation_matrix(rho)
-    dirs = sphere_grid(cfg)
-    tv = dirs @ t.T  # T v for every grid direction
-    norm2 = np.sum(tv * tv, axis=1)
-    sq = norm2[:, np.newaxis] + norm2[np.newaxis, :]
-    cross = 2 * (tv @ tv.T)
-    # |T(v1 +- v2)| over all grid pairs from the Gram matrix; it only ranks
-    table = np.sqrt(np.maximum(sq + cross, 0.0)) + np.sqrt(np.maximum(sq - cross, 0.0))
-    best = grid_refine(table, dirs, _chsh_objective(t), cfg)[0]
-    return max(0.0, best / 2 - 1.0)
+    s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)  # descending
+    return max(0.0, math.hypot(s[0], s[1]) - 1.0)
 
 
 def bfrak(p: ReducedPoint) -> float:

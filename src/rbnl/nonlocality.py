@@ -190,10 +190,9 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     batch (see rbnl.search). The returned value never falls below the grid
     maximum.
 
-    The search space is rank-1 qubit observables. That is the natural space
-    for two qubits, but for general mixed states there is no guarantee that
-    coarser observables could not do better; callers should treat the result
-    as a maximum over sharp observables.
+    The search covers every projective observable of a qubit: a PVM on C^2
+    is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
+    {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
     fano = fano_form(rho)  # rejects dims other than (2, 2)
     a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]

@@ -1,11 +1,10 @@
 """Grid-then-refine maximization over pairs of unit vectors, S^2 x S^2.
 
-Both two-qubit searches, the irreality drop behind N_rb and the CHSH value
-behind N_max, maximize a smooth function of two Bloch directions. One routine
-serves both. The caller scores every pair of a theta x phi grid on the
-sphere as one table; the best cfg.restarts pairs (stable ranking, so ties
-go to the lower grid index) are then refined together, as one batch, by a
-Levenberg-Marquardt damped Newton iteration in tangent charts (Absil, Mahony
+N_rb of a mixed two-qubit state maximizes the irreality drop, a smooth
+function of two Bloch directions. The caller scores every pair of a
+theta x phi grid on the sphere as one table; the best cfg.restarts pairs
+(stable ranking, so ties go to the lower grid index) are then refined
+together, as one batch, by a Levenberg-Marquardt damped Newton iteration in tangent charts (Absil, Mahony
 and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).
 
 Each chart maps z = (alpha, beta) in R^2 x R^2 to
@@ -33,7 +32,7 @@ LM_MAX = 1e12  # a step this heavily damped is below float resolution
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search knobs for the two-qubit maximizations.
+    """Search knobs for the two-qubit N_rb maximization.
 
     theta_points x phi_points is the grid per sphere. The best `restarts`
     grid pairs are refined as one batch of damped Newton iterations.

@@ -26,6 +26,15 @@ for _p in PAULIS:
     _p.setflags(write=False)
 
 
+def _check_dims(dims) -> tuple[int, int]:
+    """dims as two Python ints; bools and floats such as 1.7 are rejected."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
+            and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                    for d in dims)):
+        raise ValueError(f"dims must be two integers, got {dims!r}")
+    return int(dims[0]), int(dims[1])
+
+
 def _freeze(obj, name, arr):
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -42,7 +51,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        d_a, d_b = (int(d) for d in self.dims)
+        d_a, d_b = _check_dims(self.dims)
         if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
@@ -73,7 +82,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=complex).reshape(-1)
-        d_a, d_b = (int(d) for d in self.dims)
+        d_a, d_b = _check_dims(self.dims)
         if d_a < 1 or d_b < 1 or v.shape != (d_a * d_b,):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with vector length {v.shape[0]}")
@@ -121,6 +130,8 @@ class PVM:
             labels = tuple(float(x) for x in labels)
             if len(labels) != len(projs):
                 raise ValueError("label count does not match projector count")
+            if not all(math.isfinite(x) for x in labels):
+                raise ValueError(f"labels must be finite, got {labels}")
         for p in projs:
             p.setflags(write=False)
         object.__setattr__(self, "projectors", projs)
@@ -242,17 +253,12 @@ def state_from_json(text: str) -> DensityMatrix:
     mentioning the field; invariant violations surface from DensityMatrix."""
     doc = json.loads(text)
     try:
-        dims = doc["dims"]
-        rows = doc["matrix"]
+        dims = _check_dims(doc["dims"])
         m = np.array([[complex(cell["re"], cell["im"]) for cell in row]
-                      for row in rows], dtype=complex)
-    except (KeyError, TypeError, IndexError) as exc:
+                      for row in doc["matrix"]], dtype=complex)  # ragged rows: ValueError
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc!r}") from exc
-    if not (isinstance(dims, list) and len(dims) == 2
-            and all(type(d) is int for d in dims)):
-        raise ValueError(
-            f"malformed state document: dims must be a list of two integers, got {dims!r}")
-    return DensityMatrix(m, tuple(dims))
+    return DensityMatrix(m, dims)
 
 
 def load_state(path) -> DensityMatrix:

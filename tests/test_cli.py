@@ -164,10 +164,12 @@ def test_state_unparseable_json(tmp_path, capsys):
 def test_state_schema_violation(tmp_path, capsys):
     path = tmp_path / "wrong.json"
     cell = '[[{"re": 1, "im": 0}]]'
+    ragged = '[[{"re": 1, "im": 0}], [{"re": 1, "im": 0}, {"re": 1, "im": 0}]]'
     for doc in ('{"dims": [2, 2], "matrix": "nope"}',
                 '{"dims": 5, "matrix": %s}' % cell,
                 '{"dims": null, "matrix": %s}' % cell,
-                '{"dims": [1.7, 1], "matrix": %s}' % cell):
+                '{"dims": [1.7, 1], "matrix": %s}' % cell,
+                '{"dims": [2, 1], "matrix": %s}' % ragged):
         path.write_text(doc)
         code, out, err = run(["state", str(path)], capsys)
         assert code == 1

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rbnl.linalg import tensor, von_neumann_entropy
+from rbnl.linalg import partial_trace, tensor, von_neumann_entropy
 from rbnl.nonlocality import (NrbResult, OptimizerConfig, SchmidtDecomposition,
                               entanglement_entropy, nrb_pure, nrb_two_qubit,
                               nrb_werner_closed_form, schmidt,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
-from rbnl.states import (BlochVector, DensityMatrix, PureState, bloch_pvm,
-                         qutrit_family, random_density, random_pure, singlet,
-                         werner)
+from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
+                         bloch_pvm, qutrit_family, random_density, random_pure,
+                         singlet, werner)
 
 LN2 = np.log(2.0)
 
@@ -136,6 +136,68 @@ def test_nrb_two_qubit_argmax_attains_value():
     di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
                          LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
     assert abs(di - res.value) < 1e-9
+
+
+def unit(rng):
+    n = rng.normal(size=3)
+    return BlochVector(n / np.linalg.norm(n))
+
+
+def test_trivial_observable_drops_nothing():
+    # the only qubit PVM that is not a pair of rank-1 projectors is {I}; its
+    # dephasing is the identity map, so the search over u.sigma misses nothing
+    rng = np.random.default_rng(24)
+    trivial = PVM((np.eye(2),))
+    for k in range(8):
+        rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
+        sharp = bloch_pvm(unit(rng))
+        for a, b in ((trivial, sharp), (sharp, trivial), (trivial, trivial)):
+            assert abs(delta_irreality(LocalPVM(a, "A"), LocalPVM(b, "B"), rho)) < 1e-12
+
+
+def mutual_information(m):
+    """I(rho) = S(rho_A) + S(rho_B) - S(rho) of a two-qubit matrix."""
+    return (von_neumann_entropy(partial_trace(m, (2, 2), "A"))
+            + von_neumann_entropy(partial_trace(m, (2, 2), "B"))
+            - von_neumann_entropy(m))
+
+
+def test_drop_is_a_mutual_information_difference():
+    # the marginal entropies cancel: drop(u, v) = I(rho) - I(Phi_u rho)
+    # - I(Phi_v rho) + I(Phi_u Phi_v rho)
+    rng = np.random.default_rng(25)
+    for k in range(40):
+        rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
+        a = LocalPVM(bloch_pvm(unit(rng)), "A")
+        b = LocalPVM(bloch_pvm(unit(rng)), "B")
+        rho_a, rho_b = dephase(rho, a), dephase(rho, b)
+        identity = (mutual_information(rho.matrix) - mutual_information(rho_a.matrix)
+                    - mutual_information(rho_b.matrix)
+                    + mutual_information(dephase(rho_a, b).matrix))
+        assert abs(delta_irreality(a, b, rho) - identity) < 1e-12
+
+
+def test_nrb_vanishes_on_product_states():
+    rng = np.random.default_rng(26)
+    for k in range(6):
+        rho_a = random_density(2, 1, rank=(k % 2) + 1, seed=rng)
+        rho_b = random_density(1, 2, rank=(k // 2) % 2 + 1, seed=rng)
+        prod = DensityMatrix(tensor(rho_a.matrix, rho_b.matrix), (2, 2))
+        assert nrb_two_qubit(prod).value < 1e-12
+
+
+def test_nrb_at_most_mutual_information():
+    # data processing: N_rb <= I(rho) - I(Phi_v rho) <= I(rho)
+    rng = np.random.default_rng(27)
+    for k in range(12):
+        rho = random_density(2, 2, rank=(k % 3) + 2, seed=rng)
+        assert nrb_two_qubit(rho).value <= mutual_information(rho.matrix) + 1e-12
+
+
+def test_classically_correlated_state_has_ln2():
+    # separable, yet as realism-based nonlocal as the singlet
+    rho = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
+    assert abs(nrb_two_qubit(rho).value - LN2) < 1e-9
 
 
 def test_nrb_result_invariants():

@@ -1,12 +1,13 @@
-"""The shared two-qubit search (rbnl.search) and the Fano-form objectives it
-maximizes: second routes for the objectives and their gradients, and
-metamorphic checks of the searched values. Seeded, so deterministic."""
+"""The two-qubit search (rbnl.search) and the objectives it maximizes, the
+Fano-form irreality drop and the CHSH objective of the test_bell oracle:
+second routes for the objectives and their gradients, and metamorphic checks
+of the searched values. Seeded, so deterministic."""
 import itertools
 
 import numpy as np
 import pytest
 
-from rbnl.bell import _chsh_objective, correlation_matrix, nmax_numeric
+from rbnl.bell import correlation_matrix, nmax_numeric
 from rbnl.linalg import entropy_from_eigenvalues
 from rbnl.nonlocality import _drop_objective, nrb_two_qubit
 from rbnl.realism import LocalPVM, delta_irreality
@@ -14,6 +15,7 @@ from rbnl.search import (OptimizerConfig, _chart_eval, _tangent_basis, _top,
                          sphere_grid)
 from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
+from test_bell import chsh_objective
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
 
@@ -83,7 +85,7 @@ def test_analytic_gradients_match_finite_differences(rank):
         rho = random_density(2, 2, rank=rank, seed=rng)
         u, v = unit(rng), unit(rng)
         assert chart_gradient_error(drop_objective(rho), u, v) < 1e-7
-        assert chart_gradient_error(_chsh_objective(correlation_matrix(rho)), u, v) < 1e-7
+        assert chart_gradient_error(chsh_objective(correlation_matrix(rho)), u, v) < 1e-7
 
 
 def test_ranking_is_a_stable_descending_sort():

@@ -42,6 +42,21 @@ def test_pure_state_rejects_non_finite(bad):
         PureState(v, (2, 2))
 
 
+@pytest.mark.parametrize("dims", [(1.7, 1), (1, 1.0), (True, 1), (1, False),
+                                  (1,), (1, 1, 1), 1, None, "11"])
+def test_dims_must_be_two_integers(dims):
+    with pytest.raises(ValueError, match="dims must be two integers"):
+        DensityMatrix(np.eye(1), dims)
+    with pytest.raises(ValueError, match="dims must be two integers"):
+        PureState(np.ones(1), dims)
+
+
+def test_dims_accept_numpy_integers():
+    dims = (np.int64(2), np.int32(1))
+    for state in (DensityMatrix(np.eye(2) / 2, dims), PureState(np.array([1.0, 0.0]), dims)):
+        assert state.dims == (2, 1) and all(type(d) is int for d in state.dims)
+
+
 def test_density_matrix_is_immutable():
     rho = werner(0.3)
     with pytest.raises(ValueError):
@@ -81,6 +96,9 @@ def test_pvm_validation():
         PVM((np.full((2, 2), 0.5) * 1.3, np.eye(2) - np.full((2, 2), 0.5) * 1.3))
     with pytest.raises(ValueError):
         PVM((p0, p1), labels=(1.0,))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="labels must be finite"):
+            PVM((p0, p1), labels=(bad, 1.0))
     for bad in (np.nan, np.inf):
         p_bad = p1.copy()
         p_bad[0, 0] = bad
@@ -195,7 +213,9 @@ def test_json_malformed_documents():
                 '{"dims": "22", "matrix": []}',
                 '{"dims": [2, 2, 1], "matrix": []}',
                 '{"dims": [1.7, 1], "matrix": [[{"re": 1, "im": 0}]]}',
-                '{"dims": [true, 1], "matrix": [[{"re": 1, "im": 0}]]}'):
+                '{"dims": [true, 1], "matrix": [[{"re": 1, "im": 0}]]}',
+                '{"dims": [2, 1], "matrix": [[{"re": 1, "im": 0}],'
+                ' [{"re": 0, "im": 0}, {"re": 0, "im": 0}]]}'):  # ragged rows
         with pytest.raises(ValueError, match="malformed state document"):
             state_from_json(doc)
 
