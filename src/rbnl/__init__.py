@@ -16,9 +16,10 @@ from .bell import (ChshSettings, McConfig, McEstimate, ReducedPoint, bfrak,
 from .linalg import (Spectrum, entropy_from_eigenvalues, hermitian_spectrum,
                      partial_trace, tensor, von_neumann_entropy)
 from .nonlocality import (NrbResult, OptimizerConfig, PureNrbResult,
-                          SchmidtDecomposition, entanglement_entropy,
-                          nrb_pure, nrb_two_qubit, nrb_werner_closed_form,
-                          schmidt, werner_dephased_spectra)
+                          SchmidtDecomposition, SearchDiagnostics,
+                          entanglement_entropy, nrb_pure, nrb_two_qubit,
+                          nrb_werner_closed_form, schmidt,
+                          werner_dephased_spectra)
 from .realism import (LocalPVM, RealityComponents, dephase, delta_irreality,
                       irreality, is_reality_state, make_reality_state)
 from .states import (PAULIS, BlochVector, DensityMatrix, PureState, PVM,
@@ -40,7 +41,8 @@ __all__ = [
     "LocalPVM", "RealityComponents", "dephase", "irreality",
     "delta_irreality", "make_reality_state", "is_reality_state",
     # nonlocality
-    "OptimizerConfig", "NrbResult", "PureNrbResult", "SchmidtDecomposition",
+    "OptimizerConfig", "NrbResult", "SearchDiagnostics", "PureNrbResult",
+    "SchmidtDecomposition",
     "schmidt", "entanglement_entropy", "nrb_pure", "nrb_two_qubit",
     "nrb_werner_closed_form", "werner_dephased_spectra",
     # bell

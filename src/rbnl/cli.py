@@ -230,9 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("state", help="quantify one state from a JSON file")
     st.add_argument("state_file")
-    st.add_argument("--grid", type=int, default=12,
-                    help="theta resolution; the azimuth grid is twice this")
-    st.add_argument("--restarts", type=int, default=8)
+    st.add_argument("--grid", type=_int_at_least(1), default=12,
+                    help="theta resolution of the N x 2N theta x phi grid, whose "
+                         "distinct observables are searched (121 for N = 12)")
+    st.add_argument("--restarts", type=_int_at_least(1), default=8)
 
     vl = sub.add_parser("vol", help="Monte Carlo violation fraction")
     vl.add_argument("--mu", type=float, required=True)

@@ -26,13 +26,22 @@ def tensor(a, b, *rest):
     return out
 
 
+def check_dims(dims) -> tuple[int, int]:
+    """dims as two Python ints; bools and floats such as 1.7 are rejected."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
+            and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                    for d in dims)):
+        raise ValueError(f"dims must be two integers, got {dims!r}")
+    return int(dims[0]), int(dims[1])
+
+
 def partial_trace(rho, dims, keep: str):
     """Reduced matrix of one subsystem of a bipartite operator.
 
-    dims is (d_a, d_b) with the first factor on the left (slow) index;
-    keep is "A" or "B". Trace is preserved.
+    dims is (d_a, d_b), two integers (see check_dims), with the first factor
+    on the left (slow) index; keep is "A" or "B". Trace is preserved.
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = check_dims(dims)
     m = np.asarray(rho)
     if m.shape != (d_a * d_b, d_a * d_b):
         raise ValueError(f"matrix shape {m.shape} inconsistent with dims ({d_a}, {d_b})")

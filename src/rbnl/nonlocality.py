@@ -13,9 +13,13 @@ In the Fano form rho = (I + a.sigma (x) I + I (x) b.sigma
 analytic gradient: S(Phi_u rho) is the entropy of the four eigenvalues
 (1 + s a.u +- |b + s T^T u|) / 4, s = +-1, its mirror image gives
 S(Phi_v rho), and S(Phi_u Phi_v rho) is the Shannon entropy of
-(1 + s a.u + t b.v + st u^T T v) / 4. A grid over both spheres localizes
-the basins and a batched damped Newton iteration (rbnl.search) polishes the
-best candidates.
+(1 + s a.u + q b.v + s q u^T T v) / 4. One call of the objective stacks
+these 4 + 4 + 4 eigenvalues, takes one log, and returns the value, the
+gradients and the analytic 6 x 6 Hessian in (u, v). The drop does not
+change under u -> -u or v -> -v, so a grid of one direction per observable
+on each sphere (the theta x phi grid modulo the antipodal map) localizes
+the basins, and a batched damped Newton iteration (rbnl.search) polishes
+the best candidates with that Hessian.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, grid_refine, sphere_grid
+from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
 
@@ -35,6 +39,7 @@ class NrbResult:
     argmax_u: BlochVector
     argmax_v: BlochVector
     eta: float  # |u . v| at the argmax
+    diagnostics: SearchDiagnostics | None = None  # None unless from a search
 
     def __post_init__(self):
         if not self.value >= -1e-12:  # NaN fails too
@@ -119,64 +124,107 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
 # ---------------------------------------------------------------------------
 # two-qubit search
 
+# the four eigenvalues of each block, in the order (+, +), (+, -), (-, +),
+# (-, -): s is the first sign, q the second
+S = np.array([1.0, 1.0, -1.0, -1.0])
+Q = np.array([1.0, -1.0, 1.0, -1.0])
+# the drop is S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho)
+DROP_SIGN = np.repeat([1.0, 1.0, -1.0], 4)
+
+
 def _neg_xlogx(p):
-    """-p ln p elementwise, 0 where p <= EIG_CLIP."""
-    out = np.log(np.maximum(p, EIG_CLIP))
-    out *= -p
-    out[p <= EIG_CLIP] = 0.0
-    return out
+    """-p ln p elementwise, 0 where p <= EIG_CLIP. In place on one new array:
+    the (4, n, n) pair table is large enough that every fresh temporary
+    costs more than the arithmetic."""
+    out = np.where(p > EIG_CLIP, p, 1.0)  # -1 ln 1 = 0 stands in for p <= EIG_CLIP
+    np.log(out, out=out)
+    out *= p
+    return np.negative(out, out=out)
 
 
-def _neg_xlogx_slope(p):
-    """The derivative -(ln p + 1) of -p ln p, 0 where p <= EIG_CLIP."""
-    return np.where(p > EIG_CLIP, -1.0 - np.log(np.maximum(p, EIG_CLIP)), 0.0)
+def _one_sided(a, b, t, u):
+    """Spectrum of Phi_u rho for site-A directions u (m, 3) of the state
+    (a, b, T). In the u.sigma = s block the B part is
+    ((1 + s a.u) I + w_s.sigma) / 4, w_s = b + s T^T u, so the eigenvalues
+    are (1 + s a.u + q |w_s|) / 4, shape (m, 4), returned with w_s (m, 2, 3)
+    and |w_s| (m, 2). Called with (b, a, T^T) for site B."""
+    w = b + S[::2, None] * (u @ t)[:, None, :]
+    r = np.linalg.norm(w, axis=2)
+    return (1.0 + S * (u @ a)[:, None] + Q * np.repeat(r, 2, axis=1)) / 4, w, r
 
 
-def _dephased_entropy(a, b, t, u):
-    """S(Phi_u rho) for site-A directions u (m, 3) of the state (a, b, T), and
-    its gradient in u. In the u.sigma = s block the B part is
-    ((1 + s a.u) I + (b + s T^T u).sigma) / 4, so the spectrum is
-    (1 + s a.u +- |b + s T^T u|) / 4. Called with (b, a, T^T) for site B."""
-    au, tu = u @ a, u @ t
-    ent, grad = 0.0, 0.0
-    for s in (1.0, -1.0):
-        w = b + s * tu
-        r = np.linalg.norm(w, axis=1)
-        # d|w|/du = s T w / |w|; where |w| = 0 the two eigenvalues coincide
-        # and their terms cancel
-        tw = (w / np.maximum(r, EIG_CLIP)[:, None]) @ t.T
-        for pm in (1.0, -1.0):
-            lam = (1.0 + s * au + pm * r) / 4
-            ent = ent + _neg_xlogx(lam)
-            grad = grad + (s / 4) * _neg_xlogx_slope(lam)[:, None] * (a + pm * tw)
-    return ent, grad
+def _one_sided_derivatives(a, t, w, r):
+    """u-gradients (m, 4, 3) of the _one_sided eigenvalues, s (a + q T w_s^) / 4,
+    and the Hessians of |w_s| in u, T (I - w_s^ w_s^T) T^T / |w_s|
+    (m, 2, 3, 3), with |w_s| clipped at EIG_CLIP where the two eigenvalues
+    of a block coincide."""
+    r = np.maximum(r, EIG_CLIP)[..., None]
+    tw = (w / r) @ t.T
+    grad = (S[:, None] * a + (S * Q)[:, None] * np.repeat(tw, 2, axis=1)) / 4
+    curv = (t @ t.T - tw[..., :, None] * tw[..., None, :]) / r[..., None]
+    return grad, curv
 
 
-def _joint_probs(au, bv, utv):
-    """Yield (s, q, p) for the four outcome probabilities
-    p = (1 + s a.u + q b.v + s q u^T T v) / 4, s, q = +-1, of the doubly
-    dephased state."""
-    for s in (1.0, -1.0):
-        for q in (1.0, -1.0):
-            yield s, q, (1.0 + s * au + q * bv + s * q * utv) / 4
+def _pair_table(a, b, t, dirs):
+    """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) on every pair of
+    directions (u, v) = (dirs[i], dirs[j]), shape (n, n). The doubly
+    dephased state has the outcome probabilities
+    (1 + s a.u + q b.v + s q u^T T v) / 4, stacked as (4, n, n)."""
+    one = _neg_xlogx(np.concatenate([_one_sided(a, b, t, dirs)[0],
+                                     _one_sided(b, a, t.T, dirs)[0]], axis=1))
+    s_a, s_b = one[:, :4].sum(axis=1), one[:, 4:].sum(axis=1)
+    p = np.empty((4, len(dirs), len(dirs)))
+    np.multiply((S * Q)[:, None, None], dirs @ t @ dirs.T, out=p)
+    p += (Q[:, None] * (dirs @ b))[:, None, :]
+    p += (1.0 + S[:, None] * (dirs @ a))[:, :, None]
+    p /= 4
+    return s_a[:, None] + s_b[None, :] - _neg_xlogx(p).sum(axis=0)
 
 
-def _drop_objective(fano, s_rho):
+def _drop_objective(a, b, t, s_rho):
     """The irreality drop S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) -
-    S(rho) as a batched function of (u, v) with its analytic gradients."""
-    a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
+    S(rho) as a batched function of (u, v), with its Euclidean gradients in
+    u and v and its 6 x 6 Euclidean Hessian in (u, v).
+
+    The 4 + 4 + 4 eigenvalues L of the three dephased states are stacked as
+    (m, 12) with the signs DROP_SIGN, and take one log. With eta = -x ln x
+    the Hessian is sum c eta''(L) grad L grad L^T + sum c eta'(L) hess L:
+    hess L is +-(1/4) times the Hessian of |w_s| for the one-sided
+    eigenvalues, and for the joint ones only its u-v block s q T / 4 is
+    nonzero. eta' = eta'' = 0 where L <= EIG_CLIP.
+    """
 
     def objective(u, v):
-        s_a, g_u = _dephased_entropy(a, b, t, u)
-        s_b, g_v = _dephased_entropy(b, a, t.T, v)
+        m = len(u)
+        lam_a, w_a, r_a = _one_sided(a, b, t, u)
+        lam_b, w_b, r_b = _one_sided(b, a, t.T, v)
         tv, tu = v @ t.T, u @ t
-        s_ab = 0.0
-        for s, q, p in _joint_probs(u @ a, v @ b, np.sum(u * tv, axis=1)):
-            s_ab = s_ab + _neg_xlogx(p)
-            slope = _neg_xlogx_slope(p)[:, None] / 4
-            g_u = g_u - slope * (s * a + s * q * tv)
-            g_v = g_v - slope * (q * b + s * q * tu)
-        return s_a + s_b - s_ab - s_rho, g_u, g_v
+        p = (1.0 + S * (u @ a)[:, None] + Q * (v @ b)[:, None]
+             + S * Q * np.sum(u * tv, axis=1)[:, None]) / 4
+        grad_a, curv_a = _one_sided_derivatives(a, t, w_a, r_a)
+        grad_b, curv_b = _one_sided_derivatives(b, t.T, w_b, r_b)
+        big = np.concatenate([lam_a, lam_b, p], axis=1)
+        dl = np.zeros((m, 12, 6))  # gradients of the eigenvalues in (u, v)
+        dl[:, :4, :3], dl[:, 4:8, 3:] = grad_a, grad_b
+        dl[:, 8:, :3] = (S[:, None] * a + (S * Q)[:, None] * tv[:, None, :]) / 4
+        dl[:, 8:, 3:] = (Q[:, None] * b + (S * Q)[:, None] * tu[:, None, :]) / 4
+        live = big > EIG_CLIP
+        clipped = np.where(live, big, 1.0)
+        log = np.log(clipped)
+        d1 = np.where(live, -1.0 - log, 0.0) * DROP_SIGN
+        d2 = np.where(live, -1.0 / clipped, 0.0) * DROP_SIGN
+        f = np.sum(np.where(live, -big * log, 0.0) * DROP_SIGN, axis=1) - s_rho
+        g = np.einsum("mk,mkj->mj", d1, dl)
+        h = (dl * d2[..., None]).transpose(0, 2, 1) @ dl
+        # the +- pair of each block: sum_q q eta'(L) / 4
+        c_a = (d1[:, 0:4:2] - d1[:, 1:4:2]) / 4
+        c_b = (d1[:, 4:8:2] - d1[:, 5:8:2]) / 4
+        h[:, :3, :3] += np.einsum("ms,msij->mij", c_a, curv_a)
+        h[:, 3:, 3:] += np.einsum("ms,msij->mij", c_b, curv_b)
+        c_ab = (d1[:, 8:] @ (S * Q))[:, None, None] / 4
+        h[:, :3, 3:] += c_ab * t
+        h[:, 3:, :3] += c_ab * t.T
+        return f, g[:, :3], g[:, 3:], h
 
     return objective
 
@@ -185,10 +233,12 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     """Maximize the irreality drop over sharp qubit observable pairs.
 
     The state is taken in its Fano form (a, b, T). The drop is scored on
-    every pair of the grid, with S(Phi_u rho) and S(Phi_v rho) computed once
-    per direction, and the best cfg.restarts pairs are refined as one
-    batch (see rbnl.search). The returned value never falls below the grid
-    maximum.
+    every pair of the grid of distinct observables, with S(Phi_u rho) and
+    S(Phi_v rho) computed once per direction, and the best cfg.restarts
+    pairs are refined as one batch with the analytic Hessian (see
+    rbnl.search). The returned value never falls below the grid maximum.
+    u and -u are the same observable, so the signs of argmax_u and
+    argmax_v carry no meaning.
 
     The search covers every projective observable of a qubit: a PVM on C^2
     is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
@@ -198,16 +248,12 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     dirs = sphere_grid(cfg)
-    s_a = _dephased_entropy(a, b, t, dirs)[0]
-    s_b = _dephased_entropy(b, a, t.T, dirs)[0]
-    s_ab = sum(_neg_xlogx(p) for _, _, p in
-               _joint_probs((dirs @ a)[:, None], (dirs @ b)[None, :], dirs @ t @ dirs.T))
-    table = s_a[:, None] + s_b[None, :] - s_ab - s_rho
-    value, u, v = grid_refine(table, dirs, _drop_objective(fano, s_rho), cfg)
+    table = _pair_table(a, b, t, dirs) - s_rho
+    value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     eta = min(abs(float(u @ v)), 1.0)
-    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta)
+    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
 
 
 def _h(x: float) -> float:

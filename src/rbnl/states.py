@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_TOL, check_hermitian
+from .linalg import HERM_TOL, PSD_TOL, check_dims, check_hermitian
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -24,15 +24,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 for _p in PAULIS:
     _p.setflags(write=False)
-
-
-def _check_dims(dims) -> tuple[int, int]:
-    """dims as two Python ints; bools and floats such as 1.7 are rejected."""
-    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
-            and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                    for d in dims)):
-        raise ValueError(f"dims must be two integers, got {dims!r}")
-    return int(dims[0]), int(dims[1])
 
 
 def _freeze(obj, name, arr):
@@ -51,7 +42,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        d_a, d_b = _check_dims(self.dims)
+        d_a, d_b = check_dims(self.dims)
         if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
@@ -82,7 +73,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=complex).reshape(-1)
-        d_a, d_b = _check_dims(self.dims)
+        d_a, d_b = check_dims(self.dims)
         if d_a < 1 or d_b < 1 or v.shape != (d_a * d_b,):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with vector length {v.shape[0]}")
@@ -253,7 +244,7 @@ def state_from_json(text: str) -> DensityMatrix:
     mentioning the field; invariant violations surface from DensityMatrix."""
     doc = json.loads(text)
     try:
-        dims = _check_dims(doc["dims"])
+        dims = check_dims(doc["dims"])
         m = np.array([[complex(cell["re"], cell["im"]) for cell in row]
                       for row in doc["matrix"]], dtype=complex)  # ragged rows: ValueError
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -22,17 +22,26 @@ def unit(rng):
 def chsh_objective(t):
     """For fixed v1, v2 the best u's are analytic:
     max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. Batched over rows of
-    (v1, v2), with the gradients in v1 and v2."""
+    (v1, v2), with the gradients in v1 and v2 and the 6 x 6 Hessian in
+    (v1, v2)."""
+
+    def norm_derivatives(w):
+        # d|T w|/dw = T^T y^ and d2|T w|/dw2 = T^T (I - y^ y^T) T / |y| for
+        # y = T w; where |y| = 0 (a kink), 0 is a valid subgradient
+        y = w @ t.T
+        r = np.linalg.norm(y, axis=1)
+        rc = np.maximum(r, EIG_CLIP)[:, None]
+        ty = (y / rc) @ t
+        hess = (t.T @ t - ty[:, :, None] * ty[:, None, :]) / rc[:, :, None]
+        return r, ty, hess
 
     def objective(v1, v2):
-        plus, minus = (v1 + v2) @ t.T, (v1 - v2) @ t.T
-        rp = np.linalg.norm(plus, axis=1, keepdims=True)
-        rm = np.linalg.norm(minus, axis=1, keepdims=True)
-        # d|T w|/dw = T^T (T w) / |T w|; where |T w| = 0 (a kink), 0 is a
-        # valid subgradient
-        g_plus = (plus / np.maximum(rp, EIG_CLIP)) @ t
-        g_minus = (minus / np.maximum(rm, EIG_CLIP)) @ t
-        return (rp + rm)[:, 0], g_plus + g_minus, g_plus - g_minus
+        rp, g_plus, h_plus = norm_derivatives(v1 + v2)
+        rm, g_minus, h_minus = norm_derivatives(v1 - v2)
+        same, cross = h_plus + h_minus, h_plus - h_minus
+        hess = np.concatenate([np.concatenate([same, cross], axis=2),
+                               np.concatenate([cross, same], axis=2)], axis=1)
+        return rp + rm, g_plus + g_minus, g_plus - g_minus, hess
 
     return objective
 

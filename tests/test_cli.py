@@ -219,6 +219,20 @@ def test_state_has_no_seed(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--grid", "--restarts"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_state_rejects_bad_search_flags(tmp_path, capsys, flag, value):
+    # a usage error for pure inputs, which never search, and mixed ones alike
+    for name, rho in (("pure", singlet().density()), ("mixed", werner(0.5))):
+        path = tmp_path / f"{name}.json"
+        save_state(rho, path)
+        with pytest.raises(SystemExit) as exc:
+            main(["state", str(path), flag, value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and flag in out.err
+
+
 def test_vol_report(capsys):
     code, out, _ = run(["vol", "--mu", "0.9", "--samples", "100000",
                         "--seed", "4"], capsys)

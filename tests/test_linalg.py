@@ -61,6 +61,20 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, (2, 2), "C")
 
 
+@pytest.mark.parametrize("dims", [(2.9, 1), (2.0, 1), (True, 2), (2, False),
+                                  (2, 1, 1), [1, 1, 2], (2,), 2, None])
+def test_partial_trace_rejects_non_integer_dims(dims):
+    for keep in ("A", "B"):
+        with pytest.raises(ValueError, match="dims must be two integers"):
+            partial_trace(np.eye(2) / 2, dims, keep)
+
+
+def test_partial_trace_accepts_numpy_integer_dims():
+    rho = np.eye(6) / 6
+    red = partial_trace(rho, (np.int64(2), np.int32(3)), "B")
+    assert np.allclose(red, np.eye(3) / 3, atol=1e-15)
+
+
 def test_hermitian_spectrum_reconstructs():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4, 6):

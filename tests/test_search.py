@@ -1,7 +1,8 @@
 """The two-qubit search (rbnl.search) and the objectives it maximizes, the
 Fano-form irreality drop and the CHSH objective of the test_bell oracle:
-second routes for the objectives and their gradients, and metamorphic checks
-of the searched values. Seeded, so deterministic."""
+second routes for the objectives, their gradients and Hessians, the grid of
+distinct observables, the search diagnostics, and metamorphic checks of the
+searched values. Seeded, so deterministic."""
 import itertools
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 
 from rbnl.bell import correlation_matrix, nmax_numeric
 from rbnl.linalg import entropy_from_eigenvalues
-from rbnl.nonlocality import _drop_objective, nrb_two_qubit
+import rbnl.nonlocality
+from rbnl.nonlocality import _drop_objective, _pair_table, nrb_two_qubit
 from rbnl.realism import LocalPVM, delta_irreality
-from rbnl.search import (OptimizerConfig, _chart_eval, _tangent_basis, _top,
+from rbnl.search import (OptimizerConfig, _chart_hessian, _tangent_basis, _top,
                          sphere_grid)
 from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
@@ -36,9 +38,22 @@ def drop_route(rho, u, v):
                            LocalPVM(bloch_pvm(BlochVector(v)), "B"), rho)
 
 
+def fano_parts(rho):
+    r = fano_form(rho)
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
+
+
 def drop_objective(rho):
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
-    return _drop_objective(fano_form(rho), s_rho)
+    return _drop_objective(*fano_parts(rho), s_rho)
+
+
+def full_grid(cfg):
+    """Every direction of the theta x phi grid, poles and antipodes repeated."""
+    thetas = np.linspace(0.0, np.pi, cfg.theta_points)
+    phis = np.linspace(0.0, 2 * np.pi, cfg.phi_points, endpoint=False)
+    return np.array([[np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]
+                     for t in thetas for p in phis])
 
 
 def test_fano_form_reconstructs_state():
@@ -66,16 +81,42 @@ def test_fano_objective_equals_dephasing_route(rank):
         assert abs(value - drop_route(rho, u, v)) < 1e-12
 
 
-def chart_gradient_error(objective, u, v):
-    """Largest gap between the analytic chart gradient at (u, v) and central
-    differences of the objective along the chart axes."""
-    eu, ev = _tangent_basis(u[None]), _tangent_basis(v[None])
-    args = (objective, u[None], v[None], eu, ev)
-    grad = _chart_eval(*args, np.zeros((1, 4)))[5][0]
-    h = 1e-6
-    fd = [(_chart_eval(*args, h * e[None])[2] - _chart_eval(*args, -h * e[None])[2])[0]
-          / (2 * h) for e in np.eye(4)]
-    return float(np.max(np.abs(grad - fd)))
+def chart_point(objective, u, v, eu, ev, z):
+    """Value and chart gradient at the chart point z (4,) of the charts
+    (u, eu) x (v, ev): x = y / |y| for y = u + eu z_u, and the gradient
+    eu^T (I - x x^T) g / |y| on each sphere."""
+    ys = u + eu @ z[:2], v + ev @ z[2:]
+    xs = [y / np.linalg.norm(y) for y in ys]
+    f, gu, gv, _ = objective(xs[0][None], xs[1][None])
+    grad = [e.T @ (g[0] - (x @ g[0]) * x) / np.linalg.norm(y)
+            for e, x, y, g in zip((eu, ev), xs, ys, (gu, gv))]
+    return f[0], np.concatenate(grad)
+
+
+def chart_errors(objective, u, v):
+    """Largest gaps, at the chart centre (u, v), between the analytic chart
+    gradient and central differences of the objective, and between the
+    analytic chart Hessian and central differences of the chart gradient,
+    along the chart axes."""
+    eu, ev = _tangent_basis(u[None])[0], _tangent_basis(v[None])[0]
+    grad = chart_point(objective, u, v, eu, ev, np.zeros(4))[1]
+    _, gu, gv, h = objective(u[None], v[None])
+    hess = _chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0]
+    fd_grad, fd_hess = [], []
+    for e in np.eye(4):
+        lo, hi = (chart_point(objective, u, v, eu, ev, x * 1e-6 * e)[0] for x in (-1, 1))
+        fd_grad.append((hi - lo) / 2e-6)
+        lo, hi = (chart_point(objective, u, v, eu, ev, x * 1e-5 * e)[1] for x in (-1, 1))
+        fd_hess.append((hi - lo) / 2e-5)
+    return float(np.max(np.abs(grad - fd_grad))), float(np.max(np.abs(hess - fd_hess)))
+
+
+def search_states(kind):
+    """Ten random states of rank 1-4, or four Werner states."""
+    if kind == "werner":
+        return [werner(mu) for mu in (0.1, 0.5, 0.9, 1.0)]
+    rng = np.random.default_rng(320 + kind)
+    return [random_density(2, 2, rank=kind, seed=rng) for _ in range(10)]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -84,8 +125,61 @@ def test_analytic_gradients_match_finite_differences(rank):
     for _ in range(10):
         rho = random_density(2, 2, rank=rank, seed=rng)
         u, v = unit(rng), unit(rng)
-        assert chart_gradient_error(drop_objective(rho), u, v) < 1e-7
-        assert chart_gradient_error(chsh_objective(correlation_matrix(rho)), u, v) < 1e-7
+        assert chart_errors(drop_objective(rho), u, v)[0] < 1e-7
+        assert chart_errors(chsh_objective(correlation_matrix(rho)), u, v)[0] < 1e-7
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4, "werner"])
+def test_analytic_chart_hessian_matches_finite_differences(kind):
+    rng = np.random.default_rng([400, 0 if kind == "werner" else kind])
+    for rho in search_states(kind):
+        for _ in range(3):
+            u, v = unit(rng), unit(rng)
+            assert chart_errors(drop_objective(rho), u, v)[1] < 1e-6
+            assert chart_errors(chsh_objective(correlation_matrix(rho)), u, v)[1] < 1e-6
+
+
+GRIDS = [(12, 24), (10, 20), (11, 24), (6, 7), (5, 9), (4, 6), (2, 4), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_holds_each_observable_once(grid):
+    cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
+    dirs = sphere_grid(cfg)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+    overlap = np.abs(dirs @ dirs.T)
+    np.fill_diagonal(overlap, 0.0)
+    assert overlap.max() < 1.0 - 1e-9  # no two rows equal up to sign
+    # every direction of the theta x phi grid is +- one of the rows
+    assert np.all(np.abs(full_grid(cfg) @ dirs.T).max(axis=1) > 1.0 - 1e-12)
+
+
+def test_default_grid_has_121_observables():
+    assert len(sphere_grid(OptimizerConfig())) == 121
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_pair_table_maximum_equals_full_grid_maximum(rank):
+    rng = np.random.default_rng(370 + rank)
+    for grid in ((12, 24), (5, 9), (6, 7)):
+        cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
+        for _ in range(3):
+            parts = fano_parts(random_density(2, 2, rank=rank, seed=rng))
+            quotient = _pair_table(*parts, sphere_grid(cfg)).max()
+            assert abs(quotient - _pair_table(*parts, full_grid(cfg)).max()) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_start_pairs_are_distinct_observables(rank):
+    cfg = OptimizerConfig()
+    dirs = sphere_grid(cfg)
+    rng = np.random.default_rng(380 + rank)
+    for rho in [random_density(2, 2, rank=rank, seed=rng) for _ in range(3)] + [werner(0.7)]:
+        iu, iv = np.divmod(_top(_pair_table(*fano_parts(rho), dirs).ravel(),
+                                cfg.restarts), len(dirs))
+        same_u = np.abs(dirs[iu] @ dirs[iu].T) > 1.0 - 1e-9
+        same_v = np.abs(dirs[iv] @ dirs[iv].T) > 1.0 - 1e-9
+        assert np.array_equal(same_u & same_v, np.eye(cfg.restarts, dtype=bool))
 
 
 def test_ranking_is_a_stable_descending_sort():
@@ -99,7 +193,7 @@ def test_ranking_is_a_stable_descending_sort():
 def test_value_never_below_grid_maximum(rank):
     # the grid maximum here comes from the 4x4 dephasing route
     cfg = OptimizerConfig(theta_points=4, phi_points=6, restarts=2, refine_iterations=1)
-    dirs = sphere_grid(cfg)
+    dirs = full_grid(cfg)
     rho = random_density(2, 2, rank=rank, seed=340 + rank)
     grid_max = max(drop_route(rho, u, v) for u in dirs for v in dirs)
     assert nrb_two_qubit(rho, cfg).value >= grid_max - 1e-12
@@ -135,3 +229,50 @@ def test_werner_argmax_reproduces_value():
         res = nrb_two_qubit(rho)
         again = drop_route(rho, res.argmax_u.components, res.argmax_v.components)
         assert abs(again - res.value) < 1e-12
+
+
+def test_werner_states_need_no_refinement():
+    # the top grid pairs u = v are already stationary
+    for mu in (0.05, 0.3, 0.7, 1.0):
+        diag = nrb_two_qubit(werner(mu)).diagnostics
+        assert (diag.iterations, diag.evaluations) == (0, 1)
+        assert diag.converged == OptimizerConfig().restarts
+        assert diag.refined_best == diag.grid_best
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_diagnostics_describe_the_search(rank):
+    cfg = OptimizerConfig()
+    rng = np.random.default_rng(390 + rank)
+    for _ in range(4):
+        res = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng), cfg)
+        diag = res.diagnostics
+        assert diag.refined_best >= diag.grid_best
+        assert res.value == max(diag.refined_best, 0.0)
+        assert 0 <= diag.best_restart < cfg.restarts
+        assert 0 <= diag.converged <= cfg.restarts
+        assert 0 <= diag.iterations <= cfg.refine_iterations
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_one_objective_call_per_iteration(rank, monkeypatch):
+    # one call at the start and one per refine iteration; a change that adds
+    # evaluations (say a finite-difference Hessian) fails here
+    calls = []
+
+    def counting(*args):
+        objective = _drop_objective(*args)
+
+        def counted(u, v):
+            calls.append(len(u))
+            return objective(u, v)
+
+        return counted
+
+    monkeypatch.setattr(rbnl.nonlocality, "_drop_objective", counting)
+    rng = np.random.default_rng(395 + rank)
+    for _ in range(3):
+        calls.clear()
+        diag = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng)).diagnostics
+        assert len(calls) == diag.evaluations == diag.iterations + 1
+        assert calls[0] == OptimizerConfig().restarts
