@@ -1,7 +1,9 @@
 """For pure states the quantifier reduces to entanglement entropy.
 
-Two checks: the two-qubit optimizer lands on the Schmidt value for random
-pure states, and over a one-parameter qutrit family the maximum sits at
+Two checks: for random pure two-qubit states, the irreality drop that
+nrb_two_qubit evaluates at the Schmidt pair (its route for pure states,
+through the dephased spectra) equals the entropy of the Schmidt
+coefficients, and over a one-parameter qutrit family the maximum sits at
 the maximally entangled member (no anomaly, unlike Bell quantifiers).
 """
 import numpy as np
@@ -11,13 +13,13 @@ from rbnl import (entanglement_entropy, nrb_pure, nrb_two_qubit,
 
 
 def main():
-    print("random pure two-qubit states: optimizer vs Schmidt entropy")
-    print(f"  {'seed':>4}  {'optimizer':>12}  {'entropy':>12}  {'gap':>9}")
+    print("random pure two-qubit states: drop at the Schmidt pair vs Schmidt entropy")
+    print(f"  {'seed':>4}  {'pair drop':>12}  {'entropy':>12}  {'gap':>9}")
     for seed in range(6):
         psi = random_pure(2, 2, seed=seed)
-        opt = nrb_two_qubit(psi.density()).value
+        drop = nrb_two_qubit(psi.density()).value
         ent = entanglement_entropy(psi)
-        print(f"  {seed:>4}  {opt:>12.9f}  {ent:>12.9f}  {abs(opt - ent):>9.1e}")
+        print(f"  {seed:>4}  {drop:>12.9f}  {ent:>12.9f}  {abs(drop - ent):>9.1e}")
     print()
 
     print("qutrit family (|00> + gamma |11> + |22>), normalized:")

@@ -29,11 +29,9 @@ import numpy as np
 from . import __version__
 from .bell import McConfig, nmax_werner, nvol_mc, nvol_werner_analytic
 from .linalg import hermitian_spectrum
-from .nonlocality import (OptimizerConfig, nrb_pure, nrb_two_qubit,
-                          nrb_werner_closed_form)
+from .nonlocality import (PURITY_CUTOFF, OptimizerConfig, nrb_pure,
+                          nrb_two_qubit, nrb_werner_closed_form)
 from .states import PureState, load_state
-
-PURITY_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 observable pairs.
 
 For pure states the maximum is attained on the Schmidt bases and equals the
-entanglement entropy, so no search is needed. For mixed two-qubit states the
-search runs over sharp qubit observables u.sigma and v.sigma, u and v unit
-Bloch vectors, of the objective
+entanglement entropy, so no search is needed: nrb_pure gives it for any
+dimensions, and nrb_two_qubit takes that route itself for a two-qubit state
+whose purity exceeds 1 - PURITY_CUTOFF, returning the drop at the Schmidt
+pair with diagnostics None. For mixed two-qubit states the search runs over
+sharp qubit observables u.sigma and v.sigma, u and v unit Bloch vectors, of
+the objective
 
     S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho).
 
@@ -31,6 +34,8 @@ import numpy as np
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
 from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
+
+PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
 
 
 @dataclass(frozen=True)
@@ -229,31 +234,67 @@ def _drop_objective(a, b, t, s_rho):
     return objective
 
 
+def _fano_parts(rho: DensityMatrix):
+    fano = fano_form(rho)  # rejects dims other than (2, 2)
+    return fano[1:, 0], fano[0, 1:], fano[1:, 1:]
+
+
+def _result(value, u, v, diagnostics=None) -> NrbResult:
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    eta = min(abs(float(u @ v)), 1.0)
+    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
+
+
+def _bloch(x: np.ndarray) -> np.ndarray:
+    """Bloch vector <x|sigma|x> of a unit qubit ket x."""
+    c = np.conj(x[0]) * x[1]
+    return np.array([2.0 * c.real, 2.0 * c.imag, abs(x[0]) ** 2 - abs(x[1]) ** 2])
+
+
 def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> NrbResult:
     """Maximize the irreality drop over sharp qubit observable pairs.
+
+    A pure state, purity above 1 - PURITY_CUTOFF, takes no search: the
+    maximum is the entanglement entropy, attained on the Schmidt bases. The
+    Schmidt decomposition of the top eigenvector of rho gives them: the
+    Bloch vectors of the leading Schmidt kets are argmax_u and argmax_v,
+    the value is the drop at that pair, and diagnostics is None. For a
+    state inside the cutoff but not exactly pure, rho = (1 - eps)|psi><psi|
+    + eps sigma, the value is still an attained drop, within O(eps ln eps)
+    of the maximum. Every other state is searched (see _nrb_search) and cfg
+    applies only there. u and -u are the same observable, so the signs of
+    argmax_u and argmax_v carry no meaning.
+
+    The search covers every projective observable of a qubit: a PVM on C^2
+    is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
+    {I}, whose dephasing leaves rho unchanged and whose drop is 0.
+    """
+    if rho.purity() <= 1.0 - PURITY_CUTOFF:
+        return _nrb_search(rho, cfg)
+    a, b, t = _fano_parts(rho)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    dec = schmidt(PureState(vecs[:, -1], (2, 2)))
+    u, v = _bloch(dec.basis_a[:, 0])[None], _bloch(dec.basis_b[:, 0])[None]
+    value = _drop_objective(a, b, t, entropy_from_eigenvalues(vals))(u, v)[0][0]
+    return _result(float(value), u[0], v[0])
+
+
+def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
+    """The grid-then-refine search for N_rb, for any two-qubit state.
 
     The state is taken in its Fano form (a, b, T). The drop is scored on
     every pair of the grid of distinct observables, with S(Phi_u rho) and
     S(Phi_v rho) computed once per direction, and the best cfg.restarts
     pairs are refined as one batch with the analytic Hessian (see
     rbnl.search). The returned value never falls below the grid maximum.
-    u and -u are the same observable, so the signs of argmax_u and
-    argmax_v carry no meaning.
-
-    The search covers every projective observable of a qubit: a PVM on C^2
-    is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
-    {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
-    fano = fano_form(rho)  # rejects dims other than (2, 2)
-    a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
+    a, b, t = _fano_parts(rho)
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     dirs = sphere_grid(cfg)
     table = _pair_table(a, b, t, dirs) - s_rho
     value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    eta = min(abs(float(u @ v)), 1.0)
-    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
+    return _result(value, u, v, diagnostics)
 
 
 def _h(x: float) -> float:

@@ -49,7 +49,8 @@ class OptimizerConfig:
     and retried with more damping in the next iteration. A restart
     finishes early when an accepted step raises the value by less than
     `value_tol`, or when its Riemannian gradient norm is at most 1e-10.
-    The search is deterministic.
+    The search is deterministic. The four counts must be integers >= 1
+    (bool is rejected) and value_tol finite and >= 0.
     """
 
     theta_points: int = 12
@@ -59,10 +60,14 @@ class OptimizerConfig:
     value_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.theta_points < 1 or self.phi_points < 1:
-            raise ValueError("grid resolutions must be positive")
-        if self.refine_iterations < 1 or self.restarts < 1:
-            raise ValueError("refinement iterations and restarts must be positive")
+        for name in ("theta_points", "phi_points", "refine_iterations", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
+            raise ValueError(f"value_tol must be finite and >= 0, got {self.value_tol!r}")
 
 
 def sphere_grid(cfg: OptimizerConfig) -> np.ndarray:

@@ -5,8 +5,8 @@ import pytest
 
 from rbnl.linalg import partial_trace, tensor, von_neumann_entropy
 from rbnl.nonlocality import (NrbResult, OptimizerConfig, SchmidtDecomposition,
-                              entanglement_entropy, nrb_pure, nrb_two_qubit,
-                              nrb_werner_closed_form, schmidt,
+                              _nrb_search, entanglement_entropy, nrb_pure,
+                              nrb_two_qubit, nrb_werner_closed_form, schmidt,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
 from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
@@ -38,6 +38,19 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
     cfg = OptimizerConfig()
     assert (cfg.theta_points, cfg.phi_points, cfg.restarts) == (12, 24, 8)
+    assert OptimizerConfig(theta_points=np.int64(4), value_tol=0.0).theta_points == 4
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"restarts": 2.5}, TypeError),
+    ({"theta_points": 2.5}, TypeError),
+    ({"theta_points": True}, TypeError),
+    ({"value_tol": math.nan}, ValueError),
+    ({"value_tol": -1.0}, ValueError),
+])
+def test_optimizer_config_rejects_non_integers_and_bad_tolerance(kw, error):
+    with pytest.raises(error, match=next(iter(kw))):
+        OptimizerConfig(**kw)
 
 
 def test_schmidt_reconstructs_state():
@@ -123,10 +136,55 @@ def test_nrb_two_qubit_product_state_is_zero():
     assert 0.0 <= res.value < 1e-8
 
 
+def test_pure_states_take_the_schmidt_pair():
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        psi = random_pure(2, 2, seed=rng)
+        rho = psi.density()
+        res = nrb_two_qubit(rho)
+        assert res.diagnostics is None  # no search ran
+        assert abs(res.value - entanglement_entropy(psi)) < 1e-12
+        di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
+                             LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
+        assert abs(di - res.value) < 1e-12
+
+
+def test_pure_product_and_bell_states():
+    s = 1 / math.sqrt(2)
+    kets = [np.array([1, 0]), np.array([0, 1]), np.array([s, s]), np.array([s, 1j * s])]
+    for x in kets:
+        for y in kets:
+            rho = PureState(np.kron(x, y), (2, 2)).density()
+            assert nrb_two_qubit(rho).value == 0.0
+    phi_plus = PureState(np.array([s, 0, 0, s]), (2, 2))
+    for psi in (singlet(), phi_plus):
+        assert abs(nrb_two_qubit(psi.density()).value - LN2) < 1e-12
+
+
+@pytest.mark.parametrize("noise", ["white", "pure"])
+@pytest.mark.parametrize("eps", [1e-13, 1e-11, 4e-11])
+def test_near_pure_states_agree_with_the_search(eps, noise):
+    # inside the cutoff: the Schmidt pair of the top eigenvector is still the
+    # optimum to within O(eps ln eps). White noise I/4 is isotropic; a random
+    # pure |phi> is not, and its purity gap 2 eps (1 - |<psi|phi>|^2) stays
+    # below the cutoff for every eps here
+    rng = np.random.default_rng(41 if noise == "white" else 43)
+    for _ in range(4):
+        m = (1 - eps) * random_pure(2, 2, seed=rng).density().matrix
+        if noise == "white":
+            m = m + eps * np.eye(4) / 4
+        else:
+            m = m + eps * random_pure(2, 2, seed=rng).density().matrix
+        rho = DensityMatrix(m, (2, 2))
+        res = nrb_two_qubit(rho)
+        assert res.diagnostics is None
+        assert abs(res.value - _nrb_search(rho, OptimizerConfig()).value) < 1e-9
+
+
 def test_nrb_two_qubit_rejects_wrong_dims():
-    rho = random_density(3, 3, rank=2, seed=5)
-    with pytest.raises(ValueError):
-        nrb_two_qubit(rho)
+    for rho in (random_density(3, 3, rank=2, seed=5), random_pure(3, 2, seed=5).density()):
+        with pytest.raises(ValueError):
+            nrb_two_qubit(rho)
 
 
 def test_nrb_two_qubit_argmax_attains_value():

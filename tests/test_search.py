@@ -11,7 +11,8 @@ import pytest
 from rbnl.bell import correlation_matrix, nmax_numeric
 from rbnl.linalg import entropy_from_eigenvalues
 import rbnl.nonlocality
-from rbnl.nonlocality import _drop_objective, _pair_table, nrb_two_qubit
+from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
+                              nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import (OptimizerConfig, _chart_hessian, _tangent_basis, _top,
                          sphere_grid)
@@ -189,7 +190,7 @@ def test_ranking_is_a_stable_descending_sort():
         assert np.array_equal(_top(flat, k), np.argsort(-flat, kind="stable")[:k])
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_value_never_below_grid_maximum(rank):
     # the grid maximum here comes from the 4x4 dephasing route
     cfg = OptimizerConfig(theta_points=4, phi_points=6, restarts=2, refine_iterations=1)
@@ -199,7 +200,7 @@ def test_value_never_below_grid_maximum(rank):
     assert nrb_two_qubit(rho, cfg).value >= grid_max - 1e-12
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_argmax_reproduces_value(rank):
     rng = np.random.default_rng(350 + rank)
     for _ in range(6):
@@ -232,9 +233,11 @@ def test_werner_argmax_reproduces_value():
 
 
 def test_werner_states_need_no_refinement():
-    # the top grid pairs u = v are already stationary
+    # the top grid pairs u = v are already stationary; the pure mu = 1 state
+    # takes the closed form in nrb_two_qubit, so it goes to the search directly
     for mu in (0.05, 0.3, 0.7, 1.0):
-        diag = nrb_two_qubit(werner(mu)).diagnostics
+        fn = nrb_two_qubit if mu < 1 else lambda rho: _nrb_search(rho, OptimizerConfig())
+        diag = fn(werner(mu)).diagnostics
         assert (diag.iterations, diag.evaluations) == (0, 1)
         assert diag.converged == OptimizerConfig().restarts
         assert diag.refined_best == diag.grid_best
@@ -243,9 +246,10 @@ def test_werner_states_need_no_refinement():
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_diagnostics_describe_the_search(rank):
     cfg = OptimizerConfig()
+    fn = _nrb_search if rank == 1 else nrb_two_qubit  # rank 1 skips the search
     rng = np.random.default_rng(390 + rank)
     for _ in range(4):
-        res = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng), cfg)
+        res = fn(random_density(2, 2, rank=rank, seed=rng), cfg)
         diag = res.diagnostics
         assert diag.refined_best >= diag.grid_best
         assert res.value == max(diag.refined_best, 0.0)
@@ -270,9 +274,12 @@ def test_one_objective_call_per_iteration(rank, monkeypatch):
         return counted
 
     monkeypatch.setattr(rbnl.nonlocality, "_drop_objective", counting)
+    # through nrb_two_qubit for mixed states, so the purity dispatch is
+    # counted too; rank 1 skips the search
+    fn = _nrb_search if rank == 1 else nrb_two_qubit
     rng = np.random.default_rng(395 + rank)
     for _ in range(3):
         calls.clear()
-        diag = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng)).diagnostics
+        diag = fn(random_density(2, 2, rank=rank, seed=rng), OptimizerConfig()).diagnostics
         assert len(calls) == diag.evaluations == diag.iterations + 1
         assert calls[0] == OptimizerConfig().restarts
