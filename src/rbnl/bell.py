@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor
+from .linalg import check_int, tensor
 from .states import BlochVector, DensityMatrix, fano_form
 
 SQRT2 = math.sqrt(2)
@@ -60,16 +60,18 @@ class ReducedPoint:
 
 @dataclass(frozen=True)
 class McConfig:
+    """Monte Carlo settings: n samples, drawn in chunks of chunk_size from
+    streams seeded by seed. n and chunk_size must be integers >= 1 and seed
+    an integer >= 0 (Python or numpy integers; bool is rejected)."""
+
     n: int
     seed: int = 0
     chunk_size: int = MC_CHUNK
     method: str = "angles"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
+        for name, minimum in (("n", 1), ("seed", 0), ("chunk_size", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if self.method not in MC_METHODS:
             raise ValueError(f"method must be one of {MC_METHODS}, got {self.method!r}")
 
@@ -170,15 +172,14 @@ def nvol_quadrature(mu: float, resolution: int = 1000) -> float:
 
     A slice with c >= a + b adds exactly 0, so every mu <= 1/sqrt(2) gives
     0.0. Integrating over z keeps this route independent of the polar-angle
-    closed form in nvol_werner_analytic. Cost is O(resolution).
+    closed form in nvol_werner_analytic. Cost is O(resolution); resolution
+    must be an integer >= 100.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if resolution < 100:
-        raise ValueError(f"resolution must be >= 100 per axis, got {resolution}")
+    res = check_int("resolution", resolution, 100)
     if mu == 0.0:
         return 0.0
-    res = int(resolution)
     zs = (np.arange(res) + 0.5) / res
     a, b = np.sqrt(zs), np.sqrt(1.0 - zs)
     s = a + b - 1.0 / mu
@@ -233,14 +234,16 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     tests the raw CHSH condition; method "xyz" samples the reduced box
     directly. Both estimate the same fraction. The sample stream is split
     into fixed-size chunks seeded independently of worker scheduling, so the
-    count is bit-identical for any worker count.
+    count is bit-identical for any worker count. workers must be an
+    integer >= 1.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
+    workers = check_int("workers", workers, 1)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     if mu == 0.0:
         count = 0  # condition is mu*B > 1, unreachable at mu = 0
-    elif workers <= 1 or n_chunks == 1:
+    elif workers == 1 or n_chunks == 1:
         count = sum(_mc_chunk_count(mu, cfg, k) for k in range(n_chunks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

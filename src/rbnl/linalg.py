@@ -35,6 +35,17 @@ def check_dims(dims) -> tuple[int, int]:
     return int(dims[0]), int(dims[1])
 
 
+def check_int(name: str, value, minimum: int) -> int:
+    """value as a Python int: a Python or numpy integer no smaller than
+    minimum. A bool or any other type raises TypeError, a smaller value
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def partial_trace(rho, dims, keep: str):
     """Reduced matrix of one subsystem of a bipartite operator.
 

@@ -16,9 +16,11 @@ In the Fano form rho = (I + a.sigma (x) I + I (x) b.sigma
 analytic gradient: S(Phi_u rho) is the entropy of the four eigenvalues
 (1 + s a.u +- |b + s T^T u|) / 4, s = +-1, its mirror image gives
 S(Phi_v rho), and S(Phi_u Phi_v rho) is the Shannon entropy of
-(1 + s a.u + q b.v + s q u^T T v) / 4. One call of the objective stacks
-these 4 + 4 + 4 eigenvalues, takes one log, and returns the value, the
-gradients and the analytic 6 x 6 Hessian in (u, v). The drop does not
+(1 + s a.u + q b.v + s q u^T T v) / 4. All 4 + 4 + 4 eigenvalues are
+affine in eight features of (u, v), both one-sided parts computed in one
+stacked pass, so one call of the objective forms them with one product,
+takes one log, and returns the value, the gradients and the analytic
+6 x 6 Hessian in (u, v). The drop does not
 change under u -> -u or v -> -v, so a grid of one direction per observable
 on each sphere (the theta x phi grid modulo the antipodal map) localizes
 the basins, and a batched damped Newton iteration (rbnl.search) polishes
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
+from .search import OptimizerConfig, SearchDiagnostics, cached_grid, grid_refine
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
@@ -129,61 +131,77 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
 # ---------------------------------------------------------------------------
 # two-qubit search
 
-# the four eigenvalues of each block, in the order (+, +), (+, -), (-, +),
-# (-, -): s is the first sign, q the second
-S = np.array([1.0, 1.0, -1.0, -1.0])
-Q = np.array([1.0, -1.0, 1.0, -1.0])
-# the drop is S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho)
-DROP_SIGN = np.repeat([1.0, 1.0, -1.0], 4)
+# Every eigenvalue of Phi_u rho, Phi_v rho and Phi_u Phi_v rho is affine in
+# eight features of (u, v), F = (1, a.u, b.v, u^T T v, |w_A+|, |w_A-|,
+# |w_B+|, |w_B-|) with w_As = b + s T^T u and w_Bs = a + s T v: the 12
+# eigenvalues are F @ EIGEN, four per state in the sign order (+, +),
+# (+, -), (-, +), (-, -) of (s, q).
+EIGEN = np.array([
+    # Phi_u rho        Phi_v rho          Phi_u Phi_v rho
+    [1, 1, 1, 1,       1, 1, 1, 1,        1, 1, 1, 1],      # 1
+    [1, 1, -1, -1,     0, 0, 0, 0,        1, 1, -1, -1],    # a.u
+    [0, 0, 0, 0,       1, 1, -1, -1,      1, -1, 1, -1],    # b.v
+    [0, 0, 0, 0,       0, 0, 0, 0,        1, -1, -1, 1],    # u^T T v
+    [1, -1, 0, 0,      0, 0, 0, 0,        0, 0, 0, 0],      # |w_A+|
+    [0, 0, 1, -1,      0, 0, 0, 0,        0, 0, 0, 0],      # |w_A-|
+    [0, 0, 0, 0,       1, -1, 0, 0,       0, 0, 0, 0],      # |w_B+|
+    [0, 0, 0, 0,       0, 0, 1, -1,       0, 0, 0, 0],      # |w_B-|
+]) / 4
+SIGNS = np.array([[1.0], [-1.0]])  # s, on the axis of w_s before the last
+# the drop is S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho):
+# minus the sign of each eigenvalue's -L ln L term
+NEG_DROP_SIGN = -np.repeat([1.0, 1.0, -1.0], 4)
 
 
-def _neg_xlogx(p):
-    """-p ln p elementwise, 0 where p <= EIG_CLIP. In place on one new array:
-    the (4, n, n) pair table is large enough that every fresh temporary
-    costs more than the arithmetic."""
-    out = np.where(p > EIG_CLIP, p, 1.0)  # -1 ln 1 = 0 stands in for p <= EIG_CLIP
+def _plogp(p):
+    """p ln p elementwise, 0 where p <= EIG_CLIP."""
+    out = np.maximum(p, EIG_CLIP)
     np.log(out, out=out)
     out *= p
-    return np.negative(out, out=out)
+    out[p <= EIG_CLIP] = 0.0
+    return out
 
 
-def _one_sided(a, b, t, u):
-    """Spectrum of Phi_u rho for site-A directions u (m, 3) of the state
-    (a, b, T). In the u.sigma = s block the B part is
-    ((1 + s a.u) I + w_s.sigma) / 4, w_s = b + s T^T u, so the eigenvalues
-    are (1 + s a.u + q |w_s|) / 4, shape (m, 4), returned with w_s (m, 2, 3)
-    and |w_s| (m, 2). Called with (b, a, T^T) for site B."""
-    w = b + S[::2, None] * (u @ t)[:, None, :]
-    r = np.linalg.norm(w, axis=2)
-    return (1.0 + S * (u @ a)[:, None] + Q * np.repeat(r, 2, axis=1)) / 4, w, r
-
-
-def _one_sided_derivatives(a, t, w, r):
-    """u-gradients (m, 4, 3) of the _one_sided eigenvalues, s (a + q T w_s^) / 4,
-    and the Hessians of |w_s| in u, T (I - w_s^ w_s^T) T^T / |w_s|
-    (m, 2, 3, 3), with |w_s| clipped at EIG_CLIP where the two eigenvalues
-    of a block coincide."""
-    r = np.maximum(r, EIG_CLIP)[..., None]
-    tw = (w / r) @ t.T
-    grad = (S[:, None] * a + (S * Q)[:, None] * np.repeat(tw, 2, axis=1)) / 4
-    curv = (t @ t.T - tw[..., :, None] * tw[..., None, :]) / r[..., None]
-    return grad, curv
+def _features(a, b, t, u, v):
+    """The features F (m, 8) of the rows of u and v (see EIGEN), with
+    (T^T u, T v) (m, 2, 3), w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed
+    [row, site, s]. Both sites take one product with diag(T, T^T)."""
+    m = len(u)
+    linear = np.zeros((6, 6))
+    linear[:3, :3], linear[3:, 3:] = t, t.T
+    xt = (np.concatenate([u, v], axis=1) @ linear).reshape(m, 2, 3)
+    w = np.stack([b, a])[:, None] + SIGNS * xt[:, :, None]
+    r = np.sqrt((w * w).sum(axis=3))
+    feat = np.empty((m, 8))
+    feat[:, 0] = 1.0
+    feat[:, 1], feat[:, 2] = u @ a, v @ b
+    feat[:, 3] = (u * xt[:, 1]).sum(axis=1)
+    feat[:, 4:] = r.reshape(m, 4)
+    return feat, xt, w, r
 
 
 def _pair_table(a, b, t, dirs):
     """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) on every pair of
     directions (u, v) = (dirs[i], dirs[j]), shape (n, n). The doubly
     dephased state has the outcome probabilities
-    (1 + s a.u + q b.v + s q u^T T v) / 4, stacked as (4, n, n)."""
-    one = _neg_xlogx(np.concatenate([_one_sided(a, b, t, dirs)[0],
-                                     _one_sided(b, a, t.T, dirs)[0]], axis=1))
-    s_a, s_b = one[:, :4].sum(axis=1), one[:, 4:].sum(axis=1)
-    p = np.empty((4, len(dirs), len(dirs)))
-    np.multiply((S * Q)[:, None, None], dirs @ t @ dirs.T, out=p)
-    p += (Q[:, None] * (dirs @ b))[:, None, :]
-    p += (1.0 + S[:, None] * (dirs @ a))[:, :, None]
-    p /= 4
-    return s_a[:, None] + s_b[None, :] - _neg_xlogx(p).sum(axis=0)
+    (1 + s a.u + q b.v + s q u^T T v) / 4, that is q A_s + R_s with
+    A_s = (s u^T T v + b.v) / 4 and R_s = (1 + s a.u) / 4; each plane (s, q)
+    is formed and added to the sum of p ln p on its own, so no (4, n, n)
+    array is made."""
+    n = len(dirs)
+    # -S(Phi_u rho) and -S(Phi_v rho) at u = v = dirs[i], shape (n, 2)
+    one = _plogp(_features(a, b, t, dirs, dirs)[0] @ EIGEN[:, :8])
+    one = one.reshape(n, 2, 4).sum(axis=2)
+    corr = (dirs @ t @ dirs.T) / 4
+    row, col = (dirs @ a) / 4, (dirs @ b) / 4
+    total = np.zeros((n, n))
+    for s in (1.0, -1.0):
+        a_s = corr * s + col
+        r_s = (0.25 + s * row)[:, None]
+        total += _plogp(a_s + r_s)  # q = +1
+        total += _plogp(r_s - a_s)  # q = -1
+    total -= one[:, 0, None] + one[:, 1]
+    return total
 
 
 def _drop_objective(a, b, t, s_rho):
@@ -191,44 +209,48 @@ def _drop_objective(a, b, t, s_rho):
     S(rho) as a batched function of (u, v), with its Euclidean gradients in
     u and v and its 6 x 6 Euclidean Hessian in (u, v).
 
-    The 4 + 4 + 4 eigenvalues L of the three dephased states are stacked as
-    (m, 12) with the signs DROP_SIGN, and take one log. With eta = -x ln x
-    the Hessian is sum c eta''(L) grad L grad L^T + sum c eta'(L) hess L:
-    hess L is +-(1/4) times the Hessian of |w_s| for the one-sided
-    eigenvalues, and for the joint ones only its u-v block s q T / 4 is
-    nonzero. eta' = eta'' = 0 where L <= EIG_CLIP.
+    The 12 eigenvalues L = F @ EIGEN of the three dephased states take one
+    log. With eta = -x ln x and c = +-1 the sign of each term in the drop,
+    the gradient is sum c eta'(L) grad L and the Hessian
+    sum c eta''(L) grad L grad L^T + sum e_f hess F_f, where
+    e = (c eta'(L)) @ EIGEN^T is the derivative in the features. Of the
+    features, u^T T v has the Hessian [[0, T], [T^T, 0]], |w_As| the u-u
+    block T (I - w^ w^T) T^T / |w_As| and the s T w^ gradient, with w^ the
+    unit w_As and |w_As| clipped at EIG_CLIP where the two eigenvalues of a
+    block coincide, and |w_Bs| the same with T^T for T in the v-v block.
+    eta' = eta'' = 0 where L <= EIG_CLIP.
     """
+    tt = np.stack([t.T, t])  # w^ @ tt = T w^ at site A and T^T w^ at site B
+    ttt = np.stack([t @ t.T, t.T @ t])
+    block = np.zeros((2, 2, 3))  # the gradients of a.u and b.v
+    block[0, 0], block[1, 1] = a, b
 
     def objective(u, v):
         m = len(u)
-        lam_a, w_a, r_a = _one_sided(a, b, t, u)
-        lam_b, w_b, r_b = _one_sided(b, a, t.T, v)
-        tv, tu = v @ t.T, u @ t
-        p = (1.0 + S * (u @ a)[:, None] + Q * (v @ b)[:, None]
-             + S * Q * np.sum(u * tv, axis=1)[:, None]) / 4
-        grad_a, curv_a = _one_sided_derivatives(a, t, w_a, r_a)
-        grad_b, curv_b = _one_sided_derivatives(b, t.T, w_b, r_b)
-        big = np.concatenate([lam_a, lam_b, p], axis=1)
-        dl = np.zeros((m, 12, 6))  # gradients of the eigenvalues in (u, v)
-        dl[:, :4, :3], dl[:, 4:8, 3:] = grad_a, grad_b
-        dl[:, 8:, :3] = (S[:, None] * a + (S * Q)[:, None] * tv[:, None, :]) / 4
-        dl[:, 8:, 3:] = (Q[:, None] * b + (S * Q)[:, None] * tu[:, None, :]) / 4
-        live = big > EIG_CLIP
-        clipped = np.where(live, big, 1.0)
+        feat, xt, w, r = _features(a, b, t, u, v)
+        big = feat @ EIGEN
+        clipped = np.maximum(big, EIG_CLIP)
         log = np.log(clipped)
-        d1 = np.where(live, -1.0 - log, 0.0) * DROP_SIGN
-        d2 = np.where(live, -1.0 / clipped, 0.0) * DROP_SIGN
-        f = np.sum(np.where(live, -big * log, 0.0) * DROP_SIGN, axis=1) - s_rho
+        sign = (big > EIG_CLIP) * NEG_DROP_SIGN  # -c where L is live, else 0
+        f = (big * log * sign).sum(axis=1) - s_rho
+        d1 = (1.0 + log) * sign  # c eta'(L)
+        rc = np.maximum(r, EIG_CLIP)[..., None]
+        tw = (w / rc) @ tt
+        grad = np.zeros((m, 8, 2, 3))  # the gradients of the features
+        grad[:, 1:3] = block
+        grad[:, 3] = xt[:, ::-1]
+        grad[:, 4:6, 0] = SIGNS * tw[:, 0]
+        grad[:, 6:, 1] = SIGNS * tw[:, 1]
+        dl = EIGEN.T @ grad.reshape(m, 8, 6)
         g = np.einsum("mk,mkj->mj", d1, dl)
-        h = (dl * d2[..., None]).transpose(0, 2, 1) @ dl
-        # the +- pair of each block: sum_q q eta'(L) / 4
-        c_a = (d1[:, 0:4:2] - d1[:, 1:4:2]) / 4
-        c_b = (d1[:, 4:8:2] - d1[:, 5:8:2]) / 4
-        h[:, :3, :3] += np.einsum("ms,msij->mij", c_a, curv_a)
-        h[:, 3:, 3:] += np.einsum("ms,msij->mij", c_b, curv_b)
-        c_ab = (d1[:, 8:] @ (S * Q))[:, None, None] / 4
-        h[:, :3, 3:] += c_ab * t
-        h[:, 3:, :3] += c_ab * t.T
+        h = (dl * (sign / clipped)[..., None]).transpose(0, 2, 1) @ dl
+        e = d1 @ EIGEN.T
+        curv = (ttt[:, None] - tw[..., :, None] * tw[..., None, :]) / rc[..., None]
+        curv = np.einsum("mks,mksij->mkij", e[:, 4:].reshape(m, 2, 2), curv)
+        h[:, :3, :3] += curv[:, 0]
+        h[:, 3:, 3:] += curv[:, 1]
+        h[:, :3, 3:] += e[:, 3, None, None] * t
+        h[:, 3:, :3] += e[:, 3, None, None] * t.T
         return f, g[:, :3], g[:, 3:], h
 
     return objective
@@ -291,8 +313,9 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     """
     a, b, t = _fano_parts(rho)
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
-    dirs = sphere_grid(cfg)
-    table = _pair_table(a, b, t, dirs) - s_rho
+    dirs = cached_grid(cfg.theta_points, cfg.phi_points)
+    table = _pair_table(a, b, t, dirs)
+    table -= s_rho
     value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)
     return _result(value, u, v, diagnostics)
 

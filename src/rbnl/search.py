@@ -8,33 +8,42 @@ quotient of that grid by the antipodal map (each pole once, one of every
 antipodal pair). The caller scores every pair of it as one table; the best
 cfg.restarts pairs (stable ranking, so ties go to the lower grid index) are
 distinct observables, and they are refined together, as one batch, by a
-Levenberg-Marquardt damped Newton iteration in tangent charts (Absil,
-Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).
+Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony
+and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5).
 
-Each chart maps z = (alpha, beta) in R^2 x R^2 to
-(normalize(u + E_u alpha), normalize(v + E_v beta)), with E_u, E_v
-orthonormal tangent bases, so there is no pole singularity. The caller's
-objective returns the value, the Euclidean gradients and the 6 x 6
-Euclidean Hessian in (u, v) in one call; at the chart centre the chart
-gradient is E^T g and the chart Hessian is
-E^T H E - diag((u.g_u) I_2, (v.g_v) I_2). The step is
-Q diag(1 / (|w| + lambda)) Q^T g for the eigenpairs (w, Q) of minus the
-chart Hessian, an ascent direction for any lambda > 0. Each iteration
-makes one objective call, at the trial points, and an accepted trial
-point brings its own gradient and Hessian to the next iteration.
+A batch is one (m, 2, 3) array, u and v of each start pair. The caller's
+objective returns the value, the Euclidean gradients g and the 6 x 6
+Euclidean Hessian H in (u, v) in one call. With the tangent projector
+P = diag(I - u u^T, I - v v^T) the Riemannian gradient is P g and the
+Riemannian Hessian is the 6 x 6 matrix
+P H P - diag((u.g_u) I, (v.g_v) I) P, so no tangent basis is needed: the
+normals (u, 0) and (0, v) are eigenvectors with eigenvalue 0, and P g has
+no part along them. The step is Q diag(1 / (|w| + lambda)) Q^T P g for the
+eigenpairs (w, Q) of minus that Hessian, an ascent direction for any
+lambda > 0, and the trial point is (normalize(u + step_u),
+normalize(v + step_v)). Each iteration makes one objective call, at the
+trial points of every row; a row takes its trial point, with its gradient
+and Hessian, only while it is unfinished and the value does not drop.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import check_int
 
 GRAD_TOL = 1e-10  # stationary once the Riemannian gradient norm is below this
 LM_START = 1e-3
 LM_DOWN = 0.25
 LM_UP = 8.0
 LM_MAX = 1e12  # a step this heavily damped is below float resolution
+# x = (u, v) flattened to 6 coordinates: BLOCKS is 1 where two coordinates
+# lie on the same sphere, so I - BLOCKS * x x^T projects onto the tangent space
+BLOCKS = np.kron(np.eye(2), np.ones((3, 3)))
+EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("theta_points", "phi_points", "refine_iterations", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
             raise ValueError(f"value_tol must be finite and >= 0, got {self.value_tol!r}")
 
@@ -92,45 +97,39 @@ def sphere_grid(cfg: OptimizerConfig) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
-def _cross(a, b):
-    # row-wise cross product; np.cross costs more than the arithmetic here
-    return (a[:, [1, 2, 0]] * b[:, [2, 0, 1]]) - (a[:, [2, 0, 1]] * b[:, [1, 2, 0]])
+@functools.lru_cache(maxsize=16)
+def cached_grid(theta_points: int, phi_points: int) -> np.ndarray:
+    """sphere_grid of that shape, built once per process and shared by
+    every search that uses it, so it is read-only."""
+    dirs = sphere_grid(OptimizerConfig(theta_points=theta_points, phi_points=phi_points))
+    dirs.setflags(write=False)
+    return dirs
 
 
-def _tangent_basis(x):
-    """Orthonormal tangent basis at each unit row of x, shape (m, 3, 2)."""
-    axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
-    e1 = _cross(x, axis)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return np.stack([e1, _cross(x, e1)], axis=2)
+def _evaluate(objective, x):
+    """The objective at the rows of x (m, 2, 3): values (m,), the tangent
+    gradients (I - x x^T) g on each sphere (m, 2, 3), the normal parts x.g
+    (m, 2) of the Euclidean gradients g, and the Euclidean Hessian (m, 6, 6)."""
+    f, gu, gv, h = objective(x[:, 0], x[:, 1])
+    g = np.empty_like(x)
+    g[:, 0], g[:, 1] = gu, gv
+    normal = (x * g).sum(axis=2)
+    g -= normal[..., None] * x
+    return f, g, normal, h
 
 
-def _retract(x, basis, z):
-    y = x + np.einsum("mij,mj->mi", basis, z)
-    return y / np.linalg.norm(y, axis=1, keepdims=True)
+def _projected_hessian(x, normal, h):
+    """The Riemannian Hessian at the rows of x (m, 2, 3) as a 6 x 6 matrix,
+    P H P - diag((u.g_u) I, (v.g_v) I) P with P = diag(I - u u^T, I - v v^T),
+    from the normal parts x.g (m, 2) and the Euclidean Hessian h."""
+    flat = x.reshape(len(x), 6)
+    p = EYE6 - BLOCKS * flat[:, :, None] * flat[:, None, :]
+    return p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p
 
 
-def _tangent(x, g):
-    """The part of each row of g tangent to the sphere at x: (I - x x^T) g."""
-    return g - np.sum(x * g, axis=1, keepdims=True) * x
-
-
-def _stationary(u, v, gu, gv):
+def _stationary(tangent):
     """Rows whose Riemannian gradient norm is at most GRAD_TOL."""
-    return np.hypot(np.linalg.norm(_tangent(u, gu), axis=1),
-                    np.linalg.norm(_tangent(v, gv), axis=1)) <= GRAD_TOL
-
-
-def _chart_hessian(u, v, eu, ev, gu, gv, h):
-    """Hessian at the centre of the charts (u, eu) x (v, ev), shape (m, 4, 4),
-    from the Euclidean gradients and the Euclidean Hessian h (m, 6, 6):
-    E^T h E - diag((u.g_u) I_2, (v.g_v) I_2), E = diag(eu, ev)."""
-    e = np.zeros((len(u), 6, 4))
-    e[:, :3, :2], e[:, 3:, 2:] = eu, ev
-    out = e.transpose(0, 2, 1) @ h @ e
-    out[:, [0, 1], [0, 1]] -= np.sum(u * gu, axis=1)[:, None]
-    out[:, [2, 3], [2, 3]] -= np.sum(v * gv, axis=1)[:, None]
-    return out
+    return np.sqrt((tangent * tangent).sum(axis=(1, 2))) <= GRAD_TOL
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class SearchDiagnostics:
     grid_best: the best objective value over the refined start pairs, that
     is at the top-ranked grid pair up to rounding. refined_best: the value
     returned, never below grid_best. evaluations: objective calls of the
-    refinement, each over every unfinished restart at once. iterations:
+    refinement, each over every restart at once, finished or not. iterations:
     refinement iterations made; each makes one call. converged: restarts
     that stopped on the gradient or value_tol test rather than on the
     iteration cap or on a step damped below float resolution.
@@ -164,38 +163,33 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     u, v and values, no value below its start, and the start values, the
     objective calls, the iterations and the number of converged restarts.
     """
-    u = np.array(u, dtype=float)
-    v = np.array(v, dtype=float)
-    f, gu, gv, h = objective(u, v)
+    x = np.stack([u, v], axis=1).astype(float, copy=False)
+    m = len(x)
+    f, tangent, normal, h = _evaluate(objective, x)
     start, calls, iterations = f.copy(), 1, 0
-    lam = np.full(len(u), LM_START)
-    converged = _stationary(u, v, gu, gv)
+    lam = np.full(m, LM_START)
+    converged = _stationary(tangent)
     active = ~converged
     while iterations < cfg.refine_iterations and active.any():
         iterations += 1
-        idx = np.flatnonzero(active)
-        e = _tangent_basis(np.concatenate([u[idx], v[idx]]))
-        eu, ev = e[:idx.size], e[idx.size:]
-        g = np.concatenate([np.einsum("mij,mi->mj", eu, gu[idx]),
-                            np.einsum("mij,mi->mj", ev, gv[idx])], axis=1)
-        w, q = np.linalg.eigh(-_chart_hessian(u[idx], v[idx], eu, ev,
-                                              gu[idx], gv[idx], h[idx]))
-        coef = np.einsum("mji,mj->mi", q, g) / (np.abs(w) + lam[idx, None])
-        step = np.einsum("mij,mj->mi", q, coef)
-        u1, v1 = _retract(u[idx], eu, step[:, :2]), _retract(v[idx], ev, step[:, 2:])
-        f1, gu1, gv1, h1 = objective(u1, v1)
+        w, q = np.linalg.eigh(-_projected_hessian(x, normal, h))
+        coef = np.einsum("mji,mj->mi", q, tangent.reshape(m, 6)) / (np.abs(w) + lam[:, None])
+        y = x + np.einsum("mij,mj->mi", q, coef).reshape(m, 2, 3)
+        x1 = y / np.sqrt((y * y).sum(axis=2, keepdims=True))
+        f1, tangent1, normal1, h1 = _evaluate(objective, x1)
         calls += 1
-        up = f1 >= f[idx]  # a step is taken only if the value does not drop
-        acc, rej = idx[up], idx[~up]
-        u1, v1, f1, gu1, gv1, h1 = u1[up], v1[up], f1[up], gu1[up], gv1[up], h1[up]
-        done = (f1 - f[acc] < cfg.value_tol) | _stationary(u1, v1, gu1, gv1)
-        u[acc], v[acc], f[acc], gu[acc], gv[acc], h[acc] = u1, v1, f1, gu1, gv1, h1
-        lam[acc] *= LM_DOWN
-        lam[rej] *= LM_UP
-        converged[acc[done]] = True
-        active[acc[done]] = False
-        active[rej[lam[rej] > LM_MAX]] = False
-    return u, v, f, (start, calls, iterations, int(np.count_nonzero(converged)))
+        up = active & (f1 >= f)  # a step is taken only if the value does not drop
+        done = up & ((f1 - f < cfg.value_tol) | _stationary(tangent1))
+        rows = up[:, None, None]
+        np.copyto(x, x1, where=rows)
+        np.copyto(tangent, tangent1, where=rows)
+        np.copyto(h, h1, where=rows)
+        np.copyto(normal, normal1, where=up[:, None])
+        np.copyto(f, f1, where=up)
+        lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
+        converged |= done
+        active &= ~done & (lam <= LM_MAX)
+    return x[:, 0], x[:, 1], f, (start, calls, iterations, int(np.count_nonzero(converged)))
 
 
 def _top(flat, k):

@@ -242,6 +242,38 @@ def test_mc_config_validation():
     assert cfg.chunk_size == MC_CHUNK and cfg.method == "angles"
 
 
+def test_mc_config_rejects_non_integers():
+    for kwargs, error in (({"n": True}, TypeError), ({"n": 2.5}, TypeError),
+                          ({"n": 100, "chunk_size": 2.5}, TypeError),
+                          ({"n": 100, "chunk_size": 0}, ValueError),
+                          ({"n": 100, "seed": True}, TypeError),
+                          ({"n": 100, "seed": 1.0}, TypeError),
+                          ({"n": 100, "seed": -1}, ValueError)):
+        with pytest.raises(error):
+            McConfig(**kwargs)
+    cfg = McConfig(n=np.int64(1000), seed=np.uint32(3), chunk_size=np.int32(300))
+    assert (cfg.n, cfg.seed, cfg.chunk_size) == (1000, 3, 300)
+    assert type(cfg.chunk_size) is int
+    assert nvol_mc(0.9, cfg) == nvol_mc(0.9, McConfig(n=1000, seed=3, chunk_size=300))
+
+
+def test_nvol_mc_rejects_bad_workers():
+    cfg = McConfig(n=1000)
+    for workers, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError),
+                           (True, TypeError), ("2", TypeError)):
+        with pytest.raises(error):
+            nvol_mc(0.9, cfg, workers=workers)
+    assert nvol_mc(0.9, cfg, workers=np.int64(2)) == nvol_mc(0.9, cfg)
+
+
+def test_nvol_quadrature_rejects_non_integer_resolution():
+    for resolution, error in ((100.9, TypeError), (float("nan"), TypeError),
+                              (True, TypeError), (99, ValueError)):
+        with pytest.raises(error, match="resolution"):
+            nvol_quadrature(0.9, resolution)
+    assert nvol_quadrature(0.9, np.int64(200)) == nvol_quadrature(0.9, 200)
+
+
 def test_nvol_mc_deterministic():
     est1 = nvol_mc(0.9, McConfig(n=150_000, seed=5))
     est2 = nvol_mc(0.9, McConfig(n=150_000, seed=5))

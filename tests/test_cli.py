@@ -256,6 +256,13 @@ def test_vol_invalid_mu(capsys):
     assert code == 1
 
 
+def test_vol_negative_seed(capsys):
+    code, out, err = run(["vol", "--mu", "0.9", "--samples", "1000", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "rbnl: seed must be >= 0, got -1"
+
+
 def test_vol_bad_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("RNL_SEED", "abc")
     code, out, err = run(["vol", "--mu", "0.9", "--samples", "1000"], capsys)

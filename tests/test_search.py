@@ -1,9 +1,12 @@
 """The two-qubit search (rbnl.search) and the objectives it maximizes, the
 Fano-form irreality drop and the CHSH objective of the test_bell oracle:
-second routes for the objectives, their gradients and Hessians, the grid of
-distinct observables, the search diagnostics, and metamorphic checks of the
-searched values. Seeded, so deterministic."""
+second routes for the objectives, their gradients and Hessians, the
+projected Hessian of the refinement, the grid of distinct observables, the
+search diagnostics, and metamorphic checks of the searched values. Seeded,
+so deterministic."""
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import rbnl.nonlocality
 from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
                               nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
-from rbnl.search import (OptimizerConfig, _chart_hessian, _tangent_basis, _top,
+from rbnl.search import (OptimizerConfig, _projected_hessian, _top, cached_grid,
                          sphere_grid)
 from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
@@ -82,6 +85,31 @@ def test_fano_objective_equals_dephasing_route(rank):
         assert abs(value - drop_route(rho, u, v)) < 1e-12
 
 
+def cross(a, b):
+    return (a[:, [1, 2, 0]] * b[:, [2, 0, 1]]) - (a[:, [2, 0, 1]] * b[:, [1, 2, 0]])
+
+
+def tangent_basis(x):
+    """Orthonormal tangent basis at each unit row of x, shape (m, 3, 2)."""
+    axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
+    e1 = cross(x, axis)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, cross(x, e1)], axis=2)
+
+
+def chart_hessian(u, v, eu, ev, gu, gv, h):
+    """Hessian at the centre of the charts z -> (normalize(u + eu z_u),
+    normalize(v + ev z_v)), shape (m, 4, 4), from the Euclidean gradients and
+    the Euclidean Hessian h (m, 6, 6): E^T h E - diag((u.g_u) I_2, (v.g_v) I_2),
+    E = diag(eu, ev)."""
+    e = np.zeros((len(u), 6, 4))
+    e[:, :3, :2], e[:, 3:, 2:] = eu, ev
+    out = e.transpose(0, 2, 1) @ h @ e
+    out[:, [0, 1], [0, 1]] -= np.sum(u * gu, axis=1)[:, None]
+    out[:, [2, 3], [2, 3]] -= np.sum(v * gv, axis=1)[:, None]
+    return out
+
+
 def chart_point(objective, u, v, eu, ev, z):
     """Value and chart gradient at the chart point z (4,) of the charts
     (u, eu) x (v, ev): x = y / |y| for y = u + eu z_u, and the gradient
@@ -99,10 +127,10 @@ def chart_errors(objective, u, v):
     gradient and central differences of the objective, and between the
     analytic chart Hessian and central differences of the chart gradient,
     along the chart axes."""
-    eu, ev = _tangent_basis(u[None])[0], _tangent_basis(v[None])[0]
+    eu, ev = tangent_basis(u[None])[0], tangent_basis(v[None])[0]
     grad = chart_point(objective, u, v, eu, ev, np.zeros(4))[1]
     _, gu, gv, h = objective(u[None], v[None])
-    hess = _chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0]
+    hess = chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0]
     fd_grad, fd_hess = [], []
     for e in np.eye(4):
         lo, hi = (chart_point(objective, u, v, eu, ev, x * 1e-6 * e)[0] for x in (-1, 1))
@@ -140,6 +168,49 @@ def test_analytic_chart_hessian_matches_finite_differences(kind):
             assert chart_errors(chsh_objective(correlation_matrix(rho)), u, v)[1] < 1e-6
 
 
+def riemannian_gradient(objective, x):
+    """(I - u u^T) g_u and (I - v v^T) g_v at x = (u, v), shape (6,)."""
+    _, gu, gv, _ = objective(x[:1], x[1:])
+    return np.concatenate([g[0] - (y @ g[0]) * y for y, g in zip(x, (gu, gv))])
+
+
+def projected_hessian_errors(objective, u, v):
+    """Largest gaps, at (u, v), between the projected Hessian that refine
+    uses and (a) central differences of the Riemannian gradient along the
+    tangent directions of the chart axes, projected back onto the tangent
+    space at (u, v), and (b) the chart Hessian lifted by the tangent bases,
+    E H_chart E^T."""
+    x = np.stack([u, v])
+    _, gu, gv, h = objective(u[None], v[None])
+    normal = np.array([[u @ gu[0], v @ gv[0]]])
+    hess = _projected_hessian(x[None], normal, h)[0]
+    eu, ev = tangent_basis(u[None])[0], tangent_basis(v[None])[0]
+    e = np.zeros((6, 4))
+    e[:3, :2], e[3:, 2:] = eu, ev
+    proj = e @ e.T
+    fd = []
+    for z in np.eye(4) * 1e-5:
+        ends = []
+        for y in (x + (e @ z).reshape(2, 3), x - (e @ z).reshape(2, 3)):
+            ends.append(riemannian_gradient(objective, y / np.linalg.norm(y, axis=1, keepdims=True)))
+        fd.append(proj @ (ends[0] - ends[1]) / 2e-5)
+    lifted = e @ chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0] @ e.T
+    return (float(np.max(np.abs(hess @ e - np.array(fd).T))),
+            float(np.max(np.abs(hess - lifted)) / (1.0 + np.max(np.abs(lifted)))))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4, "werner"])
+def test_projected_hessian_matches_finite_differences(kind):
+    rng = np.random.default_rng([410, 0 if kind == "werner" else kind])
+    for rho in search_states(kind):
+        for _ in range(3):
+            u, v = unit(rng), unit(rng)
+            for objective in (drop_objective(rho), chsh_objective(correlation_matrix(rho))):
+                fd_error, chart_error = projected_hessian_errors(objective, u, v)
+                assert fd_error < 1e-6
+                assert chart_error < 1e-12
+
+
 GRIDS = [(12, 24), (10, 20), (11, 24), (6, 7), (5, 9), (4, 6), (2, 4), (1, 3), (3, 1)]
 
 
@@ -155,6 +226,16 @@ def test_grid_holds_each_observable_once(grid):
     assert np.all(np.abs(full_grid(cfg) @ dirs.T).max(axis=1) > 1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("grid", GRIDS)
+def test_cached_grid_is_a_read_only_sphere_grid(grid):
+    dirs = cached_grid(*grid)
+    assert dirs is cached_grid(*grid)
+    assert np.array_equal(dirs, sphere_grid(OptimizerConfig(theta_points=grid[0],
+                                                            phi_points=grid[1])))
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.5
+
+
 def test_default_grid_has_121_observables():
     assert len(sphere_grid(OptimizerConfig())) == 121
 
@@ -168,6 +249,21 @@ def test_pair_table_maximum_equals_full_grid_maximum(rank):
             parts = fano_parts(random_density(2, 2, rank=rank, seed=rng))
             quotient = _pair_table(*parts, sphere_grid(cfg)).max()
             assert abs(quotient - _pair_table(*parts, full_grid(cfg)).max()) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4, "near-pure"])
+def test_pair_table_equals_dephasing_route(kind):
+    # the near-pure state has outcome probabilities of 2.5e-13, below
+    # EIG_CLIP, which both routes count as exact zeros
+    if kind == "near-pure":
+        rho = DensityMatrix((1 - 1e-12) * np.diag([1.0, 0, 0, 0]) + 1e-12 * np.eye(4) / 4, (2, 2))
+    else:
+        rho = random_density(2, 2, rank=kind, seed=np.random.default_rng(375 + kind))
+    dirs = sphere_grid(OptimizerConfig(theta_points=4, phi_points=6))
+    table = _pair_table(*fano_parts(rho), dirs)
+    s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    for i, j in itertools.product(range(len(dirs)), repeat=2):
+        assert abs(table[i, j] - s_rho - drop_route(rho, dirs[i], dirs[j])) < 1e-13
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -282,4 +378,41 @@ def test_one_objective_call_per_iteration(rank, monkeypatch):
         calls.clear()
         diag = fn(random_density(2, 2, rank=rank, seed=rng), OptimizerConfig()).diagnostics
         assert len(calls) == diag.evaluations == diag.iterations + 1
-        assert calls[0] == OptimizerConfig().restarts
+        assert calls == [OptimizerConfig().restarts] * len(calls)  # every row, every call
+
+
+def test_search_path_is_pinned():
+    # iterations and evaluations per state; a step from tangent charts gives
+    # the same counts (the two steps agree in exact arithmetic), and a change
+    # to the step, the damping or the acceptance rule moves them
+    want = [(8, 9), (7, 8), (7, 8), (7, 8), (5, 6), (3, 4), (4, 5), (8, 9),
+            (4, 5), (4, 5), (3, 4), (7, 8)]
+    rng = np.random.default_rng(420)
+    got = []
+    for rank in (2, 3, 4):
+        for _ in range(4):
+            diag = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng)).diagnostics
+            got.append((diag.iterations, diag.evaluations))
+    assert got == want
+
+
+def test_threads_give_the_serial_results():
+    # the searches share only the read-only cached grid; start from an empty
+    # cache so that the threads also race to fill it
+    rng = np.random.default_rng(430)
+    states = [random_density(2, 2, rank=2 + i % 3, seed=rng) for i in range(8)]
+    serial = [nrb_two_qubit(rho) for rho in states]
+    cached_grid.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(nrb_two_qubit, rho) for rho in states]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for one, other in zip(serial, threaded):
+        assert one.value == other.value
+        assert np.array_equal(one.argmax_u.components, other.argmax_u.components)
+        assert np.array_equal(one.argmax_v.components, other.argmax_v.components)
+        assert one.diagnostics == other.diagnostics
