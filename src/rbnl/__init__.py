@@ -5,49 +5,54 @@ dephasing maps, together with two Bell-type comparison quantifiers: the
 maximal CHSH violation and the violation-volume fraction over measurement
 settings. Closed forms for the Werner family sit next to a numeric
 optimizer and Monte Carlo estimators so every number has a second route.
+
+Names resolve lazily (PEP 562): `import rbnl` imports no submodule, and the
+first use of a name imports its home module. So the Werner closed forms,
+which need only `math`, and the `sweep` and `decay` subcommands built on
+them run without importing numpy.
 """
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bell import (ChshSettings, McConfig, McEstimate, ReducedPoint, bfrak,
-                   chsh_value, correlation_matrix, correlator, nmax_numeric,
-                   nmax_werner, nvol_mc, nvol_quadrature, nvol_werner_analytic)
-from .linalg import (Spectrum, entropy_from_eigenvalues, hermitian_spectrum,
-                     partial_trace, tensor, von_neumann_entropy)
-from .nonlocality import (NrbResult, OptimizerConfig, PureNrbResult,
-                          SchmidtDecomposition, SearchDiagnostics,
-                          entanglement_entropy, nrb_pure, nrb_two_qubit,
-                          nrb_werner_closed_form, schmidt,
-                          werner_dephased_spectra)
-from .realism import (LocalPVM, RealityComponents, dephase, delta_irreality,
-                      irreality, is_reality_state, make_reality_state)
-from .states import (PAULIS, BlochVector, DensityMatrix, PureState, PVM,
-                     bloch_pvm, load_state, qutrit_family, random_density,
-                     random_pure, save_state, singlet, state_from_json,
-                     state_to_json, werner)
+# home module -> the public names it defines; __all__ and the lazy lookup
+# both come from this table
+_EXPORTS = {
+    "linalg": ("Spectrum", "tensor", "partial_trace", "hermitian_spectrum",
+               "entropy_from_eigenvalues", "von_neumann_entropy"),
+    "states": ("PAULIS", "DensityMatrix", "PureState", "PVM", "BlochVector",
+               "singlet", "werner", "bloch_pvm", "qutrit_family",
+               "random_pure", "random_density",
+               "state_to_json", "state_from_json", "load_state", "save_state"),
+    "realism": ("LocalPVM", "RealityComponents", "dephase", "irreality",
+                "delta_irreality", "make_reality_state", "is_reality_state"),
+    "search": ("OptimizerConfig", "SearchDiagnostics"),
+    "nonlocality": ("NrbResult", "PureNrbResult", "SchmidtDecomposition",
+                    "schmidt", "entanglement_entropy", "nrb_pure", "nrb_two_qubit",
+                    "werner_dephased_spectra"),
+    "bell": ("ChshSettings", "ReducedPoint", "McConfig", "McEstimate",
+             "correlator", "correlation_matrix", "chsh_value",
+             "nmax_numeric", "bfrak", "nvol_quadrature", "nvol_mc"),
+    "closed_forms": ("nrb_werner_closed_form", "nmax_werner", "nvol_werner_analytic"),
+}
+_SUBMODULES = (*_EXPORTS, "cli")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # linalg
-    "Spectrum", "tensor", "partial_trace", "hermitian_spectrum",
-    "entropy_from_eigenvalues", "von_neumann_entropy",
-    # states
-    "PAULIS", "DensityMatrix", "PureState", "PVM", "BlochVector",
-    "singlet", "werner", "bloch_pvm", "qutrit_family",
-    "random_pure", "random_density",
-    "state_to_json", "state_from_json", "load_state", "save_state",
-    # realism
-    "LocalPVM", "RealityComponents", "dephase", "irreality",
-    "delta_irreality", "make_reality_state", "is_reality_state",
-    # nonlocality
-    "OptimizerConfig", "NrbResult", "SearchDiagnostics", "PureNrbResult",
-    "SchmidtDecomposition",
-    "schmidt", "entanglement_entropy", "nrb_pure", "nrb_two_qubit",
-    "nrb_werner_closed_form", "werner_dephased_spectra",
-    # bell
-    "ChshSettings", "ReducedPoint", "McConfig", "McEstimate",
-    "correlator", "correlation_matrix", "chsh_value",
-    "nmax_werner", "nmax_numeric", "bfrak",
-    "nvol_werner_analytic", "nvol_quadrature", "nvol_mc",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

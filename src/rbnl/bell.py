@@ -14,22 +14,22 @@ The volume fraction reduces the eight measurement angles to three variables
 which are independent and uniform on [-1, 1]^2 x [0, 1] when the four
 directions are drawn uniformly on the sphere. Violation happens where
 mu * |x sqrt(z) + y sqrt(1 - z)| > 1, and the fraction of the box where that
-holds has the closed form implemented by nvol_werner_analytic. The second,
+holds has the closed form implemented by nvol_werner_analytic (in
+rbnl.closed_forms, with nmax_werner, and re-exported here). The second,
 independent route, nvol_quadrature, is a midpoint rule over z that takes the
 exact violating area of each z slice of the (x, y) square.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import SQRT2, nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
 from .linalg import check_int, tensor
 from .states import BlochVector, DensityMatrix, fano_form
 
-SQRT2 = math.sqrt(2)
 TSIRELSON = 2 * SQRT2
 MC_CHUNK = 1 << 16
 MC_METHODS = ("angles", "xyz")
@@ -111,14 +111,6 @@ def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
     return abs(c11 + c12 + c21 - c22)
 
 
-def nmax_werner(mu: float) -> float:
-    """max[0, mu sqrt(2) - 1]: how far the noisy singlet's best CHSH value
-    exceeds the local bound, in units of the local bound."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    return max(0.0, mu * SQRT2 - 1.0)
-
-
 def nmax_numeric(rho: DensityMatrix) -> float:
     """Best CHSH value over all settings, reported as max(0, B/2 - 1).
 
@@ -133,29 +125,6 @@ def nmax_numeric(rho: DensityMatrix) -> float:
 def bfrak(p: ReducedPoint) -> float:
     """|x sqrt(z) + y sqrt(1 - z)|, at most sqrt(2)."""
     return abs(p.x * math.sqrt(p.z) + p.y * math.sqrt(1.0 - p.z))
-
-
-def nvol_werner_analytic(mu: float) -> float:
-    """Fraction of the reduced box (equivalently, of sphere-uniform setting
-    space) violating CHSH for the noisy singlet.
-
-    Zero for mu <= 1/sqrt(2). Above threshold, with s0 = 1/(mu sqrt(2)):
-
-        pi/2 - 3 s0 sqrt(1 - s0^2) - arcsin(s0) + 2 s0^2 arccos(s0)
-
-    obtained by integrating the violating region in polar coordinates over
-    one octant of the (x, y) plane and using its fourfold symmetry (the
-    region lives entirely in the same-sign quadrants). At mu = 1 the value
-    is (pi - 3)/2.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if mu <= 1.0 / SQRT2:
-        return 0.0
-    s0 = 1.0 / (SQRT2 * mu)
-    g = math.sqrt(max(0.0, 1.0 - s0 * s0))
-    val = math.pi / 2 - 3 * s0 * g - math.asin(s0) + 2 * s0 * s0 * math.acos(s0)
-    return min(max(val, 0.0), 1.0)
 
 
 def nvol_quadrature(mu: float, resolution: int = 1000) -> float:
@@ -246,6 +215,7 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     elif workers == 1 or n_chunks == 1:
         count = sum(_mc_chunk_count(mu, cfg, k) for k in range(n_chunks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             count = sum(pool.map(lambda k: _mc_chunk_count(mu, cfg, k), range(n_chunks)))
     frac = count / cfg.n

@@ -12,6 +12,10 @@ bit-identical across runs for identical flags and seed: comma separated,
 LF line endings, 12 significant digits. Every output file is written to a
 temp file in its directory and renamed into place, so a failed run leaves no
 partial file behind.
+
+`sweep` and `decay` need only the closed forms of rbnl.closed_forms and the
+standard library; the numpy-backed modules are imported inside the commands
+that use them, and those commands exit 2 with one line when numpy is missing.
 """
 from __future__ import annotations
 
@@ -21,28 +25,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .bell import McConfig, nmax_werner, nvol_mc, nvol_werner_analytic
-from .linalg import hermitian_spectrum
-from .nonlocality import (PURITY_CUTOFF, OptimizerConfig, nrb_pure,
-                          nrb_two_qubit, nrb_werner_closed_form)
-from .states import PureState, load_state
+from .closed_forms import linspace, nmax_werner, nrb_werner_closed_form, nvol_werner_analytic
 
+MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
 
-@dataclass(frozen=True)
-class SweepRow:
-    mu: float
-    n_rb: float
-    n_vol: float
-    n_max: float
-    norm_rb: float
-    norm_vol: float
-    norm_max: float
+SweepRow = namedtuple("SweepRow", "mu n_rb n_vol n_max norm_rb norm_vol norm_max")
 
 
 def _fmt(x: float) -> str:
@@ -99,18 +90,21 @@ def _write_manifest(out_path: str, argv, seed, samples) -> None:
     _write_atomic(out_path + ".manifest.json", json.dumps(doc, indent=2) + "\n")
 
 
+def _check_steps(steps: int) -> None:
+    if not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
+
+
 def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
               seed: int, out_path: str, argv=()) -> int:
     if not (0.0 <= mu_start < mu_end <= 1.0):
         raise ValueError(f"need 0 <= mu-start < mu-end <= 1, got [{mu_start}, {mu_end}]")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    mus = np.linspace(mu_start, mu_end, steps)
-    rows = sweep_rows(mus)
-    outputs = {out_path: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max",
-                              ((r.mu, r.n_rb, r.n_vol, r.n_max,
-                                r.norm_rb, r.norm_vol, r.norm_max) for r in rows))}
+    _check_steps(steps)
+    rows = sweep_rows(linspace(mu_start, mu_end, steps))
+    outputs = {out_path: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
     if mc_samples > 0:
+        from .bell import McConfig, nvol_mc
+
         # companion file: the fixed main header has no room for MC columns
         ests = [nvol_mc(r.mu, McConfig(n=mc_samples, seed=seed)) for r in rows]
         outputs[out_path + ".mc.csv"] = _csv(
@@ -123,6 +117,17 @@ def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
 
 
 def cmd_state(state_file: str, grid: int, restarts: int) -> int:
+    """Report N_rb of the state in state_file as JSON on stdout.
+
+    argmax_u and argmax_v are printed in full, but the search fixes them
+    only to about 1e-7: it stops on value_tol at a flat maximum, so digits
+    beyond that follow rounding in the objective.
+    """
+    from .linalg import hermitian_spectrum
+    from .nonlocality import PURITY_CUTOFF, nrb_pure, nrb_two_qubit
+    from .search import OptimizerConfig
+    from .states import PureState, load_state
+
     rho = load_state(state_file)
     if rho.purity() > 1.0 - PURITY_CUTOFF:
         spec = hermitian_spectrum(rho.matrix)
@@ -155,6 +160,8 @@ def cmd_state(state_file: str, grid: int, restarts: int) -> int:
 
 
 def cmd_vol(mu: float, samples: int, seed: int, method: str, workers: int) -> int:
+    from .bell import McConfig, nvol_mc
+
     est = nvol_mc(mu, McConfig(n=samples, seed=seed, method=method), workers=workers)
     analytic = nvol_werner_analytic(mu)
     if est.std_error > 0.0:
@@ -175,10 +182,9 @@ def cmd_vol(mu: float, samples: int, seed: int, method: str, workers: int) -> in
 def cmd_decay(t_max: float, steps: int, out_path: str, argv=()) -> int:
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t-max must be positive and finite, got {t_max}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    ts = np.linspace(0.0, t_max, steps)
-    rows = sweep_rows([math.exp(-float(t)) for t in ts])
+    _check_steps(steps)
+    ts = linspace(0.0, t_max, steps)
+    rows = sweep_rows([math.exp(-t) for t in ts])
     _write_atomic(out_path, _csv("t,mu,norm_rb,norm_vol,norm_max",
                                  ((t, r.mu, r.norm_rb, r.norm_vol, r.norm_max)
                                   for t, r in zip(ts, rows))))
@@ -269,6 +275,11 @@ def main(argv=None) -> int:
         if args.command == "decay":
             return cmd_decay(args.t_max, args.steps, args.out, argv)
         raise AssertionError(f"unhandled command {args.command!r}")
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("rbnl: this command needs numpy", file=sys.stderr)
+        return 2
     except (json.JSONDecodeError, OSError) as exc:
         print(f"rbnl: i/o error: {exc}", file=sys.stderr)
         return 2

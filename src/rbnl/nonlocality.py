@@ -28,11 +28,11 @@ the best candidates with that Hessian.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
 from .search import OptimizerConfig, SearchDiagnostics, cached_grid, grid_refine
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
@@ -318,25 +318,6 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     table -= s_rho
     value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)
     return _result(value, u, v, diagnostics)
-
-
-def _h(x: float) -> float:
-    """(1 + x) ln(1 + x), extended by its limit 0 at x = -1."""
-    one = 1.0 + x
-    if one <= 0.0:
-        return 0.0
-    return one * math.log(one)
-
-
-def nrb_werner_closed_form(mu: float) -> float:
-    """Closed form for the noisy-singlet family:
-    (1/4)[h(3 mu) + h(-mu) - 2 h(mu)] with h(x) = (1+x) ln(1+x).
-
-    Equals ln 2 at mu = 1 and 0 at mu = 0; monotone increasing in between.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    return 0.25 * (_h(3 * mu) + _h(-mu) - 2 * _h(mu))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

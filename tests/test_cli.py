@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rbnl
-from rbnl.cli import main
+from rbnl.cli import MAX_STEPS, main
 from rbnl.states import (PureState, random_density, save_state, singlet,
                          state_to_json, werner)
 
@@ -388,3 +388,97 @@ def test_import_loads_no_scipy():
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("t_max, steps", [(5.0, 101), (3.0, 7), (7.3, 999),
+                                          (5e-324, 3), (1e-320, 100000)])
+def test_decay_grid_is_numpy_linspace(tmp_path, capsys, t_max, steps):
+    # the t column is np.linspace(0, t_max, steps), also where the step
+    # underflows to 0, and mu is exp(-t)
+    out = tmp_path / "d.csv"
+    assert run(["decay", "--t-max", repr(t_max), "--steps", str(steps),
+                "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == steps
+    for line, t in zip(lines, np.linspace(0.0, t_max, steps)):
+        t_text, mu_text = line.split(",")[:2]
+        assert t_text == format(float(t), ".12g")
+        assert mu_text == format(math.exp(-float(t)), ".12g")
+
+
+@pytest.mark.parametrize("command", ["sweep", "decay"])
+@pytest.mark.parametrize("steps", [10**12, MAX_STEPS + 1, 1])
+def test_steps_out_of_range(tmp_path, capsys, command, steps):
+    # rejected before anything is allocated or written
+    code, out, err = run([command, "--steps", str(steps),
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"rbnl: steps must be in [2, {MAX_STEPS}], got {steps}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def cold_modules(*args):
+    """The modules of interest a child `python -m rbnl *args` has imported
+    by the time it exits."""
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['rbnl', *{list(args)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('rbnl', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('numpy', 'dataclasses', 'concurrent')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    # then each submodule resolves as an attribute of the fresh package
+    code = ("import sys, rbnl; print('numpy' in sys.modules); "
+            "print([getattr(rbnl, m).__name__ for m in rbnl._SUBMODULES])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded, names = proc.stdout.splitlines()
+    assert loaded == "False"
+    assert names == str([f"rbnl.{m}" for m in rbnl._SUBMODULES])
+
+
+def test_sweep_and_decay_load_no_numpy(tmp_path):
+    out = tmp_path / "s.csv"
+    assert cold_modules("sweep", "--out", str(out)) == "[]"
+    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert cold_modules("decay", "--out", str(tmp_path / "d.csv")) == "[]"
+    # the Monte Carlo companion is the one sweep that needs numpy
+    assert "numpy" in cold_modules("sweep", "--steps", "2", "--samples", "10",
+                                   "--out", str(tmp_path / "m.csv"))
+
+
+def run_without_numpy(*args):
+    """Run rbnl.cli.main(args) in a child where `import numpy` fails."""
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from rbnl.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=child_env())
+
+
+def test_commands_needing_numpy_exit_2_without_it(tmp_path):
+    path = tmp_path / "w.json"
+    save_state(werner(0.5), path)
+    for args in (["state", str(path)], ["vol", "--mu", "0.9"],
+                 ["sweep", "--samples", "10", "--out", str(tmp_path / "s.csv")]):
+        proc = run_without_numpy(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert proc.stderr == "rbnl: this command needs numpy\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
+    # sweep and decay need no numpy
+    out = tmp_path / "g.csv"
+    assert run_without_numpy("sweep", "--out", str(out)).returncode == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert run_without_numpy("decay", "--out", str(tmp_path / "d.csv")).returncode == 0
