@@ -32,9 +32,8 @@ _EXPORTS = {
     "nonlocality": ("NrbResult", "PureNrbResult", "SchmidtDecomposition",
                     "schmidt", "entanglement_entropy", "nrb_pure", "nrb_two_qubit",
                     "werner_dephased_spectra"),
-    "bell": ("ChshSettings", "ReducedPoint", "McConfig", "McEstimate",
-             "correlator", "correlation_matrix", "chsh_value",
-             "nmax_numeric", "bfrak", "nvol_quadrature", "nvol_mc"),
+    "bell": ("McConfig", "McEstimate", "correlation_matrix", "nmax_numeric",
+             "nvol_quadrature", "nvol_mc"),
     "closed_forms": ("nrb_werner_closed_form", "nmax_werner", "nvol_werner_analytic"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")

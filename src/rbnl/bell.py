@@ -1,6 +1,6 @@
-"""CHSH quantifiers for two-qubit states: correlators, maximal violation,
-and the violation-volume fraction with analytic, quadrature, and Monte
-Carlo routes.
+"""CHSH quantifiers for two-qubit states: the correlation matrix, maximal
+violation, and the violation-volume fraction with analytic, quadrature,
+and Monte Carlo routes.
 
 The maximal violation N_max comes from the Horodecki closed form: the best
 CHSH value of a two-qubit state is 2 sqrt(l1 + l2), l1 and l2 the two
@@ -26,36 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import SQRT2, nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
-from .linalg import check_int, tensor
-from .states import BlochVector, DensityMatrix, fano_form
+from .closed_forms import check_mu, nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
+from .linalg import check_int
+from .states import DensityMatrix, fano_form
 
-TSIRELSON = 2 * SQRT2
 MC_CHUNK = 1 << 16
 MC_METHODS = ("angles", "xyz")
-
-
-@dataclass(frozen=True)
-class ChshSettings:
-    """One CHSH measurement context: two directions per side."""
-
-    u1: BlochVector
-    u2: BlochVector
-    v1: BlochVector
-    v2: BlochVector
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (-1.0 <= self.x <= 1.0 and -1.0 <= self.y <= 1.0):
-            raise ValueError(f"x and y must lie in [-1, 1], got ({self.x}, {self.y})")
-        if not 0.0 <= self.z <= 1.0:
-            raise ValueError(f"z must lie in [0, 1], got {self.z}")
 
 
 @dataclass(frozen=True)
@@ -84,31 +60,10 @@ class McEstimate:
     seed: int
 
 
-def _check_two_qubit(rho: DensityMatrix):
-    if rho.dims != (2, 2):
-        raise ValueError(f"need a two-qubit state, got dims {rho.dims}")
-
-
-def correlator(rho: DensityMatrix, u: BlochVector, v: BlochVector) -> float:
-    """Tr[rho (u.sigma (x) v.sigma)]."""
-    _check_two_qubit(rho)
-    return float(np.real(np.trace(rho.matrix @ tensor(u.dot_sigma(), v.dot_sigma()))))
-
-
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], so that
-    correlator(rho, u, v) = u . T v. fano_form rejects other dims."""
+    """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], so that the correlator
+    Tr[rho (u.sigma (x) v.sigma)] is u . T v. fano_form rejects other dims."""
     return fano_form(rho)[1:, 1:]
-
-
-def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
-    """|C(u1,v1) + C(u1,v2) + C(u2,v1) - C(u2,v2)|. At most 2 for Bell-local
-    models and 2 sqrt(2) for quantum states."""
-    c11 = correlator(rho, s.u1, s.v1)
-    c12 = correlator(rho, s.u1, s.v2)
-    c21 = correlator(rho, s.u2, s.v1)
-    c22 = correlator(rho, s.u2, s.v2)
-    return abs(c11 + c12 + c21 - c22)
 
 
 def nmax_numeric(rho: DensityMatrix) -> float:
@@ -120,11 +75,6 @@ def nmax_numeric(rho: DensityMatrix) -> float:
     """
     s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)  # descending
     return max(0.0, math.hypot(s[0], s[1]) - 1.0)
-
-
-def bfrak(p: ReducedPoint) -> float:
-    """|x sqrt(z) + y sqrt(1 - z)|, at most sqrt(2)."""
-    return abs(p.x * math.sqrt(p.z) + p.y * math.sqrt(1.0 - p.z))
 
 
 def nvol_quadrature(mu: float, resolution: int = 1000) -> float:
@@ -144,8 +94,7 @@ def nvol_quadrature(mu: float, resolution: int = 1000) -> float:
     closed form in nvol_werner_analytic. Cost is O(resolution); resolution
     must be an integer >= 100.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_mu(mu)
     res = check_int("resolution", resolution, 100)
     if mu == 0.0:
         return 0.0
@@ -206,8 +155,7 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     count is bit-identical for any worker count. workers must be an
     integer >= 1.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_mu(mu)
     workers = check_int("workers", workers, 1)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     if mu == 0.0:

@@ -1,4 +1,5 @@
-"""Werner-family closed forms of the three quantifiers, and linspace.
+"""Werner-family closed forms of the three quantifiers, the one check of
+the noise parameter mu (check_mu), and linspace.
 
 This module imports only `math`, so `rbnl sweep` and `rbnl decay`, which
 need nothing else, start without numpy. `rbnl.nonlocality` re-exports
@@ -12,7 +13,8 @@ import math
 SQRT2 = math.sqrt(2)
 
 
-def _check_mu(mu: float) -> None:
+def check_mu(mu: float) -> None:
+    """The one check of a noise parameter: mu in [0, 1]; NaN fails it."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
 
@@ -31,14 +33,14 @@ def nrb_werner_closed_form(mu: float) -> float:
 
     Equals ln 2 at mu = 1 and 0 at mu = 0; monotone increasing in between.
     """
-    _check_mu(mu)
+    check_mu(mu)
     return 0.25 * (_h(3 * mu) + _h(-mu) - 2 * _h(mu))
 
 
 def nmax_werner(mu: float) -> float:
     """max[0, mu sqrt(2) - 1]: how far the noisy singlet's best CHSH value
     exceeds the local bound, in units of the local bound."""
-    _check_mu(mu)
+    check_mu(mu)
     return max(0.0, mu * SQRT2 - 1.0)
 
 
@@ -55,7 +57,7 @@ def nvol_werner_analytic(mu: float) -> float:
     region lives entirely in the same-sign quadrants). At mu = 1 the value
     is (pi - 3)/2.
     """
-    _check_mu(mu)
+    check_mu(mu)
     if mu <= 1.0 / SQRT2:
         return 0.0
     s0 = 1.0 / (SQRT2 * mu)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import nrb_werner_closed_form  # noqa: F401  (re-exported)
+from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
 from .search import OptimizerConfig, SearchDiagnostics, cached_grid, grid_refine
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
@@ -312,7 +312,7 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     rbnl.search). The returned value never falls below the grid maximum.
     """
     a, b, t = _fano_parts(rho)
-    s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    s_rho = entropy_from_eigenvalues(rho.eigenvalues)
     dirs = cached_grid(cfg.theta_points, cfg.phi_points)
     table = _pair_table(a, b, t, dirs)
     table -= s_rho
@@ -327,8 +327,7 @@ def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):
     side alone gives {(1+mu)/4 x2, (1-mu)/4 x2}; dephasing both gives
     {(1+mu*eta)/4 x2, (1-mu*eta)/4 x2} with eta = |u . v|.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_mu(mu)
     eta = min(abs(float(u.components @ v.components)), 1.0)
     one_side = np.array([(1 + mu) / 4, (1 + mu) / 4, (1 - mu) / 4, (1 - mu) / 4])
     both = np.array([(1 + mu * eta) / 4, (1 + mu * eta) / 4,

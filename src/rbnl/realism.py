@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor, von_neumann_entropy
+from .linalg import tensor
 from .states import PVM, DensityMatrix
 
 SITES = ("A", "B")
@@ -59,30 +59,30 @@ class RealityComponents:
         object.__setattr__(self, "states_b", sb)
 
 
-def _embedded_projectors(rho: DensityMatrix, m: LocalPVM):
-    d_a, d_b = rho.dims
-    local_dim = d_a if m.site == "A" else d_b
-    if m.pvm.dim != local_dim:
-        raise ValueError(
-            f"PVM dimension {m.pvm.dim} does not match site {m.site} dimension {local_dim}")
-    if m.site == "A":
-        eye = np.eye(d_b, dtype=complex)
-        return [tensor(p, eye) for p in m.pvm.projectors]
-    eye = np.eye(d_a, dtype=complex)
-    return [tensor(eye, p) for p in m.pvm.projectors]
+# sum_k (P_k (x) I) rho (P_k (x) I) and sum_k (I (x) P_k) rho (I (x) P_k)
+# with rho reshaped to (d_a, d_b, d_a, d_b), as one contraction per site
+_DEPHASE = {"A": "kai,ibjd,kjc->abcd", "B": "kbi,aicj,kjd->abcd"}
+
+
+def _dephased(matrix: np.ndarray, dims, projectors, site: str) -> np.ndarray:
+    d_a, d_b = dims
+    p = np.stack(projectors)
+    out = np.einsum(_DEPHASE[site], p, matrix.reshape(d_a, d_b, d_a, d_b), p)
+    return out.reshape(d_a * d_b, d_a * d_b)
 
 
 def dephase(rho: DensityMatrix, m: LocalPVM) -> DensityMatrix:
     """Unrevealed projective measurement of m on rho.
 
     Computed by the sandwich sum, which needs no outcome probabilities and
-    so has no zero-probability singularities. Trace is preserved.
+    so has no zero-probability singularities. Trace is preserved, and the
+    result passes the full DensityMatrix validation.
     """
-    embedded = _embedded_projectors(rho, m)
-    out = np.zeros_like(rho.matrix)
-    for p in embedded:
-        out += p @ rho.matrix @ p
-    return DensityMatrix(out, rho.dims)
+    local_dim = rho.dims[0] if m.site == "A" else rho.dims[1]
+    if m.pvm.dim != local_dim:
+        raise ValueError(
+            f"PVM dimension {m.pvm.dim} does not match site {m.site} dimension {local_dim}")
+    return DensityMatrix(_dephased(rho.matrix, rho.dims, m.pvm.projectors, m.site), rho.dims)
 
 
 def irreality(m: LocalPVM, rho: DensityMatrix) -> float:
@@ -91,7 +91,7 @@ def irreality(m: LocalPVM, rho: DensityMatrix) -> float:
     Nonnegative up to floating point noise; zero exactly when rho is a fixed
     point of the dephasing.
     """
-    return von_neumann_entropy(dephase(rho, m).matrix) - von_neumann_entropy(rho.matrix)
+    return dephase(rho, m).entropy() - rho.entropy()
 
 
 def delta_irreality(a: LocalPVM, b: LocalPVM, rho: DensityMatrix) -> float:
@@ -114,11 +114,9 @@ def make_reality_state(c: RealityComponents, a_pvm: PVM) -> DensityMatrix:
     d_a = a_pvm.dim
     terms = []
     for w, sa, sb in zip(c.weights, c.states_a, c.states_b):
-        if sa.shape[0] != d_a:
+        if sa.shape != (d_a, d_a):
             raise ValueError("component dimension does not match the PVM")
-        deph = np.zeros_like(sa)
-        for p in a_pvm.projectors:
-            deph += p @ sa @ p
+        deph = _dephased(sa, (d_a, 1), a_pvm.projectors, "A")
         terms.append(w * tensor(deph, sb))
     total = sum(terms)
     d_b = c.states_b[0].shape[0]

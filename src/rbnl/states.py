@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_TOL, check_dims, check_hermitian
+from .closed_forms import check_mu
+from .linalg import HERM_TOL, PSD_TOL, check_dims, check_hermitian, entropy_from_eigenvalues
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -35,10 +36,13 @@ def _freeze(obj, name, arr):
 class DensityMatrix:
     """Trace-one positive semidefinite Hermitian matrix with a bipartite
     dimension annotation (d_a, d_b). All invariants are checked on
-    construction and violations raise ValueError naming the invariant."""
+    construction and violations raise ValueError naming the invariant.
+    The spectrum that the positivity check computes is kept, read-only and
+    ascending, as `eigenvalues`; entropy() reads it."""
 
     matrix: np.ndarray
     dims: tuple[int, int]
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -50,10 +54,11 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr.real:.12g}, not 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}: not positive semidefinite")
+        ev = np.linalg.eigvalsh(m)
+        if ev[0] < -PSD_TOL:
+            raise ValueError(f"negative eigenvalue {ev[0]:.3e}: not positive semidefinite")
         _freeze(self, "matrix", m)
+        _freeze(self, "eigenvalues", ev)
         object.__setattr__(self, "dims", (d_a, d_b))
 
     @property
@@ -62,6 +67,11 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+    def entropy(self) -> float:
+        """S(rho) in nats from the kept spectrum, clamped to [0, ln dim]:
+        equal bit for bit to von_neumann_entropy(self.matrix)."""
+        return min(entropy_from_eigenvalues(self.eigenvalues), float(np.log(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -163,8 +173,7 @@ def singlet() -> PureState:
 
 def werner(mu: float) -> DensityMatrix:
     """(1 - mu) I/4 + mu |singlet><singlet| for mu in [0, 1]."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_mu(mu)
     s = singlet().vector
     m = (1.0 - mu) * np.eye(4, dtype=complex) / 4 + mu * np.outer(s, s.conj())
     return DensityMatrix(m, (2, 2))

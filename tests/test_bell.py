@@ -1,17 +1,59 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from rbnl.bell import (MC_CHUNK, ChshSettings, McConfig, ReducedPoint, bfrak,
-                       chsh_value, correlation_matrix, correlator,
-                       nmax_numeric, nmax_werner, nvol_mc, nvol_quadrature,
-                       nvol_werner_analytic)
-from rbnl.linalg import EIG_CLIP
+from rbnl.bell import (MC_CHUNK, McConfig, correlation_matrix, nmax_numeric,
+                       nmax_werner, nvol_mc, nvol_quadrature, nvol_werner_analytic)
+from rbnl.linalg import EIG_CLIP, tensor
 from rbnl.search import OptimizerConfig, grid_refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
 
 SQRT2 = math.sqrt(2.0)
+
+
+# The CHSH value of explicit settings and the reduced (x, y, z) coordinates
+# of the volume fraction, by their definitions: independent routes for the
+# tests, not part of the package.
+@dataclass(frozen=True)
+class ChshSettings:
+    """One CHSH measurement context: two directions per side."""
+
+    u1: BlochVector
+    u2: BlochVector
+    v1: BlochVector
+    v2: BlochVector
+
+
+@dataclass(frozen=True)
+class ReducedPoint:
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        if not (-1.0 <= self.x <= 1.0 and -1.0 <= self.y <= 1.0):
+            raise ValueError(f"x and y must lie in [-1, 1], got ({self.x}, {self.y})")
+        if not 0.0 <= self.z <= 1.0:
+            raise ValueError(f"z must lie in [0, 1], got {self.z}")
+
+
+def correlator(rho, u, v):
+    """Tr[rho (u.sigma (x) v.sigma)]."""
+    return float(np.real(np.trace(rho.matrix @ tensor(u.dot_sigma(), v.dot_sigma()))))
+
+
+def chsh_value(rho, s):
+    """|C(u1,v1) + C(u1,v2) + C(u2,v1) - C(u2,v2)|. At most 2 for Bell-local
+    models and 2 sqrt(2) for quantum states."""
+    return abs(correlator(rho, s.u1, s.v1) + correlator(rho, s.u1, s.v2)
+               + correlator(rho, s.u2, s.v1) - correlator(rho, s.u2, s.v2))
+
+
+def bfrak(p):
+    """|x sqrt(z) + y sqrt(1 - z)|, at most sqrt(2)."""
+    return abs(p.x * math.sqrt(p.z) + p.y * math.sqrt(1.0 - p.z))
 
 
 def unit(rng):
@@ -66,6 +108,16 @@ def test_correlator_singlet():
         u, v = unit(rng), unit(rng)
         c = correlator(rho, u, v)
         assert abs(c - (-(u.components @ v.components))) < 1e-12
+
+
+def test_correlator_is_the_correlation_matrix_form():
+    # Tr[rho (u.sigma (x) v.sigma)] = u . T v on random states
+    rng = np.random.default_rng(35)
+    for k in range(20):
+        rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
+        u, v = unit(rng), unit(rng)
+        t = correlation_matrix(rho)
+        assert abs(correlator(rho, u, v) - u.components @ t @ v.components) < 1e-12
 
 
 def test_correlation_matrix_werner():

@@ -6,6 +6,9 @@ import pytest
 import rbnl
 from rbnl import bell, closed_forms, nonlocality
 from rbnl.closed_forms import linspace
+from rbnl.states import BlochVector
+
+Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 
 SUBMODULES = ("linalg", "states", "realism", "search", "nonlocality", "bell",
               "closed_forms", "cli")
@@ -58,3 +61,23 @@ def test_linspace_equals_numpy_bit_for_bit(start, stop, num):
     assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
     assert ours.tobytes() == theirs.tobytes()
     assert all(type(x) is float for x in linspace(start, stop, num))
+
+
+# every public function taking the noise parameter mu, all checked by
+# closed_forms.check_mu
+MU_FUNCTIONS = {
+    "werner": lambda mu: rbnl.werner(mu),
+    "werner_dephased_spectra": lambda mu: rbnl.werner_dephased_spectra(mu, Z, Z),
+    "nvol_quadrature": lambda mu: rbnl.nvol_quadrature(mu),
+    "nvol_mc": lambda mu: rbnl.nvol_mc(mu, rbnl.McConfig(n=10)),
+    "nrb_werner_closed_form": lambda mu: rbnl.nrb_werner_closed_form(mu),
+    "nmax_werner": lambda mu: rbnl.nmax_werner(mu),
+    "nvol_werner_analytic": lambda mu: rbnl.nvol_werner_analytic(mu),
+}
+
+
+@pytest.mark.parametrize("name", MU_FUNCTIONS)
+@pytest.mark.parametrize("mu", [-0.1, 1.1, float("nan")])
+def test_mu_out_of_range_is_rejected(name, mu):
+    with pytest.raises(ValueError, match=r"mu must be in \[0, 1\]"):
+        MU_FUNCTIONS[name](mu)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import rbnl.realism
 from rbnl.linalg import von_neumann_entropy
 from rbnl.realism import (LocalPVM, RealityComponents, dephase,
                           delta_irreality, irreality, is_reality_state,
                           make_reality_state)
-from rbnl.states import PVM, random_density, werner
+from rbnl.states import PVM, DensityMatrix, random_density, werner
 
 
 def random_basis_pvm(rng, d):
@@ -20,12 +21,95 @@ def random_local(rng, dims, site):
 
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+SITES = ("A", "B")
 
 
 def test_local_pvm_site_check():
     m = random_basis_pvm(np.random.default_rng(0), 2)
     with pytest.raises(ValueError):
         LocalPVM(m, "X")
+
+
+def random_coarse_pvm(rng, d):
+    # a random orthonormal basis with its first two rays merged, so that
+    # for d = 3 one projector has rank 2
+    fine = random_basis_pvm(rng, d).projectors
+    return PVM((fine[0] + fine[1], *fine[2:]))
+
+
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("site", SITES)
+def test_dephase_equals_kron_sandwich(dims, site):
+    # an oracle built here with np.kron: sum_k (P_k (x) I) rho (P_k (x) I)
+    # for site A, sum_k (I (x) P_k) rho (I (x) P_k) for site B
+    rng = np.random.default_rng(20 + 10 * DIMS.index(dims) + SITES.index(site))
+    d_a, d_b = dims
+    for k in range(6):
+        rho = random_density(d_a, d_b, rank=1 + k % (d_a * d_b), seed=rng)
+        d = d_a if site == "A" else d_b
+        pvm = random_basis_pvm(rng, d) if k % 2 else random_coarse_pvm(rng, d)
+        if site == "A":
+            embedded = [np.kron(p, np.eye(d_b)) for p in pvm.projectors]
+        else:
+            embedded = [np.kron(np.eye(d_a), p) for p in pvm.projectors]
+        expected = sum(p @ rho.matrix @ p for p in embedded)
+        got = dephase(rho, LocalPVM(pvm, site)).matrix
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_reality_state_equals_explicit_mixture(dims):
+    rng = np.random.default_rng(30 + DIMS.index(dims))
+    d_a, d_b = dims
+    for k in range(4):
+        pvm = random_basis_pvm(rng, d_a) if k % 2 else random_coarse_pvm(rng, d_a)
+        w = rng.random(3)
+        w /= w.sum()
+        sa = [random_density(d_a, 1, rank=d_a, seed=rng).matrix for _ in w]
+        sb = [random_density(d_b, 1, rank=d_b, seed=rng).matrix for _ in w]
+        expected = sum(wk * np.kron(sum(p @ a @ p for p in pvm.projectors), b)
+                       for wk, a, b in zip(w, sa, sb))
+        got = make_reality_state(RealityComponents(tuple(w), tuple(sa), tuple(sb)), pvm)
+        assert got.dims == dims
+        assert np.max(np.abs(got.matrix - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda m: 2 * m, "trace"),
+    (lambda m: m + np.triu(np.full(m.shape, 0.1), 1), "not Hermitian"),
+    (lambda m: m + np.diag([1.0] + [0.0] * (len(m) - 2) + [-1.0]), "positive semidefinite"),
+])
+def test_dephase_output_is_fully_validated(monkeypatch, bad, match):
+    # dephase hands its matrix to the DensityMatrix constructor, whose checks
+    # all run: a kernel returning a broken matrix is caught there
+    rho = random_density(2, 3, rank=3, seed=5)
+    m = random_local(np.random.default_rng(5), (2, 3), "B")
+    out = dephase(rho, m)
+    assert np.linalg.eigvalsh(out.matrix).tobytes() == out.eigenvalues.tobytes()
+    kernel = rbnl.realism._dephased
+    monkeypatch.setattr(rbnl.realism, "_dephased", lambda *args: bad(kernel(*args)))
+    with pytest.raises(ValueError, match=match):
+        dephase(rho, m)
+
+
+def test_one_spectrum_per_state(monkeypatch):
+    # irreality and delta_irreality diagonalize each state once: the
+    # eigvalsh call of the DensityMatrix that dephase builds, no other
+    rng = np.random.default_rng(6)
+    rho = random_density(3, 2, rank=4, seed=rng)
+    ma, mb = random_local(rng, (3, 2), "A"), random_local(rng, (3, 2), "B")
+    expected = (irreality(ma, rho), delta_irreality(ma, mb, rho))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    assert irreality(ma, rho) == expected[0]
+    assert len(calls) == 1
+    calls.clear()
+    assert delta_irreality(ma, mb, rho) == expected[1]
+    assert len(calls) == 3  # Phi_b rho, Phi_a rho and Phi_a Phi_b rho
+    calls.clear()
+    DensityMatrix(rho.matrix, rho.dims)
+    assert len(calls) == 1
 
 
 def test_dephase_is_idempotent_and_trace_preserving():
@@ -147,6 +231,13 @@ def test_reality_state_fixed_point():
         lm = LocalPVM(m, "A")
         assert is_reality_state(rho, lm)
         assert abs(irreality(lm, rho)) < 1e-10
+
+
+def test_reality_state_component_dimension_checked():
+    m = random_basis_pvm(np.random.default_rng(19), 2)
+    for sa in (np.eye(3) / 3, np.ones((2, 3)) / 2):
+        with pytest.raises(ValueError, match="component dimension"):
+            make_reality_state(RealityComponents((1.0,), (sa,), (np.eye(2) / 2,)), m)
 
 
 def test_non_reality_state_detected():

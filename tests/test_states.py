@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rbnl.linalg import partial_trace, von_neumann_entropy
+from rbnl.linalg import entropy_from_eigenvalues, partial_trace, von_neumann_entropy
 from rbnl.states import (PAULIS, BlochVector, DensityMatrix, PureState, PVM,
                          bloch_pvm, load_state, qutrit_family, random_density,
                          random_pure, save_state, singlet, state_from_json,
@@ -61,6 +61,38 @@ def test_density_matrix_is_immutable():
     rho = werner(0.3)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
+
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def test_kept_spectrum_is_read_only_and_is_eigvalsh():
+    rho = random_density(2, 3, rank=4, seed=3)
+    assert np.linalg.eigvalsh(rho.matrix).tobytes() == rho.eigenvalues.tobytes()
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 0.5
+    with pytest.raises(AttributeError):
+        rho.eigenvalues = np.zeros(6)
+    assert "eigenvalues" not in repr(rho)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_entropy_equals_von_neumann_entropy_bit_for_bit(dims):
+    n = dims[0] * dims[1]
+    states = [random_pure(*dims, seed=n).density(), DensityMatrix(np.eye(n) / n, dims)]
+    states += [random_density(*dims, rank=r, seed=10 * n + r) for r in range(1, n + 1)]
+    # maximally mixed up to rounding: the raw spectral entropy of some of
+    # these exceeds ln dim by an ulp, so they exercise the clamp
+    rng = np.random.default_rng(n)
+    noisy = [np.eye(n) / n + 1e-15 * random_density(*dims, rank=n, seed=rng).matrix
+             for _ in range(40)]
+    states += [DensityMatrix(m / np.trace(m), dims) for m in noisy]
+    for rho in states:
+        assert np.linalg.eigvalsh(rho.matrix).tobytes() == rho.eigenvalues.tobytes()
+        assert rho.entropy() == von_neumann_entropy(rho.matrix)
+        assert rho.entropy() <= np.log(n)
+    assert abs(states[0].entropy()) < 1e-12
+    assert any(entropy_from_eigenvalues(rho.eigenvalues) > np.log(n) for rho in states)
 
 
 def test_purity():
