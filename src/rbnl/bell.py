@@ -22,7 +22,8 @@ exact violating area of each z slice of the (x, y) square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .states import DensityMatrix, fano_form
 
 MC_CHUNK = 1 << 16
 MC_METHODS = ("angles", "xyz")
+_MC_BLOCK = 1 << 13  # rows counted at once within a chunk
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,17 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """The estimate and its binomial standard error, plus how it was made:
+    chunks drawn and counted, threads that counted them and wall time in
+    seconds. The last three take no part in ==."""
+
     fraction: float
     std_error: float  # binomial: sqrt(f (1 - f) / n)
     n: int
     seed: int
+    chunks: int = field(default=0, compare=False)
+    workers: int = field(default=1, compare=False)
+    wall_s: float = field(default=0.0, compare=False)
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -117,54 +126,67 @@ def _chunk_rng(seed: int, k: int):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
-def _sphere_from_uniform(cols) -> np.ndarray:
-    # cols[:, 0] -> cos(theta) uniform on [-1, 1], cols[:, 1] -> azimuth
-    z = 2.0 * cols[:, 0] - 1.0
-    az = 2.0 * math.pi * cols[:, 1]
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
+def _count_xyz(draws, mu: float) -> int:
+    x = 2.0 * draws[:, 0] - 1.0
+    y = 2.0 * draws[:, 1] - 1.0
+    z = draws[:, 2]
+    b = np.abs(x * np.sqrt(z) + y * np.sqrt(1.0 - z))
+    return int(np.count_nonzero(mu * b > 1.0))
+
+
+def _count_angles(draws, mu: float) -> int:
+    # columns 2j, 2j + 1 of a row give (cos theta, azimuth) of u1, u2, v1, v2
+    # in turn; each u.v comes straight from them, no Bloch vector is built
+    d = draws.T.copy()  # (8, rows), C order
+    z = d[0::2]
+    z *= 2.0
+    z -= 1.0  # in [-1, 1), so 1 - z z >= 0 exactly
+    phi = d[1::2]
+    phi *= 2.0 * math.pi
+    s = np.sqrt(1.0 - z * z)
+    # dots[i, j] = u_i . v_j = s_u s_v cos(phi_u - phi_v) + z_u z_v
+    dots = np.cos(phi[:2, None] - phi[None, 2:])
+    dots *= s[:2, None] * s[None, 2:]
+    dots += z[:2, None] * z[None, 2:]
+    chsh = dots[0, 0] + dots[0, 1] + dots[1, 0] - dots[1, 1]
+    return int(np.count_nonzero(np.abs(chsh) > 2.0 / mu))
+
+
+_COUNTERS = {"angles": (8, _count_angles), "xyz": (3, _count_xyz)}
 
 
 def _mc_chunk_count(mu: float, cfg: McConfig, k: int) -> int:
-    start = k * cfg.chunk_size
-    m = min(cfg.chunk_size, cfg.n - start)
-    rng = _chunk_rng(cfg.seed, k)
-    if cfg.method == "xyz":
-        draws = rng.random((m, 3))
-        x = 2.0 * draws[:, 0] - 1.0
-        y = 2.0 * draws[:, 1] - 1.0
-        z = draws[:, 2]
-        b = np.abs(x * np.sqrt(z) + y * np.sqrt(1.0 - z))
-        return int(np.count_nonzero(mu * b > 1.0))
-    draws = rng.random((m, 8))
-    u1 = _sphere_from_uniform(draws[:, 0:2])
-    u2 = _sphere_from_uniform(draws[:, 2:4])
-    v1 = _sphere_from_uniform(draws[:, 4:6])
-    v2 = _sphere_from_uniform(draws[:, 6:8])
-    expr = np.abs(np.sum(u1 * (v1 + v2), axis=1) + np.sum(u2 * (v1 - v2), axis=1))
-    return int(np.count_nonzero(expr > 2.0 / mu))
+    # one draw per chunk fixes the stream; the count runs over row blocks
+    # so that the temporaries stay in cache
+    m = min(cfg.chunk_size, cfg.n - k * cfg.chunk_size)
+    columns, count = _COUNTERS[cfg.method]
+    draws = _chunk_rng(cfg.seed, k).random((m, columns))
+    return sum(count(draws[lo:lo + _MC_BLOCK], mu) for lo in range(0, m, _MC_BLOCK))
 
 
 def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     """Hit-or-miss estimate of the violation fraction.
 
     method "angles" samples the four directions uniformly on the sphere and
-    tests the raw CHSH condition; method "xyz" samples the reduced box
+    tests the raw CHSH condition, with each u.v taken from the drawn
+    (cos theta, azimuth) pairs; method "xyz" samples the reduced box
     directly. Both estimate the same fraction. The sample stream is split
     into fixed-size chunks seeded independently of worker scheduling, so the
     count is bit-identical for any worker count. workers must be an
-    integer >= 1.
+    integer >= 1; the estimate records how many threads counted chunks.
     """
     check_mu(mu)
     workers = check_int("workers", workers, 1)
-    n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
-    if mu == 0.0:
-        count = 0  # condition is mu*B > 1, unreachable at mu = 0
-    elif workers == 1 or n_chunks == 1:
+    t0 = time.perf_counter()
+    # mu * B > 1 is unreachable at mu = 0, so nothing is drawn
+    n_chunks = 0 if mu == 0.0 else (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
+    workers = max(1, min(workers, n_chunks))
+    if workers == 1:
         count = sum(_mc_chunk_count(mu, cfg, k) for k in range(n_chunks))
     else:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             count = sum(pool.map(lambda k: _mc_chunk_count(mu, cfg, k), range(n_chunks)))
     frac = count / cfg.n
-    return McEstimate(frac, math.sqrt(frac * (1.0 - frac) / cfg.n), cfg.n, cfg.seed)
+    return McEstimate(frac, math.sqrt(frac * (1.0 - frac) / cfg.n), cfg.n, cfg.seed,
+                      n_chunks, workers, time.perf_counter() - t0)

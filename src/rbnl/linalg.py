@@ -64,7 +64,7 @@ def partial_trace(rho, dims, keep: str):
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 

@@ -40,7 +40,7 @@ from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NrbResult:
     value: float
     argmax_u: BlochVector
@@ -55,7 +55,7 @@ class NrbResult:
             raise ValueError(f"eta {self.eta!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """coefficients: k = min(d_a, d_b) probabilities, descending, sum 1.
     basis_a, basis_b: full orthonormal bases as matrix columns; the first k
@@ -86,7 +86,7 @@ class SchmidtDecomposition:
         object.__setattr__(self, "basis_b", ub)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureNrbResult:
     """Value plus the attaining observables (projectors onto the Schmidt
     bases) for a pure state."""

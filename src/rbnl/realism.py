@@ -20,7 +20,7 @@ from .states import PVM, DensityMatrix
 SITES = ("A", "B")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalPVM:
     """A sharp observable attached to one side of a bipartite system."""
 
@@ -32,11 +32,12 @@ class LocalPVM:
             raise ValueError(f"site must be 'A' or 'B', got {self.site!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealityComponents:
     """Ingredients of the most general state in which a site-A observable
     has a definite value: weights p_k with site-A states (to be dephased)
-    and site-B states."""
+    and site-B states. The states of each site must be square matrices of
+    one shape."""
 
     weights: np.ndarray
     states_a: tuple
@@ -44,8 +45,8 @@ class RealityComponents:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.states_a) or len(w) != len(self.states_b):
-            raise ValueError("weights and component lists disagree in length")
+        if w.ndim != 1 or not 0 < len(w) == len(self.states_a) == len(self.states_b):
+            raise ValueError("weights and component lists must be non-empty and agree in length")
         # both guards are written so that NaN fails them
         if not w.min() >= 0:
             raise ValueError(f"negative weight {w.min():.3e}")
@@ -53,6 +54,11 @@ class RealityComponents:
             raise ValueError(f"weights sum to {w.sum():.15g}, not 1")
         sa = tuple(np.array(s, dtype=complex) for s in self.states_a)
         sb = tuple(np.array(s, dtype=complex) for s in self.states_b)
+        for site, states in (("A", sa), ("B", sb)):
+            shapes = sorted({s.shape for s in states})
+            if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
+                raise ValueError(f"component dimension: site-{site} states must be square "
+                                 f"matrices of one shape, got shapes {shapes}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states_a", sa)

@@ -3,6 +3,9 @@
 Conventions fixed here and inherited everywhere: subsystem A is the left
 Kronecker factor, product basis ordered |00>, |01>, |10>, |11> row-major,
 and the singlet carries the sign (|01> - |10>)/sqrt(2).
+
+The validated types hold read-only numpy arrays, so they compare and hash by
+identity (eq=False), as do the other array-holding types of the package.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ def _freeze(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one positive semidefinite Hermitian matrix with a bipartite
     dimension annotation (d_a, d_b). All invariants are checked on
@@ -74,7 +77,7 @@ class DensityMatrix:
         return min(entropy_from_eigenvalues(self.eigenvalues), float(np.log(self.dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector with bipartite dims (d_a, d_b)."""
 
@@ -99,7 +102,7 @@ class PureState:
         return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PVM:
     """Projective observable: orthogonal projectors summing to the identity,
     with real labels playing the role of eigenvalues."""
@@ -143,7 +146,7 @@ class PVM:
         return self.projectors[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Unit direction on the Bloch sphere."""
 

@@ -4,8 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from rbnl.bell import (MC_CHUNK, McConfig, correlation_matrix, nmax_numeric,
-                       nmax_werner, nvol_mc, nvol_quadrature, nvol_werner_analytic)
+from rbnl import bell
+from rbnl.bell import (_MC_BLOCK, MC_CHUNK, McConfig, McEstimate, _mc_chunk_count,
+                       correlation_matrix, nmax_numeric, nmax_werner, nvol_mc,
+                       nvol_quadrature, nvol_werner_analytic)
 from rbnl.linalg import EIG_CLIP, tensor
 from rbnl.search import OptimizerConfig, grid_refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
@@ -362,3 +364,90 @@ def test_nvol_mc_ragged_tail():
     # n not divisible by the chunk size still counts exactly n samples
     est = nvol_mc(0.9, McConfig(n=MC_CHUNK + 123, seed=10))
     assert est.n == MC_CHUNK + 123
+
+
+# The Monte Carlo kernels written out plainly: one Philox stream per chunk,
+# four stacked (m, 3) Bloch vectors per chunk for "angles" and the reduced
+# box over the whole chunk for "xyz". They pin the sample stream and are the
+# oracle of the package's blocked kernels, which must give the same counts.
+def oracle_draws(cfg, k, columns):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(k,))))
+    return rng.random((min(cfg.chunk_size, cfg.n - k * cfg.chunk_size), columns))
+
+
+def oracle_sphere(cols):
+    z = 2.0 * cols[:, 0] - 1.0
+    az = 2.0 * math.pi * cols[:, 1]
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
+
+
+def oracle_chsh(cfg, k):
+    d = oracle_draws(cfg, k, 8)
+    u1, u2, v1, v2 = (oracle_sphere(d[:, j:j + 2]) for j in (0, 2, 4, 6))
+    return np.abs(np.sum(u1 * (v1 + v2), axis=1) + np.sum(u2 * (v1 - v2), axis=1))
+
+
+def oracle_bfrak(cfg, k):
+    d = oracle_draws(cfg, k, 3)
+    x, y, z = 2.0 * d[:, 0] - 1.0, 2.0 * d[:, 1] - 1.0, d[:, 2]
+    return np.abs(x * np.sqrt(z) + y * np.sqrt(1.0 - z))
+
+
+ORACLE_MUS = (1 / SQRT2, 0.72, 0.75, 0.8, 0.9, 0.95, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_angles_chunk_counts_equal_vector_oracle(seed):
+    # a full chunk and a ragged tail of 123 rows, not a multiple of the block
+    cfg = McConfig(n=MC_CHUNK + 123, seed=seed)
+    assert MC_CHUNK % _MC_BLOCK == 0 and 123 % _MC_BLOCK != 0
+    hits = 0
+    for k in (0, 1):
+        chsh = oracle_chsh(cfg, k)
+        for mu in ORACLE_MUS:
+            want = int(np.count_nonzero(chsh > 2.0 / mu))
+            assert _mc_chunk_count(mu, cfg, k) == want, (mu, k)
+            hits += want
+    assert hits > 0
+
+
+def test_xyz_chunk_counts_equal_whole_chunk_formula():
+    cfg = McConfig(n=2 * _MC_BLOCK + 77, seed=3, chunk_size=_MC_BLOCK + 5, method="xyz")
+    for k in (0, 1, 2):
+        b = oracle_bfrak(cfg, k)
+        for mu in ORACLE_MUS:
+            assert _mc_chunk_count(mu, cfg, k) == int(np.count_nonzero(mu * b > 1.0)), (mu, k)
+
+
+@pytest.mark.parametrize("method, columns", [("angles", 8), ("xyz", 3)])
+def test_chunk_blocks_cover_the_stream_once(monkeypatch, method, columns):
+    # the row blocks handed to the counter, in order, are the chunk's draws
+    blocks = []
+    monkeypatch.setitem(bell._COUNTERS, method,
+                        (columns, lambda d, mu: blocks.append(d.copy()) or len(d)))
+    cfg = McConfig(n=MC_CHUNK + 123, seed=5, method=method)
+    for k, rows in ((0, MC_CHUNK), (1, 123)):
+        blocks.clear()
+        assert _mc_chunk_count(0.9, cfg, k) == rows
+        assert max(len(b) for b in blocks) == min(rows, _MC_BLOCK)
+        assert np.array_equal(np.concatenate(blocks), oracle_draws(cfg, k, columns))
+
+
+@pytest.mark.parametrize("mu, count", [(0.75, 1156), (0.9, 32458), (1.0, 70926)])
+def test_nvol_mc_pinned_counts(mu, count):
+    # counts of the stacked-vector kernel; threads must not change them
+    est = nvol_mc(mu, McConfig(n=10**6, seed=606), workers=2)
+    assert est.fraction == count / 10**6
+
+
+def test_mc_estimate_records_how_it_was_made():
+    cfg = McConfig(n=3001, seed=4, chunk_size=1000)
+    serial = nvol_mc(0.9, cfg)
+    assert (serial.chunks, serial.workers) == (4, 1) and serial.wall_s > 0.0
+    threaded = nvol_mc(0.9, cfg, workers=8)
+    assert (threaded.chunks, threaded.workers) == (4, 4)
+    assert threaded == serial  # the run record takes no part in ==
+    zero = nvol_mc(0.0, cfg, workers=3)
+    assert (zero.chunks, zero.workers) == (0, 1)
+    assert McEstimate(0.5, 0.1, 10, 0) == McEstimate(0.5, 0.1, 10, 0, 3, 2, 1.5)

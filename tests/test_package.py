@@ -81,3 +81,28 @@ MU_FUNCTIONS = {
 def test_mu_out_of_range_is_rejected(name, mu):
     with pytest.raises(ValueError, match=r"mu must be in \[0, 1\]"):
         MU_FUNCTIONS[name](mu)
+
+
+# every frozen type that holds arrays, built twice from the same inputs
+ARRAY_TYPES = {
+    "DensityMatrix": lambda: rbnl.werner(0.5),
+    "PureState": lambda: rbnl.singlet(),
+    "BlochVector": lambda: BlochVector(np.array([0.0, 0.0, 1.0])),
+    "PVM": lambda: rbnl.bloch_pvm(Z),
+    "Spectrum": lambda: rbnl.hermitian_spectrum(np.eye(2)),
+    "NrbResult": lambda: rbnl.NrbResult(0.1, Z, Z, 1.0),
+    "SchmidtDecomposition": lambda: rbnl.schmidt(rbnl.singlet()),
+    "PureNrbResult": lambda: rbnl.nrb_pure(rbnl.singlet()),
+    "LocalPVM": lambda: rbnl.LocalPVM(rbnl.bloch_pvm(Z), "A"),
+    "RealityComponents": lambda: rbnl.RealityComponents((1.0,), (np.eye(2) / 2,),
+                                                        (np.eye(2) / 2,)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_TYPES)
+def test_array_types_compare_and_hash_by_identity(name):
+    a, b = ARRAY_TYPES[name](), ARRAY_TYPES[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

@@ -240,6 +240,26 @@ def test_reality_state_component_dimension_checked():
             make_reality_state(RealityComponents((1.0,), (sa,), (np.eye(2) / 2,)), m)
 
 
+def test_reality_components_shapes_checked():
+    i2, i3 = np.eye(2) / 2, np.eye(3) / 3
+    rect = np.ones((2, 3)) / 2
+    m = random_basis_pvm(np.random.default_rng(20), 2)
+    # site-B states of shapes (2, 2) and (3, 3): a named error, not numpy's
+    # broadcast error from the mixture
+    with pytest.raises(ValueError, match=r"site-B states must be square .* \(3, 3\)\]"):
+        make_reality_state(RealityComponents((0.5, 0.5), (i2, i2), (i2, i3)), m)
+    for weights, sa, sb, site in (((0.5, 0.5), (i2, i3), (i2, i2), "A"),
+                                  ((1.0,), (rect,), (i2,), "A"),
+                                  ((1.0,), (i2,), (rect,), "B"),
+                                  ((1.0,), (i2,), (np.ones(4) / 4,), "B")):
+        with pytest.raises(ValueError, match=f"component dimension: site-{site} states must"):
+            RealityComponents(weights, sa, sb)
+    with pytest.raises(ValueError, match="non-empty"):
+        RealityComponents((), (), ())
+    rho = make_reality_state(RealityComponents((0.5, 0.5), (i2, i2), (i3, i3)), m)
+    assert rho.dims == (2, 3)
+
+
 def test_non_reality_state_detected():
     rho = werner(0.9)
     m = LocalPVM(random_basis_pvm(np.random.default_rng(18), 2), "A")
