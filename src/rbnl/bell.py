@@ -27,28 +27,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import check_mu, nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
+from .closed_forms import MAX_WORKERS, check_mu
+from .closed_forms import nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
 from .linalg import check_int
 from .states import DensityMatrix, fano_form
 
-MC_CHUNK = 1 << 16
+MC_CHUNK = 1 << 16  # samples per chunk, one stream each; read at call time
 MC_METHODS = ("angles", "xyz")
 _MC_BLOCK = 1 << 13  # rows counted at once within a chunk
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings: n samples, drawn in chunks of chunk_size from
-    streams seeded by seed. n and chunk_size must be integers >= 1 and seed
-    an integer >= 0 (Python or numpy integers; bool is rejected)."""
+    """Monte Carlo settings: n samples, drawn in chunks of MC_CHUNK from
+    streams seeded by seed. n must be an integer >= 1 and seed an integer
+    >= 0 (Python or numpy integers; bool is rejected)."""
 
     n: int
     seed: int = 0
-    chunk_size: int = MC_CHUNK
     method: str = "angles"
 
     def __post_init__(self):
-        for name, minimum in (("n", 1), ("seed", 0), ("chunk_size", 1)):
+        for name, minimum in (("n", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if self.method not in MC_METHODS:
             raise ValueError(f"method must be one of {MC_METHODS}, got {self.method!r}")
@@ -158,7 +158,7 @@ _COUNTERS = {"angles": (8, _count_angles), "xyz": (3, _count_xyz)}
 def _mc_chunk_count(mu: float, cfg: McConfig, k: int) -> int:
     # one draw per chunk fixes the stream; the count runs over row blocks
     # so that the temporaries stay in cache
-    m = min(cfg.chunk_size, cfg.n - k * cfg.chunk_size)
+    m = min(MC_CHUNK, cfg.n - k * MC_CHUNK)
     columns, count = _COUNTERS[cfg.method]
     draws = _chunk_rng(cfg.seed, k).random((m, columns))
     return sum(count(draws[lo:lo + _MC_BLOCK], mu) for lo in range(0, m, _MC_BLOCK))
@@ -173,13 +173,16 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     directly. Both estimate the same fraction. The sample stream is split
     into fixed-size chunks seeded independently of worker scheduling, so the
     count is bit-identical for any worker count. workers must be an
-    integer >= 1; the estimate records how many threads counted chunks.
+    integer in [1, MAX_WORKERS]; the estimate records how many threads
+    counted chunks.
     """
     check_mu(mu)
     workers = check_int("workers", workers, 1)
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     t0 = time.perf_counter()
     # mu * B > 1 is unreachable at mu = 0, so nothing is drawn
-    n_chunks = 0 if mu == 0.0 else (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
+    n_chunks = 0 if mu == 0.0 else (cfg.n + MC_CHUNK - 1) // MC_CHUNK
     workers = max(1, min(workers, n_chunks))
     if workers == 1:
         count = sum(_mc_chunk_count(mu, cfg, k) for k in range(n_chunks))

@@ -29,9 +29,11 @@ from collections import namedtuple
 from datetime import datetime, timezone
 
 from . import __version__
-from .closed_forms import linspace, nmax_werner, nrb_werner_closed_form, nvol_werner_analytic
+from .closed_forms import (MAX_WORKERS, linspace, nmax_werner, nrb_werner_closed_form,
+                           nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
+MAX_GRID = 64  # state --grid; a mixed-state search at 64 peaks at about 650 MB
 
 SweepRow = namedtuple("SweepRow", "mu n_rb n_vol n_max norm_rb norm_vol norm_max")
 
@@ -120,19 +122,18 @@ def cmd_state(state_file: str, grid: int, restarts: int) -> int:
     """Report N_rb of the state in state_file as JSON on stdout.
 
     argmax_u and argmax_v are printed in full, but the search fixes them
-    only to about 1e-7: it stops on value_tol at a flat maximum, so digits
+    only to about 1e-7: it stops on VALUE_TOL at a flat maximum, so digits
     beyond that follow rounding in the objective.
     """
-    from .linalg import hermitian_spectrum
+    import numpy as np
+
     from .nonlocality import PURITY_CUTOFF, nrb_pure, nrb_two_qubit
     from .search import OptimizerConfig
     from .states import PureState, load_state
 
     rho = load_state(state_file)
     if rho.purity() > 1.0 - PURITY_CUTOFF:
-        spec = hermitian_spectrum(rho.matrix)
-        psi = PureState(spec.vectors[:, -1], rho.dims)
-        res = nrb_pure(psi)
+        res = nrb_pure(PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims))
         report = {
             "n_rb": res.value,
             "argmax_u": None,
@@ -202,8 +203,9 @@ def _default_seed() -> int:
         raise ValueError(f"RNL_SEED must be an integer, got {env!r}") from None
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _int_in(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than minimum and, if maximum is
+    given, no larger than maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -212,6 +214,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -227,24 +231,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-start", type=float, default=0.0)
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
-    sw.add_argument("--samples", type=_int_at_least(0), default=0,
+    sw.add_argument("--samples", type=_int_in(0), default=0,
                     help="per-row MC samples; > 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)
 
     st = sub.add_parser("state", help="quantify one state from a JSON file")
     st.add_argument("state_file")
-    st.add_argument("--grid", type=_int_at_least(1), default=12,
+    st.add_argument("--grid", type=_int_in(1, MAX_GRID), default=12,
                     help="theta resolution of the N x 2N theta x phi grid, whose "
-                         "distinct observables are searched (121 for N = 12)")
-    st.add_argument("--restarts", type=_int_at_least(1), default=8)
+                         f"distinct observables are searched (121 for N = 12; N <= {MAX_GRID})")
+    st.add_argument("--restarts", type=_int_in(1), default=8)
 
     vl = sub.add_parser("vol", help="Monte Carlo violation fraction")
     vl.add_argument("--mu", type=float, required=True)
     vl.add_argument("--samples", type=int, default=10**6)
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
-    vl.add_argument("--workers", type=_int_at_least(1), default=1)
+    vl.add_argument("--workers", type=_int_in(1, MAX_WORKERS), default=1)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")
     dc.add_argument("--t-max", type=float, default=5.0)
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
             raise
         print("rbnl: this command needs numpy", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"rbnl: i/o error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

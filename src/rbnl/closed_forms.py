@@ -1,5 +1,6 @@
 """Werner-family closed forms of the three quantifiers, the one check of
-the noise parameter mu (check_mu), and linspace.
+the noise parameter mu (check_mu), linspace, and MAX_WORKERS, the thread
+cap of rbnl.bell.nvol_mc that the CLI parser also checks.
 
 This module imports only `math`, so `rbnl sweep` and `rbnl decay`, which
 need nothing else, start without numpy. `rbnl.nonlocality` re-exports
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 SQRT2 = math.sqrt(2)
+MAX_WORKERS = 64  # threads of one Monte Carlo estimate
 
 
 def check_mu(mu: float) -> None:

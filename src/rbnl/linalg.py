@@ -6,8 +6,6 @@ Natural logarithm throughout; entropies are in nats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Absolute tolerances, frozen for the whole package: conditioning is benign
@@ -64,57 +62,6 @@ def partial_trace(rho, dims, keep: str):
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    values ascend; vectors[:, k] pairs with values[k] and the columns are
-    orthonormal.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vecs = np.array(self.vectors, dtype=complex)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-
-def _canonicalize_degenerate(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Replace the eigenbasis of each degenerate cluster by the Gram-Schmidt
-    orthonormalization of the canonical basis projected onto that eigenspace,
-    so degenerate output does not depend on LAPACK's arbitrary rotation."""
-    n = len(vals)
-    out = vecs.copy()
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= 1e-12:
-            j += 1
-        k = j - i
-        if k > 1:
-            basis = vecs[:, i:j]
-            proj = basis @ basis.conj().T
-            cols = []
-            for e in range(n):
-                cand = proj[:, e].copy()  # proj @ canonical e-th basis vector
-                for c in cols:
-                    cand -= c * np.vdot(c, cand)
-                nrm = np.linalg.norm(cand)
-                if nrm > 1e-6:
-                    cols.append(cand / nrm)
-                if len(cols) == k:
-                    break
-            if len(cols) == k:
-                out[:, i:j] = np.column_stack(cols)
-        i = j
-    return out
-
-
 def check_hermitian(m: np.ndarray, what: str) -> None:
     """Raise ValueError unless the square array m has finite entries and lies
     within HERM_TOL of its conjugate transpose. Finiteness is checked first:
@@ -124,20 +71,6 @@ def check_hermitian(m: np.ndarray, what: str) -> None:
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > HERM_TOL:
         raise ValueError(f"{what} is not Hermitian: max |m - m^H| = {asym:.3e}")
-
-
-def hermitian_spectrum(m) -> Spectrum:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
-
-    Inputs with non-finite entries or farther than HERM_TOL from
-    self-adjoint are rejected by check_hermitian. Degenerate eigenspaces get
-    a deterministic basis.
-    """
-    m = np.asarray(m, dtype=complex)
-    check_hermitian(m, "matrix")
-    vals, vecs = np.linalg.eigh(m)
-    vecs = _canonicalize_degenerate(vals, vecs)
-    return Spectrum(vals, vecs)
 
 
 def entropy_from_eigenvalues(vals) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, SearchDiagnostics, cached_grid, grid_refine
+from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
@@ -88,13 +88,20 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PureNrbResult:
-    """Value plus the attaining observables (projectors onto the Schmidt
-    bases) for a pure state."""
+    """Value plus the Schmidt decomposition of a pure state; pvm_a and pvm_b,
+    the attaining observables (projectors onto the Schmidt bases), are built
+    from it when read."""
 
     value: float
-    pvm_a: PVM
-    pvm_b: PVM
     decomposition: SchmidtDecomposition
+
+    @property
+    def pvm_a(self) -> PVM:
+        return _basis_pvm(self.decomposition.basis_a)
+
+    @property
+    def pvm_b(self) -> PVM:
+        return _basis_pvm(self.decomposition.basis_b)
 
 
 def schmidt(psi: PureState) -> SchmidtDecomposition:
@@ -124,8 +131,7 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
     """For pure states the maximal irreality drop equals the entanglement
     entropy and is attained by measuring the Schmidt bases on both sides."""
     dec = schmidt(psi)
-    value = entropy_from_eigenvalues(dec.coefficients)
-    return PureNrbResult(value, _basis_pvm(dec.basis_a), _basis_pvm(dec.basis_b), dec)
+    return PureNrbResult(entropy_from_eigenvalues(dec.coefficients), dec)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +319,7 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     """
     a, b, t = _fano_parts(rho)
     s_rho = entropy_from_eigenvalues(rho.eigenvalues)
-    dirs = cached_grid(cfg.theta_points, cfg.phi_points)
+    dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     table = _pair_table(a, b, t, dirs)
     table -= s_rho
     value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)

@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import check_int
 
 GRAD_TOL = 1e-10  # stationary once the Riemannian gradient norm is below this
+VALUE_TOL = 1e-8  # finished once an accepted step gains less than this
 LM_START = 1e-3
 LM_DOWN = 0.25
 LM_UP = 8.0
@@ -57,33 +58,32 @@ class OptimizerConfig:
     unfinished restart, and a step that would lower the value is refused
     and retried with more damping in the next iteration. A restart
     finishes early when an accepted step raises the value by less than
-    `value_tol`, or when its Riemannian gradient norm is at most 1e-10.
+    VALUE_TOL, or when its Riemannian gradient norm is at most GRAD_TOL.
     The search is deterministic. The four counts must be integers >= 1
-    (bool is rejected) and value_tol finite and >= 0.
+    (bool is rejected).
     """
 
     theta_points: int = 12
     phi_points: int = 24
     refine_iterations: int = 200
     restarts: int = 8
-    value_tol: float = 1e-8
 
     def __post_init__(self):
         for name in ("theta_points", "phi_points", "refine_iterations", "restarts"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
-        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
-            raise ValueError(f"value_tol must be finite and >= 0, got {self.value_tol!r}")
 
 
-def sphere_grid(cfg: OptimizerConfig) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def sphere_grid(theta_points: int, phi_points: int) -> np.ndarray:
     """One unit vector per observable of the theta x phi grid, theta-major,
     shape (n, 3). theta includes both poles and phi excludes 2 pi; of the
     theta_points * phi_points grid directions this keeps the north pole
     once and, where the antipode -x is also a grid direction (phi_points
     even), only the one of x and -x that comes first. Every grid direction
     is +- one of the rows, and no two rows are equal up to sign. The
-    default 12 x 24 grid gives 121 rows."""
-    n_t, n_p = cfg.theta_points, cfg.phi_points
+    default 12 x 24 grid gives 121 rows. Each shape is built once per
+    process and shared by every search that uses it, so it is read-only."""
+    n_t, n_p = theta_points, phi_points
     i, j = np.divmod(np.arange(n_t * n_p), n_p)
     mirror = n_t - 1 - i  # ring of the antipodes, at phi + pi
     if n_p % 2:
@@ -94,14 +94,7 @@ def sphere_grid(cfg: OptimizerConfig) -> np.ndarray:
     theta = np.linspace(0.0, math.pi, n_t)[i[keep]]
     phi = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)[j[keep]]
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
-
-
-@functools.lru_cache(maxsize=16)
-def cached_grid(theta_points: int, phi_points: int) -> np.ndarray:
-    """sphere_grid of that shape, built once per process and shared by
-    every search that uses it, so it is read-only."""
-    dirs = sphere_grid(OptimizerConfig(theta_points=theta_points, phi_points=phi_points))
+    dirs = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
     dirs.setflags(write=False)
     return dirs
 
@@ -141,7 +134,7 @@ class SearchDiagnostics:
     returned, never below grid_best. evaluations: objective calls of the
     refinement, each over every restart at once, finished or not. iterations:
     refinement iterations made; each makes one call. converged: restarts
-    that stopped on the gradient or value_tol test rather than on the
+    that stopped on the GRAD_TOL or VALUE_TOL test rather than on the
     iteration cap or on a step damped below float resolution.
     best_restart: the rank of the start pair whose refinement won.
     """
@@ -179,7 +172,7 @@ def refine(objective, u, v, cfg: OptimizerConfig):
         f1, tangent1, normal1, h1 = _evaluate(objective, x1)
         calls += 1
         up = active & (f1 >= f)  # a step is taken only if the value does not drop
-        done = up & ((f1 - f < cfg.value_tol) | _stationary(tangent1))
+        done = up & ((f1 - f < VALUE_TOL) | _stationary(tangent1))
         rows = up[:, None, None]
         np.copyto(x, x1, where=rows)
         np.copyto(tangent, tangent1, where=rows)

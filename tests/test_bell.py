@@ -96,7 +96,7 @@ def chsh_search(rho):
     pairs refined by rbnl.search."""
     cfg = OptimizerConfig()
     objective = chsh_objective(correlation_matrix(rho))
-    dirs = sphere_grid(cfg)
+    dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     n = len(dirs)
     table = objective(np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1)))[0].reshape(n, n)
     return grid_refine(table, dirs, objective, cfg)[0]
@@ -293,28 +293,27 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(n=100, method="bogus")
     cfg = McConfig(n=100)
-    assert cfg.chunk_size == MC_CHUNK and cfg.method == "angles"
+    assert (cfg.seed, cfg.method) == (0, "angles")
 
 
-def test_mc_config_rejects_non_integers():
+def test_mc_config_rejects_non_integers(monkeypatch):
     for kwargs, error in (({"n": True}, TypeError), ({"n": 2.5}, TypeError),
-                          ({"n": 100, "chunk_size": 2.5}, TypeError),
-                          ({"n": 100, "chunk_size": 0}, ValueError),
                           ({"n": 100, "seed": True}, TypeError),
                           ({"n": 100, "seed": 1.0}, TypeError),
                           ({"n": 100, "seed": -1}, ValueError)):
         with pytest.raises(error):
             McConfig(**kwargs)
-    cfg = McConfig(n=np.int64(1000), seed=np.uint32(3), chunk_size=np.int32(300))
-    assert (cfg.n, cfg.seed, cfg.chunk_size) == (1000, 3, 300)
-    assert type(cfg.chunk_size) is int
-    assert nvol_mc(0.9, cfg) == nvol_mc(0.9, McConfig(n=1000, seed=3, chunk_size=300))
+    cfg = McConfig(n=np.int64(1000), seed=np.uint32(3))
+    assert (cfg.n, cfg.seed) == (1000, 3)
+    assert type(cfg.n) is int and type(cfg.seed) is int
+    monkeypatch.setattr(bell, "MC_CHUNK", 300)  # four chunks
+    assert nvol_mc(0.9, cfg) == nvol_mc(0.9, McConfig(n=1000, seed=3))
 
 
 def test_nvol_mc_rejects_bad_workers():
     cfg = McConfig(n=1000)
-    for workers, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError),
-                           (True, TypeError), ("2", TypeError)):
+    for workers, error in ((0, ValueError), (-3, ValueError), (65, ValueError),
+                           (2.5, TypeError), (True, TypeError), ("2", TypeError)):
         with pytest.raises(error):
             nvol_mc(0.9, cfg, workers=workers)
     assert nvol_mc(0.9, cfg, workers=np.int64(2)) == nvol_mc(0.9, cfg)
@@ -372,7 +371,7 @@ def test_nvol_mc_ragged_tail():
 # oracle of the package's blocked kernels, which must give the same counts.
 def oracle_draws(cfg, k, columns):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(k,))))
-    return rng.random((min(cfg.chunk_size, cfg.n - k * cfg.chunk_size), columns))
+    return rng.random((min(bell.MC_CHUNK, cfg.n - k * bell.MC_CHUNK), columns))
 
 
 def oracle_sphere(cols):
@@ -412,8 +411,9 @@ def test_angles_chunk_counts_equal_vector_oracle(seed):
     assert hits > 0
 
 
-def test_xyz_chunk_counts_equal_whole_chunk_formula():
-    cfg = McConfig(n=2 * _MC_BLOCK + 77, seed=3, chunk_size=_MC_BLOCK + 5, method="xyz")
+def test_xyz_chunk_counts_equal_whole_chunk_formula(monkeypatch):
+    monkeypatch.setattr(bell, "MC_CHUNK", _MC_BLOCK + 5)
+    cfg = McConfig(n=2 * _MC_BLOCK + 77, seed=3, method="xyz")
     for k in (0, 1, 2):
         b = oracle_bfrak(cfg, k)
         for mu in ORACLE_MUS:
@@ -441,8 +441,9 @@ def test_nvol_mc_pinned_counts(mu, count):
     assert est.fraction == count / 10**6
 
 
-def test_mc_estimate_records_how_it_was_made():
-    cfg = McConfig(n=3001, seed=4, chunk_size=1000)
+def test_mc_estimate_records_how_it_was_made(monkeypatch):
+    monkeypatch.setattr(bell, "MC_CHUNK", 1000)
+    cfg = McConfig(n=3001, seed=4)
     serial = nvol_mc(0.9, cfg)
     assert (serial.chunks, serial.workers) == (4, 1) and serial.wall_s > 0.0
     threaded = nvol_mc(0.9, cfg, workers=8)

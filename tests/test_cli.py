@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rbnl
-from rbnl.cli import MAX_STEPS, main
+from rbnl.cli import MAX_GRID, MAX_STEPS, MAX_WORKERS, main
 from rbnl.states import (PureState, random_density, save_state, singlet,
                          state_to_json, werner)
 
@@ -156,9 +156,12 @@ def test_state_missing_file(capsys):
 
 def test_state_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, _ = run(["state", str(path)], capsys)
-    assert code == 2
+    for raw in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        path.write_bytes(raw)
+        code, out, err = run(["state", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("rbnl: i/o error: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_state_schema_violation(tmp_path, capsys):
@@ -219,8 +222,10 @@ def test_state_has_no_seed(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("flag", ["--grid", "--restarts"])
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("value, flag", [
+    *((value, flag) for flag in ("--grid", "--restarts") for value in ("0", "-3", "two")),
+    (str(MAX_GRID + 1), "--grid"),  # a larger pair table could exhaust memory
+])
 def test_state_rejects_bad_search_flags(tmp_path, capsys, flag, value):
     # a usage error for pure inputs, which never search, and mixed ones alike
     for name, rho in (("pure", singlet().density()), ("mixed", werner(0.5))):
@@ -272,7 +277,7 @@ def test_vol_bad_seed_env(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+@pytest.mark.parametrize("workers", ["0", "-2", "two", str(MAX_WORKERS + 1)])
 def test_vol_rejects_bad_workers(capsys, workers):
     with pytest.raises(SystemExit) as exc:
         main(["vol", "--mu", "0.9", "--samples", "1000", "--workers", workers])

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rbnl.linalg import (entropy_from_eigenvalues, hermitian_spectrum,
-                         partial_trace, tensor, von_neumann_entropy)
+from rbnl.linalg import entropy_from_eigenvalues, partial_trace, tensor, von_neumann_entropy
 
 
 def random_hermitian(rng, d):
@@ -75,24 +74,6 @@ def test_partial_trace_accepts_numpy_integer_dims():
     assert np.allclose(red, np.eye(3) / 3, atol=1e-15)
 
 
-def test_hermitian_spectrum_reconstructs():
-    rng = np.random.default_rng(3)
-    for d in (2, 3, 4, 6):
-        m = random_hermitian(rng, d)
-        spec = hermitian_spectrum(m)
-        assert np.all(np.diff(spec.values) >= -1e-14)  # ascending
-        gram = spec.vectors.conj().T @ spec.vectors
-        assert np.allclose(gram, np.eye(d), atol=1e-12)
-        rebuilt = (spec.vectors * spec.values) @ spec.vectors.conj().T
-        assert np.allclose(rebuilt, m, atol=1e-12)
-
-
-def test_hermitian_spectrum_rejects_nonhermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_spectrum(m)
-
-
 def raises_one_line(fn, *args, match=None):
     """fn(*args) raises a one-line ValueError and emits no numpy warning."""
     with warnings.catch_warnings():
@@ -103,32 +84,13 @@ def raises_one_line(fn, *args, match=None):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-@pytest.mark.parametrize("fn", [hermitian_spectrum, von_neumann_entropy])
+@pytest.mark.parametrize("fn", [von_neumann_entropy])
 def test_non_finite_matrix_rejected(fn, bad):
     m = np.diag([bad, 1.0, 0.0, 0.0]).astype(complex)
     raises_one_line(fn, m, match="finite")
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = bad  # off the diagonal, where m - m^H would meet it
     raises_one_line(fn, m, match="finite")
-
-
-def test_degenerate_spectrum_is_canonical():
-    # fully degenerate: the canonical basis must come back, in order
-    spec = hermitian_spectrum(np.eye(3, dtype=complex))
-    assert np.allclose(spec.vectors, np.eye(3), atol=1e-12)
-
-    # two-fold degenerate block: same input twice gives bit-identical output
-    m = np.diag([1.0, 1.0, 2.0]).astype(complex)
-    s1 = hermitian_spectrum(m)
-    s2 = hermitian_spectrum(m)
-    assert np.array_equal(s1.vectors, s2.vectors)
-    assert np.allclose(s1.vectors[:, :2], np.eye(3)[:, :2], atol=1e-12)
-
-
-def test_spectrum_arrays_are_frozen():
-    spec = hermitian_spectrum(np.diag([1.0, 2.0]).astype(complex))
-    with pytest.raises(ValueError):
-        spec.values[0] = 0.0
 
 
 def test_entropy_from_eigenvalues():

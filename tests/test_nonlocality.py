@@ -38,15 +38,14 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
     cfg = OptimizerConfig()
     assert (cfg.theta_points, cfg.phi_points, cfg.restarts) == (12, 24, 8)
-    assert OptimizerConfig(theta_points=np.int64(4), value_tol=0.0).theta_points == 4
+    assert OptimizerConfig(theta_points=np.int64(4)).theta_points == 4
 
 
 @pytest.mark.parametrize("kw, error", [
     ({"restarts": 2.5}, TypeError),
     ({"theta_points": 2.5}, TypeError),
     ({"theta_points": True}, TypeError),
-    ({"value_tol": math.nan}, ValueError),
-    ({"value_tol": -1.0}, ValueError),
+    ({"value_tol": 1e-8}, TypeError),  # a constant, search.VALUE_TOL
 ])
 def test_optimizer_config_rejects_non_integers_and_bad_tolerance(kw, error):
     with pytest.raises(error, match=next(iter(kw))):

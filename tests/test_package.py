@@ -89,7 +89,6 @@ ARRAY_TYPES = {
     "PureState": lambda: rbnl.singlet(),
     "BlochVector": lambda: BlochVector(np.array([0.0, 0.0, 1.0])),
     "PVM": lambda: rbnl.bloch_pvm(Z),
-    "Spectrum": lambda: rbnl.hermitian_spectrum(np.eye(2)),
     "NrbResult": lambda: rbnl.NrbResult(0.1, Z, Z, 1.0),
     "SchmidtDecomposition": lambda: rbnl.schmidt(rbnl.singlet()),
     "PureNrbResult": lambda: rbnl.nrb_pure(rbnl.singlet()),

@@ -17,8 +17,7 @@ import rbnl.nonlocality
 from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
                               nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
-from rbnl.search import (OptimizerConfig, _projected_hessian, _top, cached_grid,
-                         sphere_grid)
+from rbnl.search import OptimizerConfig, _projected_hessian, _top, sphere_grid
 from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
 from test_bell import chsh_objective
@@ -217,7 +216,7 @@ GRIDS = [(12, 24), (10, 20), (11, 24), (6, 7), (5, 9), (4, 6), (2, 4), (1, 3), (
 @pytest.mark.parametrize("grid", GRIDS)
 def test_grid_holds_each_observable_once(grid):
     cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
-    dirs = sphere_grid(cfg)
+    dirs = sphere_grid(*grid)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
     overlap = np.abs(dirs @ dirs.T)
     np.fill_diagonal(overlap, 0.0)
@@ -228,16 +227,16 @@ def test_grid_holds_each_observable_once(grid):
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_cached_grid_is_a_read_only_sphere_grid(grid):
-    dirs = cached_grid(*grid)
-    assert dirs is cached_grid(*grid)
-    assert np.array_equal(dirs, sphere_grid(OptimizerConfig(theta_points=grid[0],
-                                                            phi_points=grid[1])))
+    dirs = sphere_grid(*grid)
+    assert dirs is sphere_grid(*grid)
+    assert np.array_equal(dirs, sphere_grid.__wrapped__(*grid))  # a fresh build
     with pytest.raises(ValueError):
         dirs[0, 0] = 0.5
 
 
 def test_default_grid_has_121_observables():
-    assert len(sphere_grid(OptimizerConfig())) == 121
+    cfg = OptimizerConfig()
+    assert len(sphere_grid(cfg.theta_points, cfg.phi_points)) == 121
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -247,7 +246,7 @@ def test_pair_table_maximum_equals_full_grid_maximum(rank):
         cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
         for _ in range(3):
             parts = fano_parts(random_density(2, 2, rank=rank, seed=rng))
-            quotient = _pair_table(*parts, sphere_grid(cfg)).max()
+            quotient = _pair_table(*parts, sphere_grid(*grid)).max()
             assert abs(quotient - _pair_table(*parts, full_grid(cfg)).max()) < 1e-12
 
 
@@ -259,7 +258,7 @@ def test_pair_table_equals_dephasing_route(kind):
         rho = DensityMatrix((1 - 1e-12) * np.diag([1.0, 0, 0, 0]) + 1e-12 * np.eye(4) / 4, (2, 2))
     else:
         rho = random_density(2, 2, rank=kind, seed=np.random.default_rng(375 + kind))
-    dirs = sphere_grid(OptimizerConfig(theta_points=4, phi_points=6))
+    dirs = sphere_grid(4, 6)
     table = _pair_table(*fano_parts(rho), dirs)
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     for i, j in itertools.product(range(len(dirs)), repeat=2):
@@ -269,7 +268,7 @@ def test_pair_table_equals_dephasing_route(kind):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_start_pairs_are_distinct_observables(rank):
     cfg = OptimizerConfig()
-    dirs = sphere_grid(cfg)
+    dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     rng = np.random.default_rng(380 + rank)
     for rho in [random_density(2, 2, rank=rank, seed=rng) for _ in range(3)] + [werner(0.7)]:
         iu, iv = np.divmod(_top(_pair_table(*fano_parts(rho), dirs).ravel(),
@@ -402,7 +401,7 @@ def test_threads_give_the_serial_results():
     rng = np.random.default_rng(430)
     states = [random_density(2, 2, rank=2 + i % 3, seed=rng) for i in range(8)]
     serial = [nrb_two_qubit(rho) for rho in states]
-    cached_grid.cache_clear()
+    sphere_grid.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
