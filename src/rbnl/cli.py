@@ -123,7 +123,10 @@ def cmd_state(state_file: str, grid: int, restarts: int) -> int:
 
     argmax_u and argmax_v are printed in full, but the search fixes them
     only to about 1e-7: it stops on VALUE_TOL at a flat maximum, so digits
-    beyond that follow rounding in the objective.
+    beyond that follow rounding in the objective. grid and restarts set
+    that search only: pure inputs and mixed two-qubit inputs with
+    maximally mixed marginals take closed forms, and every mixed input
+    reports the method "optimizer".
     """
     import numpy as np
 

@@ -1,13 +1,15 @@
 """The state-level quantifier: maximal drop of irreality over local
 observable pairs.
 
-For pure states the maximum is attained on the Schmidt bases and equals the
-entanglement entropy, so no search is needed: nrb_pure gives it for any
-dimensions, and nrb_two_qubit takes that route itself for a two-qubit state
-whose purity exceeds 1 - PURITY_CUTOFF, returning the drop at the Schmidt
-pair with diagnostics None. For mixed two-qubit states the search runs over
-sharp qubit observables u.sigma and v.sigma, u and v unit Bloch vectors, of
-the objective
+nrb_two_qubit takes one of three routes, in this order (see its docstring).
+A pure state, purity above 1 - PURITY_CUTOFF, takes the Schmidt pair, whose
+drop is the entanglement entropy; nrb_pure gives that value for any
+dimensions. A state with maximally mixed marginals, |a| and |b| at most
+MARGINAL_CUTOFF in the Fano form below (the Werner states among them),
+takes the pair of singular vectors of the smallest singular value of T, in
+closed form. Both return diagnostics None. Every other two-qubit state is
+searched over sharp qubit observables u.sigma and v.sigma, u and v unit
+Bloch vectors, of the objective
 
     S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho).
 
@@ -38,6 +40,10 @@ from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
+# max(|a|, |b|) <= MARGINAL_CUTOFF counts as maximally mixed marginals: the
+# closed form holds at a = b = 0 only, and rounding in the Fano form of an
+# exactly zero-marginal state stays near 1e-16
+MARGINAL_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +274,8 @@ def _fano_parts(rho: DensityMatrix):
 
 
 def _result(value, u, v, diagnostics=None) -> NrbResult:
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
+    u = u / np.linalg.norm(u) + 0.0  # so no -0.0 reaches the printed argmax
+    v = v / np.linalg.norm(v) + 0.0
     eta = min(abs(float(u @ v)), 1.0)
     return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
 
@@ -283,29 +289,50 @@ def _bloch(x: np.ndarray) -> np.ndarray:
 def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> NrbResult:
     """Maximize the irreality drop over sharp qubit observable pairs.
 
-    A pure state, purity above 1 - PURITY_CUTOFF, takes no search: the
-    maximum is the entanglement entropy, attained on the Schmidt bases. The
-    Schmidt decomposition of the top eigenvector of rho gives them: the
-    Bloch vectors of the leading Schmidt kets are argmax_u and argmax_v,
-    the value is the drop at that pair, and diagnostics is None. For a
-    state inside the cutoff but not exactly pure, rho = (1 - eps)|psi><psi|
-    + eps sigma, the value is still an attained drop, within O(eps ln eps)
-    of the maximum. Every other state is searched (see _nrb_search) and cfg
-    applies only there. u and -u are the same observable, so the signs of
+    Three routes, tried in this order:
+
+    - A pure state, purity above 1 - PURITY_CUTOFF, takes no search: the
+      maximum is the entanglement entropy, attained on the Schmidt bases.
+      The Schmidt decomposition of the top eigenvector of rho gives them:
+      argmax_u and argmax_v are the Bloch vectors of the leading Schmidt
+      kets. For a state inside the cutoff but not exactly pure,
+      rho = (1 - eps)|psi><psi| + eps sigma, the value is still an attained
+      drop, within O(eps ln eps) of the maximum.
+    - A state with maximally mixed marginals, |a| and |b| at most
+      MARGINAL_CUTOFF, takes no search either. Each dephased spectrum then
+      depends on one number: S(Phi_u rho) = ln 2 + H(|T^T u|),
+      S(Phi_v rho) = ln 2 + H(|T v|) and S(Phi_u Phi_v rho) =
+      ln 2 + H(u^T T v), with H(x) = h((1 + x)/2) decreasing in |x|. As
+      |u^T T v| <= min(|T^T u|, |T v|), the drop is at most
+      ln 2 + H(max(|T^T u|, |T v|)) - S(rho) <= ln 2 + H(t_min) - S(rho),
+      t_min the smallest singular value of T, and the pair of singular
+      vectors of t_min attains it (the route of Luo's discord of
+      Bell-diagonal states, Phys. Rev. A 77, 042303, 2008). argmax_u and
+      argmax_v are that pair.
+    - Every other state is searched (see _nrb_search), and cfg applies only
+      there.
+
+    The first two routes return the drop evaluated at their pair, with
+    diagnostics None. u and -u are the same observable, so the signs of
     argmax_u and argmax_v carry no meaning.
 
     The search covers every projective observable of a qubit: a PVM on C^2
     is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
     {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
-    if rho.purity() <= 1.0 - PURITY_CUTOFF:
-        return _nrb_search(rho, cfg)
     a, b, t = _fano_parts(rho)
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    dec = schmidt(PureState(vecs[:, -1], (2, 2)))
-    u, v = _bloch(dec.basis_a[:, 0])[None], _bloch(dec.basis_b[:, 0])[None]
-    value = _drop_objective(a, b, t, entropy_from_eigenvalues(vals))(u, v)[0][0]
-    return _result(float(value), u[0], v[0])
+    if rho.purity() > 1.0 - PURITY_CUTOFF:
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        dec = schmidt(PureState(vecs[:, -1], (2, 2)))
+        u, v = _bloch(dec.basis_a[:, 0]), _bloch(dec.basis_b[:, 0])
+    elif max(np.linalg.norm(a), np.linalg.norm(b)) <= MARGINAL_CUTOFF:
+        left, _, right = np.linalg.svd(t)
+        u, v = left[:, -1], right[-1]
+        vals = rho.eigenvalues
+    else:
+        return _nrb_search(rho, cfg)
+    value = _drop_objective(a, b, t, entropy_from_eigenvalues(vals))(u[None], v[None])[0][0]
+    return _result(float(value), u, v)
 
 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:

@@ -14,6 +14,7 @@ import rbnl
 from rbnl.cli import MAX_GRID, MAX_STEPS, MAX_WORKERS, main
 from rbnl.states import (PureState, random_density, save_state, singlet,
                          state_to_json, werner)
+from test_nonlocality import rotated_bell_diagonal, zero_marginal_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -111,6 +112,25 @@ def test_state_mixed_two_qubit(tmp_path, capsys):
     assert rep["eta"] == pytest.approx(1.0, abs=1e-6)
     u = np.array(rep["argmax_u"])
     assert abs(np.linalg.norm(u) - 1.0) < 1e-9
+
+
+def test_state_zero_marginal_takes_the_closed_form(tmp_path, capsys):
+    # maximally mixed marginals skip the search: the method is still
+    # "optimizer", n_rb is the closed form, and the search flags change
+    # nothing on stdout
+    rho_bd = rotated_bell_diagonal(np.random.default_rng(46))
+    for name, rho in (("werner", werner(0.8)), ("bell-diagonal", rho_bd)):
+        path = tmp_path / f"{name}.json"
+        save_state(rho, path)
+        code, out, _ = run(["state", str(path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["method"] == "optimizer"
+        assert abs(rep["n_rb"] - zero_marginal_closed_form(rho)) < 1e-12
+        assert "-0.0" not in out  # the singular vectors of T = -mu I carry -0.0
+        code, coarse, _ = run(["state", str(path), "--grid", "2", "--restarts", "1"], capsys)
+        assert code == 0
+        assert coarse == out
 
 
 def test_state_pure_uses_schmidt(tmp_path, capsys):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from rbnl.linalg import partial_trace, tensor, von_neumann_entropy
-from rbnl.nonlocality import (NrbResult, OptimizerConfig, SchmidtDecomposition,
-                              _nrb_search, entanglement_entropy, nrb_pure,
+from rbnl.nonlocality import (MARGINAL_CUTOFF, NrbResult, OptimizerConfig,
+                              SchmidtDecomposition, _nrb_search,
+                              entanglement_entropy, nrb_pure,
                               nrb_two_qubit, nrb_werner_closed_form, schmidt,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
 from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
-                         bloch_pvm, qutrit_family, random_density, random_pure,
-                         singlet, werner)
+                         bloch_pvm, fano_form, qutrit_family, random_density,
+                         random_pure, singlet, werner)
+from test_search import haar_unitary
 
 LN2 = np.log(2.0)
 
@@ -125,6 +127,86 @@ def test_nrb_two_qubit_matches_closed_form():
         res = nrb_two_qubit(werner(mu))
         assert abs(res.value - nrb_werner_closed_form(mu)) < 1e-9
         assert res.eta > 1.0 - 1e-6
+
+
+def rotated_bell_diagonal(rng, floor=0.0):
+    """A mixture of the four Bell states, weights at least floor / 4, under
+    a random local unitary: a = b = 0 and T = R_A diag(c) R_B^T, the
+    9-parameter family of two-qubit states with maximally mixed marginals.
+    Positive by construction."""
+    s = 1 / math.sqrt(2)
+    bells = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]])
+    p = (1 - floor) * rng.dirichlet(np.ones(4)) + floor / 4
+    m = (bells.T * p) @ bells
+    lu = np.kron(haar_unitary(rng), haar_unitary(rng))
+    return DensityMatrix(lu @ m @ lu.conj().T, (2, 2))
+
+
+def zero_marginal_closed_form(rho, pick=min):
+    """ln 2 + h((1 + t_min)/2) - S(rho) from the singular values of T, in nats;
+    pick=max puts t_max in place of t_min."""
+    t = pick(np.linalg.svd(fano_form(rho)[1:, 1:], compute_uv=False))
+    p = np.array([(1 + t) / 2, (1 - t) / 2])
+    p = p[p > 0]
+    return LN2 - float((p * np.log(p)).sum()) - von_neumann_entropy(rho.matrix)
+
+
+def svd_pair_drop(rho):
+    """The drop, through 4x4 dephasings, at the singular vectors of t_min."""
+    left, _, right = np.linalg.svd(fano_form(rho)[1:, 1:])
+    return delta_irreality(LocalPVM(bloch_pvm(BlochVector(left[:, -1])), "A"),
+                           LocalPVM(bloch_pvm(BlochVector(right[-1])), "B"), rho)
+
+
+def test_zero_marginal_closed_form_is_the_search_maximum():
+    # the closed form is the oracle of the search on the whole family, and
+    # nrb_two_qubit takes it without a search
+    rng = np.random.default_rng(44)
+    for _ in range(24):
+        rho = rotated_bell_diagonal(rng)
+        want = zero_marginal_closed_form(rho)
+        assert abs(_nrb_search(rho, OptimizerConfig()).value - want) < 1e-9
+        res = nrb_two_qubit(rho)
+        assert res.diagnostics is None
+        assert abs(res.value - want) < 1e-12
+        di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
+                             LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
+        assert abs(di - res.value) < 1e-12
+
+
+def test_zero_marginal_oracle_rejects_t_max():
+    # the mutation t_max for t_min must fail the oracle check above
+    rng = np.random.default_rng(44)
+    for _ in range(24):
+        rho = rotated_bell_diagonal(rng)
+        wrong = zero_marginal_closed_form(rho, pick=max)
+        assert abs(_nrb_search(rho, OptimizerConfig()).value - wrong) > 1e-9
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_marginal_cutoff_dispatch(side):
+    # |a| or |b| at most MARGINAL_CUTOFF takes the closed form; at 1e-6 the
+    # formula no longer holds, the state is searched, and the search finds at
+    # least the drop at the singular-vector pair
+    rng = np.random.default_rng(45 + side)
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    for _ in range(6):
+        rho = rotated_bell_diagonal(rng, floor=0.1)
+        direction = np.asarray(unit(rng).components)
+        local = sum(c * p for c, p in zip(direction, paulis))
+        op = np.kron(local, np.eye(2)) if side == 0 else np.kron(np.eye(2), local)
+        for norm in (0.5 * MARGINAL_CUTOFF, 1e-6):
+            tilted = DensityMatrix(rho.matrix + norm * op / 4, (2, 2))
+            marginal = fano_form(tilted)[1:, 0] if side == 0 else fano_form(tilted)[0, 1:]
+            assert abs(np.linalg.norm(marginal) - norm) < 1e-15
+            res = nrb_two_qubit(tilted)
+            if norm <= MARGINAL_CUTOFF:
+                assert res.diagnostics is None
+                assert abs(res.value - zero_marginal_closed_form(tilted)) < 1e-12
+            else:
+                assert res.diagnostics is not None
+                assert res.value >= svd_pair_drop(tilted) - 1e-12
 
 
 def test_nrb_two_qubit_product_state_is_zero():

@@ -328,14 +328,16 @@ def test_werner_argmax_reproduces_value():
 
 
 def test_werner_states_need_no_refinement():
-    # the top grid pairs u = v are already stationary; the pure mu = 1 state
-    # takes the closed form in nrb_two_qubit, so it goes to the search directly
+    # the top grid pairs u = v are already stationary. nrb_two_qubit takes no
+    # search on Werner states (zero-marginal route for mu < 1, the Schmidt
+    # pair at mu = 1), so the search is called directly
     for mu in (0.05, 0.3, 0.7, 1.0):
-        fn = nrb_two_qubit if mu < 1 else lambda rho: _nrb_search(rho, OptimizerConfig())
-        diag = fn(werner(mu)).diagnostics
+        diag = _nrb_search(werner(mu), OptimizerConfig()).diagnostics
         assert (diag.iterations, diag.evaluations) == (0, 1)
         assert diag.converged == OptimizerConfig().restarts
         assert diag.refined_best == diag.grid_best
+        if mu < 1:
+            assert nrb_two_qubit(werner(mu)).diagnostics is None
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
