@@ -63,12 +63,12 @@ def partial_trace(rho, dims, keep: str):
 
 
 def check_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise ValueError unless the square array m has finite entries and lies
-    within HERM_TOL of its conjugate transpose. Finiteness is checked first:
-    m - m^H on an infinite entry would raise a numpy warning."""
+    """Raise ValueError unless the square array m, or each matrix of a stack
+    (..., d, d), has finite entries and lies within HERM_TOL of its conjugate
+    transpose. Finiteness comes first: m - m^H on an infinite entry would warn."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite, got NaN or infinity")
-    asym = float(np.max(np.abs(m - m.conj().T)))
+    asym = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
     if asym > HERM_TOL:
         raise ValueError(f"{what} is not Hermitian: max |m - m^H| = {asym:.3e}")
 

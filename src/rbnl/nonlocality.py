@@ -128,9 +128,8 @@ def entanglement_entropy(psi: PureState) -> float:
 
 
 def _basis_pvm(basis: np.ndarray) -> PVM:
-    projs = tuple(np.outer(basis[:, i], basis[:, i].conj())
-                  for i in range(basis.shape[1]))
-    return PVM(projs)
+    cols = basis.T
+    return PVM(cols[:, :, None] * cols.conj()[:, None, :])
 
 
 def nrb_pure(psi: PureState) -> PureNrbResult:
@@ -216,6 +215,18 @@ def _pair_table(a, b, t, dirs):
     return total
 
 
+def _drop_value(a, b, t, s_rho, u, v):
+    """The drop at the rows of u and v, (m,), from the features, L = F @ EIGEN
+    and one log: the value part of _drop_objective, read alone by the closed-
+    form routes. Also returns the pieces the derivatives reuse."""
+    feat, xt, w, r = _features(a, b, t, u, v)
+    big = feat @ EIGEN
+    clipped = np.maximum(big, EIG_CLIP)
+    log = np.log(clipped)
+    sign = (big > EIG_CLIP) * NEG_DROP_SIGN  # -c where L is live, else 0
+    return (big * log * sign).sum(axis=1) - s_rho, (xt, w, r, clipped, log, sign)
+
+
 def _drop_objective(a, b, t, s_rho):
     """The irreality drop S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) -
     S(rho) as a batched function of (u, v), with its Euclidean gradients in
@@ -239,12 +250,7 @@ def _drop_objective(a, b, t, s_rho):
 
     def objective(u, v):
         m = len(u)
-        feat, xt, w, r = _features(a, b, t, u, v)
-        big = feat @ EIGEN
-        clipped = np.maximum(big, EIG_CLIP)
-        log = np.log(clipped)
-        sign = (big > EIG_CLIP) * NEG_DROP_SIGN  # -c where L is live, else 0
-        f = (big * log * sign).sum(axis=1) - s_rho
+        f, (xt, w, r, clipped, log, sign) = _drop_value(a, b, t, s_rho, u, v)
         d1 = (1.0 + log) * sign  # c eta'(L)
         rc = np.maximum(r, EIG_CLIP)[..., None]
         tw = (w / rc) @ tt
@@ -331,7 +337,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
         vals = rho.eigenvalues
     else:
         return _nrb_search(rho, cfg)
-    value = _drop_objective(a, b, t, entropy_from_eigenvalues(vals))(u[None], v[None])[0][0]
+    value = _drop_value(a, b, t, entropy_from_eigenvalues(vals), u[None], v[None])[0][0]
     return _result(float(value), u, v)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor
+from .linalg import entropy_from_eigenvalues, tensor
 from .states import PVM, DensityMatrix
 
 SITES = ("A", "B")
@@ -70,11 +70,21 @@ class RealityComponents:
 _DEPHASE = {"A": "kai,ibjd,kjc->abcd", "B": "kbi,aicj,kjd->abcd"}
 
 
-def _dephased(matrix: np.ndarray, dims, projectors, site: str) -> np.ndarray:
+def _dephased(matrix: np.ndarray, dims, m: LocalPVM) -> np.ndarray:
+    """The dephasing of m on a matrix on dims, after the site/dimension check
+    that every caller shares: the only check on the way to the einsum."""
     d_a, d_b = dims
-    p = np.stack(projectors)
-    out = np.einsum(_DEPHASE[site], p, matrix.reshape(d_a, d_b, d_a, d_b), p)
+    dim = d_a if m.site == "A" else d_b
+    if m.pvm.dim != dim:
+        raise ValueError(f"PVM dimension {m.pvm.dim} does not match site {m.site} dimension {dim}")
+    p = m.pvm.stack
+    out = np.einsum(_DEPHASE[m.site], p, matrix.reshape(d_a, d_b, d_a, d_b), p)
     return out.reshape(d_a * d_b, d_a * d_b)
+
+
+def _entropy(matrix: np.ndarray) -> float:
+    """S of a dephased state from one eigvalsh, clamped as DensityMatrix.entropy()."""
+    return min(entropy_from_eigenvalues(np.linalg.eigvalsh(matrix)), float(np.log(len(matrix))))
 
 
 def dephase(rho: DensityMatrix, m: LocalPVM) -> DensityMatrix:
@@ -82,22 +92,21 @@ def dephase(rho: DensityMatrix, m: LocalPVM) -> DensityMatrix:
 
     Computed by the sandwich sum, which needs no outcome probabilities and
     so has no zero-probability singularities. Trace is preserved, and the
-    result passes the full DensityMatrix validation.
+    result passes the full DensityMatrix validation (irreality and
+    delta_irreality skip it: see there).
     """
-    local_dim = rho.dims[0] if m.site == "A" else rho.dims[1]
-    if m.pvm.dim != local_dim:
-        raise ValueError(
-            f"PVM dimension {m.pvm.dim} does not match site {m.site} dimension {local_dim}")
-    return DensityMatrix(_dephased(rho.matrix, rho.dims, m.pvm.projectors, m.site), rho.dims)
+    return DensityMatrix(_dephased(rho.matrix, rho.dims, m), rho.dims)
 
 
 def irreality(m: LocalPVM, rho: DensityMatrix) -> float:
     """Entropic indefiniteness S(dephased) - S(rho) of m in rho, in nats.
 
     Nonnegative up to floating point noise; zero exactly when rho is a fixed
-    point of the dephasing.
+    point of the dephasing. As rho and m are validated, the dephased matrix
+    is diagonalized as it is, not re-validated: the value is bit for bit
+    dephase(rho, m).entropy() - rho.entropy().
     """
-    return dephase(rho, m).entropy() - rho.entropy()
+    return _entropy(_dephased(rho.matrix, rho.dims, m)) - rho.entropy()
 
 
 def delta_irreality(a: LocalPVM, b: LocalPVM, rho: DensityMatrix) -> float:
@@ -106,11 +115,12 @@ def delta_irreality(a: LocalPVM, b: LocalPVM, rho: DensityMatrix) -> float:
 
     Equals S(Phi_a rho) + S(Phi_b rho) - S(Phi_a Phi_b rho) - S(rho) and is
     symmetric under exchanging the two observables together with their sites.
+    Like irreality, it diagonalizes the three dephased matrices as they are.
     """
     if a.site == b.site:
         raise ValueError("both PVMs act on the same site")
-    rho_b = dephase(rho, b)
-    return irreality(a, rho) - irreality(a, rho_b)
+    rho_b = _dephased(rho.matrix, rho.dims, b)
+    return irreality(a, rho) - (_entropy(_dephased(rho_b, rho.dims, a)) - _entropy(rho_b))
 
 
 def make_reality_state(c: RealityComponents, a_pvm: PVM) -> DensityMatrix:
@@ -118,18 +128,14 @@ def make_reality_state(c: RealityComponents, a_pvm: PVM) -> DensityMatrix:
     in which the site-A observable a_pvm has a definite value. The result is
     a fixed point of that dephasing by construction."""
     d_a = a_pvm.dim
-    terms = []
-    for w, sa, sb in zip(c.weights, c.states_a, c.states_b):
-        if sa.shape != (d_a, d_a):
-            raise ValueError("component dimension does not match the PVM")
-        deph = _dephased(sa, (d_a, 1), a_pvm.projectors, "A")
-        terms.append(w * tensor(deph, sb))
-    total = sum(terms)
-    d_b = c.states_b[0].shape[0]
-    return DensityMatrix(total, (d_a, d_b))
+    if c.states_a[0].shape != (d_a, d_a):  # one shape for all, see RealityComponents
+        raise ValueError("component dimension does not match the PVM")
+    total = sum(w * tensor(_dephased(sa, (d_a, 1), LocalPVM(a_pvm, "A")), sb)
+                for w, sa, sb in zip(c.weights, c.states_a, c.states_b))
+    return DensityMatrix(total, (d_a, c.states_b[0].shape[0]))
 
 
 def is_reality_state(rho: DensityMatrix, m: LocalPVM, tol: float = 1e-10) -> bool:
     """True when rho is unchanged (within tol, max-abs) by dephasing m."""
-    diff = dephase(rho, m).matrix - rho.matrix
+    diff = _dephased(rho.matrix, rho.dims, m) - rho.matrix
     return float(np.max(np.abs(diff))) <= tol

@@ -105,45 +105,51 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class PVM:
     """Projective observable: orthogonal projectors summing to the identity,
-    with real labels playing the role of eigenvalues."""
+    with real labels playing the role of eigenvalues. The projectors are
+    checked here, once, as one read-only (k, d, d) array `stack`, and
+    `projectors` holds read-only views of it."""
 
     projectors: tuple
     labels: tuple = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        projs = tuple(np.array(p, dtype=complex) for p in self.projectors)
-        if not projs:
+        try:
+            p = np.array(tuple(self.projectors))
+        except ValueError as exc:  # numpy refuses ragged input
+            raise ValueError("projector shapes disagree") from exc
+        if not len(p):
             raise ValueError("PVM needs at least one projector")
-        d = projs[0].shape[0]
-        for p in projs:
-            if p.shape != (d, d):
-                raise ValueError("projector shapes disagree")
-            check_hermitian(p, "projector")
-            if np.max(np.abs(p @ p - p)) > HERM_TOL:
-                raise ValueError("projector not idempotent")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > HERM_TOL:
-                    raise ValueError("projectors not pairwise orthogonal")
-        if np.max(np.abs(sum(projs) - np.eye(d))) > HERM_TOL:
+        if p.ndim != 3 or not 0 < p.shape[1] == p.shape[2]:
+            raise ValueError("projector shapes disagree")
+        p = p.astype(complex, copy=False)
+        check_hermitian(p, "projector")
+        k, d = p.shape[:2]
+        err = p[:, None] @ p  # P_i P_j - delta_ij P_i
+        err.reshape(k * k, d, d)[::k + 1] -= p
+        err = np.abs(err).reshape(k * k, d * d)
+        if err[::k + 1].max() > HERM_TOL:
+            raise ValueError("projector not idempotent")
+        if err.max() > HERM_TOL:
+            raise ValueError("projectors not pairwise orthogonal")
+        if np.max(np.abs(p.sum(axis=0) - np.eye(d))) > HERM_TOL:
             raise ValueError("projectors do not sum to the identity")
         labels = self.labels
         if labels is None:
-            labels = tuple(float(k) for k in range(len(projs)))
+            labels = tuple(float(j) for j in range(k))
         else:
             labels = tuple(float(x) for x in labels)
-            if len(labels) != len(projs):
+            if len(labels) != k:
                 raise ValueError("label count does not match projector count")
             if not all(math.isfinite(x) for x in labels):
                 raise ValueError(f"labels must be finite, got {labels}")
-        for p in projs:
-            p.setflags(write=False)
-        object.__setattr__(self, "projectors", projs)
+        _freeze(self, "stack", p)
+        object.__setattr__(self, "projectors", tuple(p))
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.stack.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rbnl.linalg import entropy_from_eigenvalues, partial_trace, tensor, von_neumann_entropy
+from rbnl.linalg import (check_hermitian, entropy_from_eigenvalues, partial_trace, tensor,
+                         von_neumann_entropy)
 
 
 def random_hermitian(rng, d):
@@ -91,6 +92,27 @@ def test_non_finite_matrix_rejected(fn, bad):
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = bad  # off the diagonal, where m - m^H would meet it
     raises_one_line(fn, m, match="finite")
+
+
+def test_check_hermitian_takes_stacks():
+    # one call checks every slice of a (k, d, d) stack against its own
+    # conjugate transpose: a stack of distinct Hermitian matrices passes, and
+    # one bad slice, wherever it sits, rejects the whole stack
+    rng = np.random.default_rng(95)
+    for d in (2, 3):
+        stack = np.stack([random_hermitian(rng, d) for _ in range(3)])
+        check_hermitian(stack, "slice")
+        for j in range(3):
+            bad = stack.copy()
+            bad[j, 0, d - 1] += 1e-6
+            with pytest.raises(ValueError, match="slice is not Hermitian"):
+                check_hermitian(bad, "slice")
+            bad = stack.copy()
+            bad[j, d - 1, d - 1] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="slice entries must be finite"):
+                    check_hermitian(bad, "slice")
 
 
 def test_entropy_from_eigenvalues():

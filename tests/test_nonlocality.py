@@ -209,6 +209,29 @@ def test_marginal_cutoff_dispatch(side):
                 assert res.value >= svd_pair_drop(tilted) - 1e-12
 
 
+def test_closed_form_routes_take_the_value_alone(monkeypatch):
+    # the pure and zero-marginal routes read only the value of the drop at
+    # their pair: with the full objective (gradients and Hessian) made to
+    # fail they return the same bits; the search still needs it
+    import rbnl.nonlocality
+    rng = np.random.default_rng(46)
+    states = [random_pure(2, 2, seed=rng).density() for _ in range(3)]
+    states += [werner(0.4), werner(0.9), rotated_bell_diagonal(rng)]
+    before = [nrb_two_qubit(rho) for rho in states]
+
+    def no_objective(*args):
+        raise AssertionError("the objective with derivatives was built")
+
+    monkeypatch.setattr(rbnl.nonlocality, "_drop_objective", no_objective)
+    for rho, want in zip(states, before):
+        got = nrb_two_qubit(rho)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.argmax_u.components.tobytes() == want.argmax_u.components.tobytes()
+        assert got.argmax_v.components.tobytes() == want.argmax_v.components.tobytes()
+    with pytest.raises(AssertionError, match="derivatives"):
+        nrb_two_qubit(random_density(2, 2, rank=3, seed=rng))
+
+
 def test_nrb_two_qubit_product_state_is_zero():
     rho = random_density(2, 1, rank=2, seed=3)
     sigma = random_density(2, 1, rank=2, seed=4)

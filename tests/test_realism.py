@@ -93,8 +93,9 @@ def test_dephase_output_is_fully_validated(monkeypatch, bad, match):
 
 
 def test_one_spectrum_per_state(monkeypatch):
-    # irreality and delta_irreality diagonalize each state once: the
-    # eigvalsh call of the DensityMatrix that dephase builds, no other
+    # irreality and delta_irreality diagonalize each dephased matrix once,
+    # with one eigvalsh call and no DensityMatrix around it; rho's own
+    # spectrum is the one kept from its construction
     rng = np.random.default_rng(6)
     rho = random_density(3, 2, rank=4, seed=rng)
     ma, mb = random_local(rng, (3, 2), "A"), random_local(rng, (3, 2), "B")
@@ -110,6 +111,58 @@ def test_one_spectrum_per_state(monkeypatch):
     calls.clear()
     DensityMatrix(rho.matrix, rho.dims)
     assert len(calls) == 1
+
+
+def irreality_oracle(m, rho):
+    # the route of irreality before it stopped wrapping its dephasing:
+    # a fully validated DensityMatrix and its kept spectrum
+    return dephase(rho, m).entropy() - rho.entropy()
+
+
+def delta_irreality_oracle(a, b, rho):
+    return irreality_oracle(a, rho) - irreality_oracle(a, dephase(rho, b))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_irreality_bit_identical_to_dephase_route(dims):
+    # every rank, each observable either a full basis or a coarse one (for
+    # d = 3 a rank-2 projector, for d = 2 the trivial {I}), on both sites
+    rng = np.random.default_rng(40 + DIMS.index(dims))
+    d_a, d_b = dims
+    for rank in range(1, d_a * d_b + 1):
+        for k in range(4):
+            rho = random_density(d_a, d_b, rank=rank, seed=rng)
+            pick = (random_basis_pvm, random_coarse_pvm)
+            ma = LocalPVM(pick[k % 2](rng, d_a), "A")
+            mb = LocalPVM(pick[k // 2](rng, d_b), "B")
+            for m in (ma, mb):
+                assert bits(irreality(m, rho)) == bits(irreality_oracle(m, rho))
+            for a, b in ((ma, mb), (mb, ma)):
+                assert bits(delta_irreality(a, b, rho)) == \
+                    bits(delta_irreality_oracle(a, b, rho))
+
+
+def test_irreality_keeps_its_input_errors():
+    rng = np.random.default_rng(47)
+    rho = random_density(2, 3, rank=3, seed=rng)
+    ma, mb = random_local(rng, (2, 3), "A"), random_local(rng, (2, 3), "B")
+    wrong_a = LocalPVM(random_basis_pvm(rng, 3), "A")
+    wrong_b = LocalPVM(random_basis_pvm(rng, 2), "B")
+    for call in (lambda: irreality(wrong_a, rho), lambda: dephase(rho, wrong_a),
+                 lambda: delta_irreality(wrong_a, mb, rho),
+                 lambda: delta_irreality(mb, wrong_a, rho)):
+        with pytest.raises(ValueError, match="PVM dimension 3 does not match site A dimension 2"):
+            call()
+    for call in (lambda: irreality(wrong_b, rho), lambda: delta_irreality(ma, wrong_b, rho)):
+        with pytest.raises(ValueError, match="PVM dimension 2 does not match site B dimension 3"):
+            call()
+    for a, b in ((ma, ma), (mb, mb), (wrong_a, ma)):
+        with pytest.raises(ValueError, match="both PVMs act on the same site"):
+            delta_irreality(a, b, rho)
 
 
 def test_dephase_is_idempotent_and_trace_preserving():

@@ -140,6 +140,84 @@ def test_pvm_validation():
                 PVM((p0, p_bad))
 
 
+def valid_pvms():
+    # k = 1-3 projectors in d = 2 and 3: {I}, a pair of rank-1 projectors,
+    # a rank-2 projector with its rank-1 complement, three rank-1 projectors
+    rng = np.random.default_rng(117)
+    out = []
+    for d in (2, 3):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rays = [np.outer(q[:, j], q[:, j].conj()) for j in range(d)]
+        out.append((np.eye(d, dtype=complex),))
+        out.append((rays[0], sum(rays[1:])))  # rank d - 1 in the second slot
+        if d == 3:
+            out.append(tuple(rays))
+    return out
+
+
+PVMS = valid_pvms()
+
+
+def raises_quietly(match, *args, **kw):
+    # the rejection must come with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            PVM(*args, **kw)
+
+
+@pytest.mark.parametrize("projs", PVMS, ids=lambda p: f"d{len(p[0])}k{len(p)}")
+def test_pvm_rejects_each_invariant(projs):
+    k, d = len(projs), len(projs[0])
+    good = PVM(projs)
+    assert good.stack.shape == (k, d, d) and good.dim == d
+    assert good.labels == tuple(float(j) for j in range(k))
+    raises_quietly("at least one projector", ())
+    raises_quietly("shapes disagree", (*projs, np.eye(d + 1)))
+    raises_quietly("shapes disagree", tuple(p[:, :-1] for p in projs))
+    raises_quietly("shapes disagree", tuple(p[0] for p in projs))
+    for j in range(k):
+        def swap(new, j=j):
+            return projs[:j] + (new,) + projs[j + 1:]
+
+        for bad in (np.nan, np.inf, -np.inf):
+            p = projs[j].copy()
+            p[d - 1, 0] = bad
+            raises_quietly("projector entries must be finite", swap(p))
+        p = projs[j].copy()
+        p[0, d - 1] += 1e-6
+        raises_quietly("projector is not Hermitian", swap(p))
+        raises_quietly("projector not idempotent", swap(1.3 * projs[j]))
+        if k > 1:
+            raises_quietly("projectors not pairwise orthogonal",
+                           swap(projs[(j + 1) % k]))
+            raises_quietly("do not sum to the identity", projs[:j] + projs[j + 1:])
+    if k == 1:  # a lone rank-1 projector is a valid projector, not the identity
+        ray = np.zeros((d, d), dtype=complex)
+        ray[0, 0] = 1.0
+        raises_quietly("do not sum to the identity", (ray,))
+    raises_quietly("label count does not match", projs, labels=tuple(range(k + 1)))
+    for bad in (np.nan, np.inf):
+        raises_quietly("labels must be finite", projs, labels=(bad,) + (0.0,) * (k - 1))
+
+
+@pytest.mark.parametrize("projs", PVMS, ids=lambda p: f"d{len(p[0])}k{len(p)}")
+def test_pvm_projectors_are_read_only_views_of_one_copy(projs):
+    src = [p.copy() for p in projs]
+    m = PVM(tuple(src))
+    assert isinstance(m.projectors, tuple) and len(m.projectors) == len(projs)
+    assert not m.stack.flags.writeable
+    for j, p in enumerate(m.projectors):
+        assert not p.flags.writeable and p.base is m.stack
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.5
+        assert np.array_equal(p, projs[j])
+    src[0][0, 0] = 7.0  # the caller's arrays are copied, not kept
+    assert m.stack[0, 0, 0] == projs[0][0, 0]
+    # a (k, d, d) array is accepted as the sequence of its slices
+    assert np.array_equal(PVM(np.stack(projs)).stack, m.stack)
+
+
 def test_bloch_vector():
     with pytest.raises(ValueError):
         BlochVector(np.array([1.0, 1.0, 0.0]))
