@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, each dispatched by the parser to its cmd_* function, which
+takes the parsed namespace (seed resolved, raw arguments as argv):
   sweep   closed-form quantifier curves over a noise range, CSV output
   state   one state from a JSON file, reported as JSON on stdout
   vol     Monte Carlo violation fraction vs the closed form, JSON on stdout
@@ -97,59 +98,53 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
 
 
-def cmd_sweep(mu_start: float, mu_end: float, steps: int, mc_samples: int,
-              seed: int, out_path: str, argv=()) -> int:
-    if not (0.0 <= mu_start < mu_end <= 1.0):
-        raise ValueError(f"need 0 <= mu-start < mu-end <= 1, got [{mu_start}, {mu_end}]")
-    _check_steps(steps)
-    rows = sweep_rows(linspace(mu_start, mu_end, steps))
-    outputs = {out_path: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
-    if mc_samples > 0:
+def cmd_sweep(args) -> int:
+    if not (0.0 <= args.mu_start < args.mu_end <= 1.0):
+        raise ValueError(
+            f"need 0 <= mu-start < mu-end <= 1, got [{args.mu_start}, {args.mu_end}]")
+    _check_steps(args.steps)
+    rows = sweep_rows(linspace(args.mu_start, args.mu_end, args.steps))
+    outputs = {args.out: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
+    if args.samples > 0:
         from .bell import McConfig, nvol_mc
 
         # companion file: the fixed main header has no room for MC columns
-        ests = [nvol_mc(r.mu, McConfig(n=mc_samples, seed=seed)) for r in rows]
-        outputs[out_path + ".mc.csv"] = _csv(
+        ests = [nvol_mc(r.mu, McConfig(n=args.samples, seed=args.seed)) for r in rows]
+        outputs[args.out + ".mc.csv"] = _csv(
             "mu,mc_fraction,mc_std_error",
             ((r.mu, e.fraction, e.std_error) for r, e in zip(rows, ests)))
     for path, text in outputs.items():
         _write_atomic(path, text)
-    _write_manifest(out_path, argv, seed, mc_samples if mc_samples > 0 else None)
+    _write_manifest(args.out, args.argv, args.seed, args.samples or None)
     return 0
 
 
-def cmd_state(state_file: str, grid: int, restarts: int) -> int:
-    """Report N_rb of the state in state_file as JSON on stdout.
+def cmd_state(args) -> int:
+    """Report N_rb of the state in args.state_file as JSON on stdout.
 
-    argmax_u and argmax_v are printed in full, but the search fixes them
-    only to about 1e-7: it stops on VALUE_TOL at a flat maximum, so digits
-    beyond that follow rounding in the objective. grid and restarts set
-    that search only: pure inputs and mixed two-qubit inputs with
-    maximally mixed marginals take closed forms, and every mixed input
-    reports the method "optimizer".
+    nonlocality.pure_state picks the route: nrb_pure for a pure input of any
+    dims (method "schmidt"), else nrb_two_qubit (method "optimizer"), whose
+    Fano form rejects dims other than (2, 2). --grid and --restarts set its
+    search only. argmax_u and argmax_v are printed in full, but the search
+    fixes them only to about 1e-7: it stops on VALUE_TOL at a flat maximum.
     """
-    import numpy as np
-
-    from .nonlocality import PURITY_CUTOFF, nrb_pure, nrb_two_qubit
+    from .nonlocality import nrb_pure, nrb_two_qubit, pure_state
     from .search import OptimizerConfig
-    from .states import PureState, load_state
+    from .states import load_state
 
-    rho = load_state(state_file)
-    if rho.purity() > 1.0 - PURITY_CUTOFF:
-        res = nrb_pure(PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims))
+    rho = load_state(args.state_file)
+    psi = pure_state(rho)
+    if psi is not None:
         report = {
-            "n_rb": res.value,
+            "n_rb": nrb_pure(psi).value,
             "argmax_u": None,
             "argmax_v": None,
             "eta": None,
             "method": "schmidt",
         }
     else:
-        if rho.dims != (2, 2):
-            raise ValueError(
-                f"mixed-state search supports only two qubits, got dims {list(rho.dims)}")
-        cfg = OptimizerConfig(theta_points=grid, phi_points=2 * grid,
-                              restarts=restarts)
+        cfg = OptimizerConfig(theta_points=args.grid, phi_points=2 * args.grid,
+                              restarts=args.restarts)
         res = nrb_two_qubit(rho, cfg)
         report = {
             "n_rb": res.value,
@@ -163,11 +158,12 @@ def cmd_state(state_file: str, grid: int, restarts: int) -> int:
     return 0
 
 
-def cmd_vol(mu: float, samples: int, seed: int, method: str, workers: int) -> int:
+def cmd_vol(args) -> int:
     from .bell import McConfig, nvol_mc
 
-    est = nvol_mc(mu, McConfig(n=samples, seed=seed, method=method), workers=workers)
-    analytic = nvol_werner_analytic(mu)
+    cfg = McConfig(n=args.samples, seed=args.seed, method=args.method)
+    est = nvol_mc(args.mu, cfg, workers=args.workers)
+    analytic = nvol_werner_analytic(args.mu)
     if est.std_error > 0.0:
         z = (est.fraction - analytic) / est.std_error
     else:
@@ -183,23 +179,21 @@ def cmd_vol(mu: float, samples: int, seed: int, method: str, workers: int) -> in
     return 0
 
 
-def cmd_decay(t_max: float, steps: int, out_path: str, argv=()) -> int:
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t-max must be positive and finite, got {t_max}")
-    _check_steps(steps)
-    ts = linspace(0.0, t_max, steps)
+def cmd_decay(args) -> int:
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
+    _check_steps(args.steps)
+    ts = linspace(0.0, args.t_max, args.steps)
     rows = sweep_rows([math.exp(-t) for t in ts])
-    _write_atomic(out_path, _csv("t,mu,norm_rb,norm_vol,norm_max",
+    _write_atomic(args.out, _csv("t,mu,norm_rb,norm_vol,norm_max",
                                  ((t, r.mu, r.norm_rb, r.norm_vol, r.norm_max)
                                   for t, r in zip(ts, rows))))
-    _write_manifest(out_path, argv, None, None)
+    _write_manifest(args.out, args.argv, None, None)
     return 0
 
 
 def _default_seed() -> int:
-    env = os.environ.get("RNL_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("RNL_SEED", "0")
     try:
         return int(env)
     except ValueError:
@@ -238,6 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="per-row MC samples; > 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)
+    sw.set_defaults(run=cmd_sweep)
 
     st = sub.add_parser("state", help="quantify one state from a JSON file")
     st.add_argument("state_file")
@@ -245,6 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="theta resolution of the N x 2N theta x phi grid, whose "
                          f"distinct observables are searched (121 for N = 12; N <= {MAX_GRID})")
     st.add_argument("--restarts", type=_int_in(1), default=8)
+    st.set_defaults(run=cmd_state)
 
     vl = sub.add_parser("vol", help="Monte Carlo violation fraction")
     vl.add_argument("--mu", type=float, required=True)
@@ -252,11 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
     vl.add_argument("--workers", type=_int_in(1, MAX_WORKERS), default=1)
+    vl.set_defaults(run=cmd_vol)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")
     dc.add_argument("--t-max", type=float, default=5.0)
     dc.add_argument("--steps", type=int, default=101)
     dc.add_argument("--out", required=True)
+    dc.set_defaults(run=cmd_decay)
     return ap
 
 
@@ -264,30 +262,21 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is None and hasattr(args, "seed"):
+    args.argv = argv
+    if getattr(args, "seed", 0) is None:  # sweep or vol without --seed
         try:
-            seed = _default_seed()
+            args.seed = _default_seed()
         except ValueError as exc:  # a usage error, like a bad --seed
             print(f"rbnl: {exc}", file=sys.stderr)
             return 2
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args.mu_start, args.mu_end, args.steps,
-                             args.samples, seed, args.out, argv)
-        if args.command == "state":
-            return cmd_state(args.state_file, args.grid, args.restarts)
-        if args.command == "vol":
-            return cmd_vol(args.mu, args.samples, seed, args.method, args.workers)
-        if args.command == "decay":
-            return cmd_decay(args.t_max, args.steps, args.out, argv)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
         print("rbnl: this command needs numpy", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError, OSError) as exc:
         print(f"rbnl: i/o error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -132,6 +132,15 @@ def _basis_pvm(basis: np.ndarray) -> PVM:
     return PVM(cols[:, :, None] * cols.conj()[:, None, :])
 
 
+def pure_state(rho: DensityMatrix) -> PureState | None:
+    """The top eigenvector of rho when Tr rho^2 > 1 - PURITY_CUTOFF, else
+    None: the one purity test, which sends a state to the Schmidt route in
+    nrb_two_qubit and in rbnl state."""
+    if rho.purity() > 1.0 - PURITY_CUTOFF:
+        return PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims)
+    return None
+
+
 def nrb_pure(psi: PureState) -> PureNrbResult:
     """For pure states the maximal irreality drop equals the entanglement
     entropy and is attained by measuring the Schmidt bases on both sides."""
@@ -297,13 +306,13 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 
     Three routes, tried in this order:
 
-    - A pure state, purity above 1 - PURITY_CUTOFF, takes no search: the
-      maximum is the entanglement entropy, attained on the Schmidt bases.
-      The Schmidt decomposition of the top eigenvector of rho gives them:
-      argmax_u and argmax_v are the Bloch vectors of the leading Schmidt
-      kets. For a state inside the cutoff but not exactly pure,
-      rho = (1 - eps)|psi><psi| + eps sigma, the value is still an attained
-      drop, within O(eps ln eps) of the maximum.
+    - A pure state (pure_state, purity above 1 - PURITY_CUTOFF) takes no
+      search: the maximum is the entanglement entropy, attained on the
+      Schmidt bases of the top eigenvector. argmax_u and argmax_v are the
+      Bloch vectors of the leading Schmidt kets. For a state inside the
+      cutoff but not exactly pure, rho = (1 - eps)|psi><psi| + eps sigma,
+      the value is still an attained drop, within O(eps ln eps) of the
+      maximum.
     - A state with maximally mixed marginals, |a| and |b| at most
       MARGINAL_CUTOFF, takes no search either. Each dephased spectrum then
       depends on one number: S(Phi_u rho) = ln 2 + H(|T^T u|),
@@ -327,18 +336,17 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
     a, b, t = _fano_parts(rho)
-    if rho.purity() > 1.0 - PURITY_CUTOFF:
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        dec = schmidt(PureState(vecs[:, -1], (2, 2)))
+    psi = pure_state(rho)
+    if psi is not None:
+        dec = schmidt(psi)
         u, v = _bloch(dec.basis_a[:, 0]), _bloch(dec.basis_b[:, 0])
     elif max(np.linalg.norm(a), np.linalg.norm(b)) <= MARGINAL_CUTOFF:
         left, _, right = np.linalg.svd(t)
         u, v = left[:, -1], right[-1]
-        vals = rho.eigenvalues
     else:
         return _nrb_search(rho, cfg)
-    value = _drop_value(a, b, t, entropy_from_eigenvalues(vals), u[None], v[None])[0][0]
-    return _result(float(value), u, v)
+    value, _ = _drop_value(a, b, t, entropy_from_eigenvalues(rho.eigenvalues), u[None], v[None])
+    return _result(float(value[0]), u, v)
 
 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:

@@ -77,7 +77,7 @@ def _dephased(matrix: np.ndarray, dims, m: LocalPVM) -> np.ndarray:
     dim = d_a if m.site == "A" else d_b
     if m.pvm.dim != dim:
         raise ValueError(f"PVM dimension {m.pvm.dim} does not match site {m.site} dimension {dim}")
-    p = m.pvm.stack
+    p = m.pvm.projectors
     out = np.einsum(_DEPHASE[m.site], p, matrix.reshape(d_a, d_b, d_a, d_b), p)
     return out.reshape(d_a * d_b, d_a * d_b)
 

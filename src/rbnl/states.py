@@ -53,9 +53,11 @@ class DensityMatrix:
         if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
-        check_hermitian(m, "density matrix")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        # entries near 1e308 overflow m - m^H or the trace: a check fails, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            check_hermitian(m, "density matrix")
+            tr = complex(np.trace(m))
+        if not abs(tr - 1.0) <= TRACE_TOL:  # NaN fails too
             raise ValueError(f"trace is {tr.real:.12g}, not 1")
         ev = np.linalg.eigvalsh(m)
         if ev[0] < -PSD_TOL:
@@ -104,25 +106,21 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class PVM:
-    """Projective observable: orthogonal projectors summing to the identity,
-    with real labels playing the role of eigenvalues. The projectors are
-    checked here, once, as one read-only (k, d, d) array `stack`, and
-    `projectors` holds read-only views of it."""
+    """Projective observable: orthogonal projectors summing to the identity.
+    `projectors` is one read-only (k, d, d) array, copied from the input and
+    checked here once; iterating it gives read-only (d, d) views of it."""
 
-    projectors: tuple
-    labels: tuple = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    projectors: np.ndarray
 
     def __post_init__(self):
         try:
-            p = np.array(tuple(self.projectors))
+            p = np.array(tuple(self.projectors), dtype=complex)
         except ValueError as exc:  # numpy refuses ragged input
             raise ValueError("projector shapes disagree") from exc
         if not len(p):
             raise ValueError("PVM needs at least one projector")
         if p.ndim != 3 or not 0 < p.shape[1] == p.shape[2]:
             raise ValueError("projector shapes disagree")
-        p = p.astype(complex, copy=False)
         check_hermitian(p, "projector")
         k, d = p.shape[:2]
         err = p[:, None] @ p  # P_i P_j - delta_ij P_i
@@ -134,22 +132,11 @@ class PVM:
             raise ValueError("projectors not pairwise orthogonal")
         if np.max(np.abs(p.sum(axis=0) - np.eye(d))) > HERM_TOL:
             raise ValueError("projectors do not sum to the identity")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(float(j) for j in range(k))
-        else:
-            labels = tuple(float(x) for x in labels)
-            if len(labels) != k:
-                raise ValueError("label count does not match projector count")
-            if not all(math.isfinite(x) for x in labels):
-                raise ValueError(f"labels must be finite, got {labels}")
-        _freeze(self, "stack", p)
-        object.__setattr__(self, "projectors", tuple(p))
-        object.__setattr__(self, "labels", labels)
+        _freeze(self, "projectors", p)
 
     @property
     def dim(self) -> int:
-        return self.stack.shape[1]
+        return self.projectors.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +188,11 @@ def fano_form(rho: DensityMatrix) -> np.ndarray:
 
 
 def bloch_pvm(u: BlochVector) -> PVM:
-    """Sharp qubit observable along u: projectors (I +- u.sigma)/2 with
-    labels +1 and -1."""
+    """Sharp qubit observable along u: the projectors (I + u.sigma)/2 and
+    (I - u.sigma)/2, in that order."""
     op = u.dot_sigma()
     eye = np.eye(2, dtype=complex)
-    return PVM(((eye + op) / 2, (eye - op) / 2), (1.0, -1.0))
+    return PVM(((eye + op) / 2, (eye - op) / 2))
 
 
 def qutrit_family(gamma: float) -> PureState:
@@ -259,13 +246,18 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange document. Schema problems raise ValueError
-    mentioning the field; invariant violations surface from DensityMatrix."""
+    mentioning the field: a cell value that is not a JSON number (true and
+    false included) is one, as is an integer beyond float range. Invariant
+    violations surface from DensityMatrix."""
     doc = json.loads(text)
     try:
         dims = check_dims(doc["dims"])
-        m = np.array([[complex(cell["re"], cell["im"]) for cell in row]
-                      for row in doc["matrix"]], dtype=complex)  # ragged rows: ValueError
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        cells = [[(cell["re"], cell["im"]) for cell in row] for row in doc["matrix"]]
+        if any(type(x) not in (int, float) for row in cells for cell in row for x in cell):
+            raise TypeError("cell values re and im must be numbers")
+        m = np.array([[complex(*cell) for cell in row] for row in cells],
+                     dtype=complex)  # ragged rows: ValueError
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc!r}") from exc
     return DensityMatrix(m, dims)
 

@@ -12,8 +12,9 @@ import pytest
 
 import rbnl
 from rbnl.cli import MAX_GRID, MAX_STEPS, MAX_WORKERS, main
-from rbnl.states import (PureState, random_density, save_state, singlet,
-                         state_to_json, werner)
+from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
+from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
+                         save_state, singlet, state_to_json, werner)
 from test_nonlocality import rotated_bell_diagonal, zero_marginal_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
@@ -168,6 +169,41 @@ def test_state_mixed_unsupported_dims(tmp_path, capsys):
     assert "dims" in err
 
 
+def test_state_route_is_the_nonlocality_route(tmp_path, capsys):
+    # one purity test routes both: `state` reports "schmidt" exactly when
+    # nrb_two_qubit skips the search, here on either side of the cutoff
+    # (the marginals are nonzero, so the zero-marginal route is out)
+    proj = random_pure(2, 2, seed=61).density().matrix
+    for scale in (0.99, 1.01):
+        eps = scale * PURITY_CUTOFF / 1.5  # purity 1 - 1.5 eps + 0.75 eps^2
+        rho = DensityMatrix((1 - eps) * proj + eps * np.eye(4) / 4, (2, 2))
+        pure = scale < 1
+        assert (rho.purity() > 1 - PURITY_CUTOFF) == pure
+        fano = fano_form(rho)
+        assert min(np.linalg.norm(fano[1:, 0]), np.linalg.norm(fano[0, 1:])) > 1e-3
+        path = tmp_path / f"{scale}.json"
+        save_state(rho, path)
+        code, out, _ = run(["state", str(path)], capsys)
+        assert code == 0
+        method = json.loads(out)["method"]
+        assert (method == "schmidt") == (nrb_two_qubit(rho).diagnostics is None) == pure
+    # (2, 3): the pure file takes the Schmidt route; the mixed one has no
+    # route, and nrb_two_qubit refuses both
+    for rank in (1, 3):
+        rho = random_density(2, 3, rank=rank, seed=62)
+        assert (pure_state(rho) is not None) == (rank == 1)
+        with pytest.raises(ValueError, match="dims"):
+            nrb_two_qubit(rho)
+        path = tmp_path / f"rank{rank}.json"
+        save_state(rho, path)
+        code, out, err = run(["state", str(path)], capsys)
+        if rank == 1:
+            assert code == 0 and json.loads(out)["method"] == "schmidt"
+        else:
+            assert code == 1 and out == "" and "dims" in err
+            assert len(err.splitlines()) == 1
+
+
 def test_state_missing_file(capsys):
     code, _, err = run(["state", "/no/such/file.json"], capsys)
     assert code == 2
@@ -176,7 +212,9 @@ def test_state_missing_file(capsys):
 
 def test_state_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    for raw in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+    deep = b'{"dims": [2, 2], "matrix": ' + b"[" * 10**5 + b"]" * 10**5 + b"}"
+    # the second is not UTF-8, the third nested beyond the recursion limit
+    for raw in (b"{not json", b"\xff\xfe{}", deep):
         path.write_bytes(raw)
         code, out, err = run(["state", str(path)], capsys)
         assert code == 2
@@ -192,7 +230,9 @@ def test_state_schema_violation(tmp_path, capsys):
                 '{"dims": 5, "matrix": %s}' % cell,
                 '{"dims": null, "matrix": %s}' % cell,
                 '{"dims": [1.7, 1], "matrix": %s}' % cell,
-                '{"dims": [2, 1], "matrix": %s}' % ragged):
+                '{"dims": [2, 1], "matrix": %s}' % ragged,
+                '{"dims": [1, 1], "matrix": [[{"re": 1%s, "im": 0}]]}' % ("0" * 400),
+                '{"dims": [1, 1], "matrix": [[{"re": true, "im": 0}]]}'):
         path.write_text(doc)
         code, out, err = run(["state", str(path)], capsys)
         assert code == 1

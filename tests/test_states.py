@@ -35,6 +35,18 @@ def test_density_matrix_rejects_non_finite(bad):
         DensityMatrix(m, (2, 2))
 
 
+def test_density_matrix_rejects_huge_entries_without_warning():
+    # finite entries near 1e308 overflow m - m^H or the trace; the overflow
+    # fails the check it happens in and raises no numpy warning
+    # (warnings are errors here)
+    m = np.eye(4, dtype=complex) / 4
+    m[3, 3] = -1e308j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(m, (2, 2))
+    with pytest.raises(ValueError, match="trace is (inf|nan)"):
+        DensityMatrix(np.diag([1e308, 1e308, -1e308, -1e308]), (2, 2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pure_state_rejects_non_finite(bad):
     v = np.array([bad, 1.0, 0.0, 0.0])
@@ -118,19 +130,13 @@ def test_pure_state_density():
 def test_pvm_validation():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    m = PVM((p0, p1))
-    assert m.labels == (0.0, 1.0)
+    PVM((p0, p1))
     with pytest.raises(ValueError, match="orthogonal"):
         PVM((p0, p0))
     with pytest.raises(ValueError, match="identity"):
         PVM((p0,))
     with pytest.raises(ValueError, match="idempotent"):
         PVM((np.full((2, 2), 0.5) * 1.3, np.eye(2) - np.full((2, 2), 0.5) * 1.3))
-    with pytest.raises(ValueError):
-        PVM((p0, p1), labels=(1.0,))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="labels must be finite"):
-            PVM((p0, p1), labels=(bad, 1.0))
     for bad in (np.nan, np.inf):
         p_bad = p1.copy()
         p_bad[0, 0] = bad
@@ -170,8 +176,7 @@ def raises_quietly(match, *args, **kw):
 def test_pvm_rejects_each_invariant(projs):
     k, d = len(projs), len(projs[0])
     good = PVM(projs)
-    assert good.stack.shape == (k, d, d) and good.dim == d
-    assert good.labels == tuple(float(j) for j in range(k))
+    assert good.projectors.shape == (k, d, d) and good.dim == d
     raises_quietly("at least one projector", ())
     raises_quietly("shapes disagree", (*projs, np.eye(d + 1)))
     raises_quietly("shapes disagree", tuple(p[:, :-1] for p in projs))
@@ -196,26 +201,23 @@ def test_pvm_rejects_each_invariant(projs):
         ray = np.zeros((d, d), dtype=complex)
         ray[0, 0] = 1.0
         raises_quietly("do not sum to the identity", (ray,))
-    raises_quietly("label count does not match", projs, labels=tuple(range(k + 1)))
-    for bad in (np.nan, np.inf):
-        raises_quietly("labels must be finite", projs, labels=(bad,) + (0.0,) * (k - 1))
 
 
 @pytest.mark.parametrize("projs", PVMS, ids=lambda p: f"d{len(p[0])}k{len(p)}")
 def test_pvm_projectors_are_read_only_views_of_one_copy(projs):
     src = [p.copy() for p in projs]
     m = PVM(tuple(src))
-    assert isinstance(m.projectors, tuple) and len(m.projectors) == len(projs)
-    assert not m.stack.flags.writeable
+    assert isinstance(m.projectors, np.ndarray) and len(m.projectors) == len(projs)
+    assert not m.projectors.flags.writeable
     for j, p in enumerate(m.projectors):
-        assert not p.flags.writeable and p.base is m.stack
+        assert not p.flags.writeable and p.base is m.projectors
         with pytest.raises(ValueError):
             p[0, 0] = 0.5
         assert np.array_equal(p, projs[j])
     src[0][0, 0] = 7.0  # the caller's arrays are copied, not kept
-    assert m.stack[0, 0, 0] == projs[0][0, 0]
+    assert m.projectors[0, 0, 0] == projs[0][0, 0]
     # a (k, d, d) array is accepted as the sequence of its slices
-    assert np.array_equal(PVM(np.stack(projs)).stack, m.stack)
+    assert np.array_equal(PVM(np.stack(projs)).projectors, m.projectors)
 
 
 def test_bloch_vector():
@@ -243,7 +245,6 @@ def test_bloch_pvm_projects():
         u = BlochVector(n)
         m = bloch_pvm(u)
         plus, minus = m.projectors
-        assert m.labels == (1.0, -1.0)
         assert np.allclose(plus, (np.eye(2) + u.dot_sigma()) / 2, atol=1e-14)
         assert np.allclose(plus + minus, np.eye(2), atol=1e-14)
         assert abs(np.trace(plus).real - 1.0) < 1e-13  # rank one
