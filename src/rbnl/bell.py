@@ -18,6 +18,17 @@ holds has the closed form implemented by nvol_werner_analytic (in
 rbnl.closed_forms, with nmax_werner, and re-exported here). The second,
 independent route, nvol_quadrature, is a midpoint rule over z that takes the
 exact violating area of each z slice of the (x, y) square.
+
+The Monte Carlo route nvol_mc counts the samples whose |CHSH| exceeds 2/mu.
+For method "angles" each sample is decided by a floating-point filter with
+an exact fallback (Shewchuk, Discrete Comput. Geom. 18, 305, 1997): the four
+cosines cos(phi_u - phi_v) are taken in float32, everything else in float64.
+A CHSH sum then errs by at most 4 max|cos32 - cos64|, about 1e-6. A sample
+whose approximate |CHSH| lies more than MARGIN = 1e-4 above 2/mu is counted
+and one more than MARGIN below it is not; the samples within MARGIN of
+2/mu, 2e-6 to 4e-5 of them for mu from 0.75 to 1, are recounted by the
+float64 kernel. Each sample is thus decided as the float64 kernel decides
+it, so every count equals that kernel's bit for bit.
 """
 from __future__ import annotations
 
@@ -35,6 +46,11 @@ from .states import DensityMatrix, fano_form
 MC_CHUNK = 1 << 16  # samples per chunk, one stream each; read at call time
 MC_METHODS = ("angles", "xyz")
 _MC_BLOCK = 1 << 13  # rows counted at once within a chunk
+# half-width of the band around 2/mu whose samples the float64 kernel
+# recounts; read at call time. A float32 cosine erred by at most 2.6e-7 over
+# 1e7 arguments on numpy 2.4.6, a CHSH sum of four by at most 7.6e-7 over
+# 2.6e6 samples, so 1e-4 is about 100x the bound 4 max|cos32 - cos64|
+MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -134,6 +150,21 @@ def _count_xyz(draws, mu: float) -> int:
     return int(np.count_nonzero(mu * b > 1.0))
 
 
+def _cos32(x):
+    return np.cos(x.astype(np.float32))
+
+
+def _chsh(z, phi, cos=np.cos):
+    """CHSH sums of the samples in the columns of z and phi, each (4, m):
+    cos theta and azimuth of u1, u2, v1, v2. With np.cos this is the exact
+    float64 kernel; every other step is float64 with either cosine."""
+    s = np.sqrt(1.0 - z * z)
+    # dots[i, j] = u_i . v_j = s_u s_v cos(phi_u - phi_v) + z_u z_v
+    dots = cos(phi[:2, None] - phi[None, 2:]) * (s[:2, None] * s[None, 2:])
+    dots += z[:2, None] * z[None, 2:]
+    return dots[0, 0] + dots[0, 1] + dots[1, 0] - dots[1, 1]
+
+
 def _count_angles(draws, mu: float) -> int:
     # columns 2j, 2j + 1 of a row give (cos theta, azimuth) of u1, u2, v1, v2
     # in turn; each u.v comes straight from them, no Bloch vector is built
@@ -143,13 +174,12 @@ def _count_angles(draws, mu: float) -> int:
     z -= 1.0  # in [-1, 1), so 1 - z z >= 0 exactly
     phi = d[1::2]
     phi *= 2.0 * math.pi
-    s = np.sqrt(1.0 - z * z)
-    # dots[i, j] = u_i . v_j = s_u s_v cos(phi_u - phi_v) + z_u z_v
-    dots = np.cos(phi[:2, None] - phi[None, 2:])
-    dots *= s[:2, None] * s[None, 2:]
-    dots += z[:2, None] * z[None, 2:]
-    chsh = dots[0, 0] + dots[0, 1] + dots[1, 0] - dots[1, 1]
-    return int(np.count_nonzero(np.abs(chsh) > 2.0 / mu))
+    # float32 cosines decide every sample farther than MARGIN from the
+    # threshold; the float64 kernel recounts the rest
+    gap = np.abs(_chsh(z, phi, _cos32)) - 2.0 / mu
+    near = np.flatnonzero(np.abs(gap) <= MARGIN)
+    exact = np.abs(_chsh(z[:, near], phi[:, near])) > 2.0 / mu
+    return int(np.count_nonzero(gap > MARGIN)) + int(np.count_nonzero(exact))
 
 
 _COUNTERS = {"angles": (8, _count_angles), "xyz": (3, _count_xyz)}
@@ -173,8 +203,9 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     directly. Both estimate the same fraction. The sample stream is split
     into fixed-size chunks seeded independently of worker scheduling, so the
     count is bit-identical for any worker count. workers must be an
-    integer in [1, MAX_WORKERS]; the estimate records how many threads
-    counted chunks.
+    integer in [1, MAX_WORKERS]; thread i of W counts the chunks k = i
+    (mod W), so at most W tasks are ever queued, and the estimate records
+    how many threads counted chunks.
     """
     check_mu(mu)
     workers = check_int("workers", workers, 1)
@@ -184,12 +215,16 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     # mu * B > 1 is unreachable at mu = 0, so nothing is drawn
     n_chunks = 0 if mu == 0.0 else (cfg.n + MC_CHUNK - 1) // MC_CHUNK
     workers = max(1, min(workers, n_chunks))
+
+    def count_share(i):  # thread i counts the chunks k = i (mod workers)
+        return sum(_mc_chunk_count(mu, cfg, k) for k in range(i, n_chunks, workers))
+
     if workers == 1:
-        count = sum(_mc_chunk_count(mu, cfg, k) for k in range(n_chunks))
+        count = count_share(0)
     else:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            count = sum(pool.map(lambda k: _mc_chunk_count(mu, cfg, k), range(n_chunks)))
+            count = sum(pool.map(count_share, range(workers)))
     frac = count / cfg.n
     return McEstimate(frac, math.sqrt(frac * (1.0 - frac) / cfg.n), cfg.n, cfg.seed,
                       n_chunks, workers, time.perf_counter() - t0)

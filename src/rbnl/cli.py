@@ -34,6 +34,7 @@ from .closed_forms import (MAX_WORKERS, linspace, nmax_werner, nrb_werner_closed
                            nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
+MAX_SAMPLES = 10**9  # vol and sweep --samples, per estimate; about 3 min of one-thread angles
 MAX_GRID = 64  # state --grid; a mixed-state search at 64 peaks at about 650 MB
 
 SweepRow = namedtuple("SweepRow", "mu n_rb n_vol n_max norm_rb norm_vol norm_max")
@@ -161,6 +162,8 @@ def cmd_state(args) -> int:
 def cmd_vol(args) -> int:
     from .bell import McConfig, nvol_mc
 
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     cfg = McConfig(n=args.samples, seed=args.seed, method=args.method)
     est = nvol_mc(args.mu, cfg, workers=args.workers)
     analytic = nvol_werner_analytic(args.mu)
@@ -228,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-start", type=float, default=0.0)
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
-    sw.add_argument("--samples", type=_int_in(0), default=0,
+    sw.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=0,
                     help="per-row MC samples; > 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)

@@ -247,16 +247,20 @@ def state_to_json(rho: DensityMatrix) -> str:
 def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange document. Schema problems raise ValueError
     mentioning the field: a cell value that is not a JSON number (true and
-    false included) is one, as is an integer beyond float range. Invariant
-    violations surface from DensityMatrix."""
-    doc = json.loads(text)
+    false included) is one, as is an integer beyond float range or longer
+    than Python's integer-string limit (4,300 digits by default). Text that
+    is not JSON raises json.JSONDecodeError. Invariant violations surface
+    from DensityMatrix."""
     try:
+        doc = json.loads(text)
         dims = check_dims(doc["dims"])
         cells = [[(cell["re"], cell["im"]) for cell in row] for row in doc["matrix"]]
         if any(type(x) not in (int, float) for row in cells for cell in row for x in cell):
             raise TypeError("cell values re and im must be numbers")
         m = np.array([[complex(*cell) for cell in row] for row in cells],
                      dtype=complex)  # ragged rows: ValueError
+    except json.JSONDecodeError:
+        raise  # not JSON at all: the caller's unparseable-file error
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc!r}") from exc
     return DensityMatrix(m, dims)

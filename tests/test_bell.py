@@ -387,6 +387,23 @@ def oracle_chsh(cfg, k):
     return np.abs(np.sum(u1 * (v1 + v2), axis=1) + np.sum(u2 * (v1 - v2), axis=1))
 
 
+def oracle_zphi(draws):
+    d = draws.T.copy()  # (8, rows): (cos theta, azimuth) of u1, u2, v1, v2 in turn
+    return 2.0 * d[0::2] - 1.0, 2.0 * math.pi * d[1::2]
+
+
+def oracle_block_chsh(draws):
+    """The CHSH sum of each row of a block by the plain float64 block
+    kernel, all four cosines in float64: the counter before the float32
+    filter, which must decide every sample as this does."""
+    z, phi = oracle_zphi(draws)
+    s = np.sqrt(1.0 - z * z)
+    dots = np.cos(phi[:2, None] - phi[None, 2:])
+    dots *= s[:2, None] * s[None, 2:]
+    dots += z[:2, None] * z[None, 2:]
+    return dots[0, 0] + dots[0, 1] + dots[1, 0] - dots[1, 1]
+
+
 def oracle_bfrak(cfg, k):
     d = oracle_draws(cfg, k, 3)
     x, y, z = 2.0 * d[:, 0] - 1.0, 2.0 * d[:, 1] - 1.0, d[:, 2]
@@ -409,6 +426,45 @@ def test_angles_chunk_counts_equal_vector_oracle(seed):
             assert _mc_chunk_count(mu, cfg, k) == want, (mu, k)
             hits += want
     assert hits > 0
+
+
+def filter_draws(monkeypatch, seed):
+    """20 chunks of two row blocks each, the second block and the last chunk
+    ragged: the config and each chunk's draws."""
+    monkeypatch.setattr(bell, "_MC_BLOCK", 2048)
+    monkeypatch.setattr(bell, "MC_CHUNK", 3000)
+    cfg = McConfig(n=19 * 3000 + 123, seed=seed)
+    return cfg, [oracle_draws(cfg, k, 8) for k in range(20)]
+
+
+# at MARGIN 10 the float64 kernel recounts every sample
+@pytest.mark.parametrize("margin, seed", [(bell.MARGIN, 0), (bell.MARGIN, 1), (10.0, 0)])
+def test_filtered_angles_counts_equal_float64_kernel(monkeypatch, margin, seed):
+    cfg, chunks = filter_draws(monkeypatch, seed)
+    monkeypatch.setattr(bell, "MARGIN", margin)
+    hits = 0
+    for k, draws in enumerate(chunks):
+        chsh = np.abs(np.concatenate([oracle_block_chsh(draws[lo:lo + bell._MC_BLOCK])
+                                      for lo in range(0, len(draws), bell._MC_BLOCK)]))
+        # besides ORACLE_MUS, thresholds at the chunk's own samples: there the
+        # float32 sum alone decides about half of them wrongly
+        own = chsh[(chsh > 2.0) & (chsh < 2 * SQRT2)][:3]
+        for mu in (*ORACLE_MUS, *(2.0 / own)):
+            want = int(np.count_nonzero(chsh > 2.0 / mu))
+            assert _mc_chunk_count(mu, cfg, k) == want, (mu, k)
+            hits += want
+    assert hits > 0
+
+
+def test_float32_chsh_error_is_far_inside_the_margin(monkeypatch):
+    # a numpy whose float32 cosine is less accurate would break the filter
+    _, chunks = filter_draws(monkeypatch, 0)
+    worst = 0.0
+    for draws in chunks:
+        z, phi = oracle_zphi(draws)
+        approx = bell._chsh(z, phi, bell._cos32)
+        worst = max(worst, float(np.max(np.abs(approx - oracle_block_chsh(draws)))))
+    assert 0.0 < worst < bell.MARGIN / 50
 
 
 def test_xyz_chunk_counts_equal_whole_chunk_formula(monkeypatch):
@@ -439,6 +495,21 @@ def test_nvol_mc_pinned_counts(mu, count):
     # counts of the stacked-vector kernel; threads must not change them
     est = nvol_mc(mu, McConfig(n=10**6, seed=606), workers=2)
     assert est.fraction == count / 10**6
+
+
+def test_threads_queue_one_task_each(monkeypatch):
+    # 20 chunks on 3 threads: thread i counts chunks i, i + 3, ..., so the
+    # pool holds 3 tasks, not one per chunk
+    from concurrent.futures import ThreadPoolExecutor
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *a, **k: submitted.append(a) or submit(pool, *a, **k))
+    monkeypatch.setattr(bell, "MC_CHUNK", 1000)
+    cfg = McConfig(n=19_500, seed=4)
+    est = nvol_mc(0.9, cfg, workers=3)
+    assert len(submitted) == 3 and (est.chunks, est.workers) == (20, 3)
+    assert est == nvol_mc(0.9, cfg)
 
 
 def test_mc_estimate_records_how_it_was_made(monkeypatch):

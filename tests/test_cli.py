@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import rbnl
-from rbnl.cli import MAX_GRID, MAX_STEPS, MAX_WORKERS, main
+from rbnl.bell import McEstimate
+from rbnl.cli import MAX_GRID, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
@@ -232,6 +233,8 @@ def test_state_schema_violation(tmp_path, capsys):
                 '{"dims": [1.7, 1], "matrix": %s}' % cell,
                 '{"dims": [2, 1], "matrix": %s}' % ragged,
                 '{"dims": [1, 1], "matrix": [[{"re": 1%s, "im": 0}]]}' % ("0" * 400),
+                # past Python's integer-string limit, which json.loads enforces
+                '{"dims": [1, 1], "matrix": [[{"re": 1%s, "im": 0}]]}' % ("0" * 5000),
                 '{"dims": [1, 1], "matrix": [[{"re": true, "im": 0}]]}'):
         path.write_text(doc)
         code, out, err = run(["state", str(path)], capsys)
@@ -335,6 +338,36 @@ def test_vol_bad_seed_env(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("rbnl: ") and "RNL_SEED" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**15])
+def test_samples_over_cap_rejected_before_any_draw(tmp_path, capsys, monkeypatch, samples):
+    # each flag keeps its own check: vol its ValueError (exit 1), sweep its
+    # argparse type (exit 2); neither reaches the sampler
+    monkeypatch.setattr("rbnl.bell.nvol_mc", lambda *a, **k: pytest.fail("sampled"))
+    code, out, err = run(["vol", "--mu", "0.9", "--samples", str(samples)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"rbnl: samples must be <= {MAX_SAMPLES}, got {samples}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--steps", "3", "--samples", str(samples),
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"--samples: must be <= {MAX_SAMPLES}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_samples_at_cap_reach_the_sampler(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def fake(mu, cfg, workers=1):
+        seen.append(cfg.n)
+        return McEstimate(0.0, 0.0, cfg.n, cfg.seed)
+
+    monkeypatch.setattr("rbnl.bell.nvol_mc", fake)
+    assert run(["vol", "--mu", "0.9", "--samples", str(MAX_SAMPLES)], capsys)[0] == 0
+    assert run(["sweep", "--steps", "2", "--samples", str(MAX_SAMPLES),
+                "--out", str(tmp_path / "x.csv")], capsys)[0] == 0
+    assert seen == [MAX_SAMPLES] * 3
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "two", str(MAX_WORKERS + 1)])

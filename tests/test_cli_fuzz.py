@@ -4,8 +4,9 @@ subcommands. Every case must end in exit 0, 1 or 2 (an argparse usage error,
 SystemExit(2), counts as 2) with no exception escaping. When main itself
 returns nonzero, stderr holds exactly one line, and no *.tmp file is ever
 left behind. A document with a cell value true or false is never answered.
-Sizes stay small: nesting depth at most MAX_DEPTH, a few Monte Carlo samples,
-a few CSV rows.
+Sizes stay small: nesting depth at most MAX_DEPTH, a few Monte Carlo samples
+(larger counts only past the cap, which is checked before any draw), a few CSV
+rows.
 """
 import json
 import math
@@ -18,6 +19,7 @@ from rbnl.cli import main
 SEED = 2015
 MAX_DEPTH = 10**4
 DEEP = '"\\u0000deep\\u0000"'  # json.dumps of a placeholder that becomes deep nesting
+HUGE = '"\\u0000huge\\u0000"'  # and one that becomes an integer of 5,001 digits
 
 
 def _doc(dims, rows):
@@ -35,8 +37,8 @@ BELL = [[0.5 if i in (0, 3) and j in (0, 3) else 0.0 for j in range(4)] for i in
 BASES = (_doc((2, 2), _diag(0.4, 0.3, 0.2, 0.1)), _doc((2, 2), _diag(0.25, 0.25, 0.25, 0.25)),
          _doc((2, 2), BELL), _doc((2, 3), _diag(1, 0, 0, 0, 0, 0)),
          _doc((2, 3), _diag(*[1 / 6] * 6)), _doc((1, 1), [[1.0]]))
-SCALARS = (True, False, None, "1", "", [], {}, 10**400, -10**401, 2**63, 1e308, -1e308,
-           5e-324, math.nan, math.inf, -math.inf, 0, -0.0, 1, 0.5)
+SCALARS = (True, False, None, "1", "", [], {}, 10**400, -10**401, "\0huge\0", 2**63, 1e308,
+           -1e308, 5e-324, math.nan, math.inf, -math.inf, 0, -0.0, 1, 0.5)
 DIMS = ([2, 2], [4, 1], [1, 4], [2], [2, 2, 2], [0, 4], [-2, -2], [2.0, 2.0], ["2", "2"],
         [True, 4], [3, 3], [10**400, 1], [], None, "2x2")
 
@@ -113,7 +115,8 @@ def fuzzed_document(rng):
         path = rng.choice(flips)
         _replace(doc, path, bool(_get(doc, path)))
     depth = rng.choice((2, 100, 1000, MAX_DEPTH))
-    raw = json.dumps(doc).replace(DEEP, "[" * depth + "]" * depth).encode()
+    raw = json.dumps(doc).replace(DEEP, "[" * depth + "]" * depth).replace(HUGE, "9" * 5001)
+    raw = raw.encode()
     if rng.random() < 0.2:
         raw = _mutate_bytes(rng, raw)
     return raw, bool(flips)
@@ -122,7 +125,8 @@ def fuzzed_document(rng):
 FLOATS = ("0", "0.5", "0.9", "1", "-0.1", "1.5", "nan", "inf", "-inf", "1e400", "5e-324",
           "1e308", "x", "")
 INTS = ("0", "1", "2", "3", "-1", "x", "", "1.5", "nan", "9" * 40)
-SMALL = ("0", "1", "2", "-1", "x", "")  # sample counts: a huge one would run for hours
+# sample counts: small ones, and ones past MAX_SAMPLES, rejected before any draw
+SAMPLES = ("0", "1", "2", "-1", "x", "", "1000000001", "9" * 16)
 SEEDS = ("0", "7", "-1", "9" * 33, "x", "1.5")
 
 
@@ -133,8 +137,8 @@ def fuzzed_flags(rng, tmp_path, state_file):
             "", str(tmp_path / ("x" * 300)))
     pools = {
         "sweep": {"--mu-start": FLOATS, "--mu-end": FLOATS, "--steps": INTS,
-                  "--samples": SMALL, "--seed": SEEDS, "--out": outs},
-        "vol": {"--mu": FLOATS, "--samples": SMALL, "--seed": SEEDS,
+                  "--samples": SAMPLES, "--seed": SEEDS, "--out": outs},
+        "vol": {"--mu": FLOATS, "--samples": SAMPLES, "--seed": SEEDS,
                 "--method": ("angles", "xyz", "bogus", ""),
                 "--workers": ("1", "2", "0", "65", "x", "-1")},
         "state": {"": (state_file, str(tmp_path), str(tmp_path / "missing.json")),
