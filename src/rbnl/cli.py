@@ -34,8 +34,9 @@ from .closed_forms import (MAX_WORKERS, linspace, nmax_werner, nrb_werner_closed
                            nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
-MAX_SAMPLES = 10**9  # vol and sweep --samples, per estimate; about 3 min of one-thread angles
+MAX_SAMPLES = 10**9  # vol --samples, sweep steps x samples; about 3 min of one-thread angles
 MAX_GRID = 64  # state --grid; a mixed-state search at 64 peaks at about 650 MB
+MAX_RESTARTS = 64  # state --restarts: grid pairs refined as one batch
 
 SweepRow = namedtuple("SweepRow", "mu n_rb n_vol n_max norm_rb norm_vol norm_max")
 
@@ -104,6 +105,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"need 0 <= mu-start < mu-end <= 1, got [{args.mu_start}, {args.mu_end}]")
     _check_steps(args.steps)
+    if args.steps * args.samples > MAX_SAMPLES:
+        raise ValueError(f"steps x samples must be <= {MAX_SAMPLES}, "
+                         f"got {args.steps} x {args.samples}")
     rows = sweep_rows(linspace(args.mu_start, args.mu_end, args.steps))
     outputs = {args.out: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
     if args.samples > 0:
@@ -232,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
     sw.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=0,
-                    help="per-row MC samples; > 0 writes a .mc.csv companion")
+                    help=f"per-row MC samples, with steps x samples <= {MAX_SAMPLES}; "
+                         "> 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)
     sw.set_defaults(run=cmd_sweep)
@@ -242,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--grid", type=_int_in(1, MAX_GRID), default=12,
                     help="theta resolution of the N x 2N theta x phi grid, whose "
                          f"distinct observables are searched (121 for N = 12; N <= {MAX_GRID})")
-    st.add_argument("--restarts", type=_int_in(1), default=8)
+    st.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=8,
+                    help=f"best grid pairs refined (<= {MAX_RESTARTS})")
     st.set_defaults(run=cmd_state)
 
     vl = sub.add_parser("vol", help="Monte Carlo violation fraction")

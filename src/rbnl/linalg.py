@@ -6,6 +6,8 @@ Natural logarithm throughout; entropies are in nats.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Absolute tolerances, frozen for the whole package: conditioning is benign
@@ -68,32 +70,36 @@ def check_hermitian(m: np.ndarray, what: str) -> None:
     transpose. Finiteness comes first: m - m^H on an infinite entry would warn."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite, got NaN or infinity")
-    asym = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    asym = float(abs(m - m.conj().swapaxes(-1, -2)).max())
     if asym > HERM_TOL:
         raise ValueError(f"{what} is not Hermitian: max |m - m^H| = {asym:.3e}")
 
 
 def entropy_from_eigenvalues(vals) -> float:
-    """-sum(l ln l) over a probability-like spectrum; 0 ln 0 := 0.
+    """-sum(l ln l) over a probability-like spectrum of n values, 0 ln 0 := 0,
+    clamped to [0, ln n].
 
     Eigenvalues below -PSD_TOL, NaN or infinite mean the input was not a
-    state. Values in (-PSD_TOL, EIG_CLIP) are treated as exact zeros. An
-    entropy of zero is returned as +0.0.
+    state. Values in [-PSD_TOL, EIG_CLIP] are treated as exact zeros. An
+    entropy of zero is returned as +0.0. Spectra here hold at most
+    d_a d_b = 9 values, so the sum runs over Python floats: numpy's per-call
+    overhead would cost more than the arithmetic.
     """
-    v = np.asarray(vals, dtype=float)
-    lo = float(v.min()) if v.size else 0.0
-    if not lo >= -PSD_TOL:  # NaN fails too
-        raise ValueError(f"minimum eigenvalue {lo:.3e} is not >= -{PSD_TOL:.0e}: not a state")
-    v = v[v > EIG_CLIP]
-    s = float(-np.sum(v * np.log(v)))
-    if s == -np.inf:
+    v = np.asarray(vals, dtype=float).ravel().tolist()
+    s = 0.0
+    for x in v:
+        if x > EIG_CLIP:
+            s -= x * math.log(x)
+        elif not x >= -PSD_TOL:  # NaN fails too, and names the minimum as numpy's min would
+            lo = math.nan if any(map(math.isnan, v)) else min(v)
+            raise ValueError(f"minimum eigenvalue {lo:.3e} is not >= -{PSD_TOL:.0e}: not a state")
+    if s == -math.inf:
         raise ValueError("infinite eigenvalue: not a state")
-    return s if s > 0.0 else 0.0
+    return min(s, math.log(len(v))) if s > 0.0 else 0.0
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats, clamped to [0, ln dim]."""
     m = np.asarray(rho, dtype=complex)
     check_hermitian(m, "matrix")
-    s = entropy_from_eigenvalues(np.linalg.eigvalsh(m))
-    return min(s, float(np.log(m.shape[0])))
+    return entropy_from_eigenvalues(np.linalg.eigvalsh(m))

@@ -345,7 +345,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
         u, v = left[:, -1], right[-1]
     else:
         return _nrb_search(rho, cfg)
-    value, _ = _drop_value(a, b, t, entropy_from_eigenvalues(rho.eigenvalues), u[None], v[None])
+    value, _ = _drop_value(a, b, t, rho.entropy(), u[None], v[None])
     return _result(float(value[0]), u, v)
 
 
@@ -359,7 +359,7 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     rbnl.search). The returned value never falls below the grid maximum.
     """
     a, b, t = _fano_parts(rho)
-    s_rho = entropy_from_eigenvalues(rho.eigenvalues)
+    s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     table = _pair_table(a, b, t, dirs)
     table -= s_rho

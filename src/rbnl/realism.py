@@ -83,8 +83,8 @@ def _dephased(matrix: np.ndarray, dims, m: LocalPVM) -> np.ndarray:
 
 
 def _entropy(matrix: np.ndarray) -> float:
-    """S of a dephased state from one eigvalsh, clamped as DensityMatrix.entropy()."""
-    return min(entropy_from_eigenvalues(np.linalg.eigvalsh(matrix)), float(np.log(len(matrix))))
+    """S of a dephased state from one eigvalsh, as DensityMatrix.entropy()."""
+    return entropy_from_eigenvalues(np.linalg.eigvalsh(matrix))
 
 
 def dephase(rho: DensityMatrix, m: LocalPVM) -> DensityMatrix:

@@ -56,7 +56,7 @@ class DensityMatrix:
         # entries near 1e308 overflow m - m^H or the trace: a check fails, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
             check_hermitian(m, "density matrix")
-            tr = complex(np.trace(m))
+            tr = complex(m.trace())
         if not abs(tr - 1.0) <= TRACE_TOL:  # NaN fails too
             raise ValueError(f"trace is {tr.real:.12g}, not 1")
         ev = np.linalg.eigvalsh(m)
@@ -76,7 +76,7 @@ class DensityMatrix:
     def entropy(self) -> float:
         """S(rho) in nats from the kept spectrum, clamped to [0, ln dim]:
         equal bit for bit to von_neumann_entropy(self.matrix)."""
-        return min(entropy_from_eigenvalues(self.eigenvalues), float(np.log(self.dim)))
+        return entropy_from_eigenvalues(self.eigenvalues)
 
 
 @dataclass(frozen=True, eq=False)

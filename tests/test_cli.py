@@ -12,7 +12,7 @@ import pytest
 
 import rbnl
 from rbnl.bell import McEstimate
-from rbnl.cli import MAX_GRID, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
+from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
@@ -365,9 +365,47 @@ def test_samples_at_cap_reach_the_sampler(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("rbnl.bell.nvol_mc", fake)
     assert run(["vol", "--mu", "0.9", "--samples", str(MAX_SAMPLES)], capsys)[0] == 0
-    assert run(["sweep", "--steps", "2", "--samples", str(MAX_SAMPLES),
+    # a sweep's budget is steps x samples: two rows of half the cap each
+    assert run(["sweep", "--steps", "2", "--samples", str(MAX_SAMPLES // 2),
                 "--out", str(tmp_path / "x.csv")], capsys)[0] == 0
-    assert seen == [MAX_SAMPLES] * 3
+    assert seen == [MAX_SAMPLES, MAX_SAMPLES // 2, MAX_SAMPLES // 2]
+
+
+# few rows each: a broken check would build every row before it failed
+@pytest.mark.parametrize("steps, samples", [(2, MAX_SAMPLES), (2, MAX_SAMPLES // 2 + 1),
+                                            (101, 10**7), (1000, 10**6 + 1)])
+def test_sweep_over_budget_rejected_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                    steps, samples):
+    # each flag is within its own cap, their product is not
+    monkeypatch.setattr("rbnl.bell.nvol_mc", lambda *a, **k: pytest.fail("sampled"))
+    code, out, err = run(["sweep", "--steps", str(steps), "--samples", str(samples),
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"rbnl: steps x samples must be <= {MAX_SAMPLES}, got {steps} x {samples}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_restarts_cap(tmp_path, capsys, monkeypatch):
+    # over the cap is a usage error before any search; at the cap the
+    # search gets every restart asked for
+    seen = []
+
+    def fake(rho, cfg):
+        seen.append(cfg.restarts)
+        return nrb_two_qubit(rho)
+
+    monkeypatch.setattr("rbnl.nonlocality.nrb_two_qubit", fake)
+    path = tmp_path / "w.json"
+    save_state(random_density(2, 2, rank=3, seed=18), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["state", str(path), "--restarts", str(MAX_RESTARTS + 1)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"--restarts: must be <= {MAX_RESTARTS}" in out.err
+    assert seen == []
+    assert run(["state", str(path), "--grid", "2", "--restarts", str(MAX_RESTARTS)],
+               capsys)[0] == 0
+    assert seen == [MAX_RESTARTS]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "two", str(MAX_WORKERS + 1)])

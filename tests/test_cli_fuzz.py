@@ -127,6 +127,9 @@ FLOATS = ("0", "0.5", "0.9", "1", "-0.1", "1.5", "nan", "inf", "-inf", "1e400", 
 INTS = ("0", "1", "2", "3", "-1", "x", "", "1.5", "nan", "9" * 40)
 # sample counts: small ones, and ones past MAX_SAMPLES, rejected before any draw
 SAMPLES = ("0", "1", "2", "-1", "x", "", "1000000001", "9" * 16)
+# and one at MAX_SAMPLES: with any valid --steps (>= 2) a sweep's
+# steps x samples is over the budget, also rejected before any draw
+SWEEP_SAMPLES = (*SAMPLES, "1000000000")
 SEEDS = ("0", "7", "-1", "9" * 33, "x", "1.5")
 
 
@@ -137,13 +140,13 @@ def fuzzed_flags(rng, tmp_path, state_file):
             "", str(tmp_path / ("x" * 300)))
     pools = {
         "sweep": {"--mu-start": FLOATS, "--mu-end": FLOATS, "--steps": INTS,
-                  "--samples": SAMPLES, "--seed": SEEDS, "--out": outs},
+                  "--samples": SWEEP_SAMPLES, "--seed": SEEDS, "--out": outs},
         "vol": {"--mu": FLOATS, "--samples": SAMPLES, "--seed": SEEDS,
                 "--method": ("angles", "xyz", "bogus", ""),
                 "--workers": ("1", "2", "0", "65", "x", "-1")},
         "state": {"": (state_file, str(tmp_path), str(tmp_path / "missing.json")),
                   "--grid": ("1", "2", "3", "0", "65", "x", "-1"),
-                  "--restarts": ("1", "2", "0", "x")},
+                  "--restarts": ("1", "2", "0", "65", "x")},
         "decay": {"--t-max": FLOATS, "--steps": INTS, "--out": outs},
     }
     valid = {"sweep": {"--steps": "3", "--out": outs[0]},

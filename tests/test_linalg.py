@@ -1,11 +1,26 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from rbnl.linalg import (check_hermitian, entropy_from_eigenvalues, partial_trace, tensor,
-                         von_neumann_entropy)
+from rbnl.linalg import (EIG_CLIP, PSD_TOL, check_hermitian, entropy_from_eigenvalues,
+                         partial_trace, tensor, von_neumann_entropy)
+
+
+def oracle_entropy(vals) -> float:
+    """The numpy formula that entropy_from_eigenvalues replaced, kept as its
+    oracle: the same rules and messages, but no ln n clamp."""
+    v = np.asarray(vals, dtype=float)
+    lo = float(v.min()) if v.size else 0.0
+    if not lo >= -PSD_TOL:  # NaN fails too
+        raise ValueError(f"minimum eigenvalue {lo:.3e} is not >= -{PSD_TOL:.0e}: not a state")
+    v = v[v > EIG_CLIP]
+    s = float(-np.sum(v * np.log(v)))
+    if s == -np.inf:
+        raise ValueError("infinite eigenvalue: not a state")
+    return s if s > 0.0 else 0.0
 
 
 def random_hermitian(rng, d):
@@ -123,12 +138,53 @@ def test_entropy_from_eigenvalues():
     assert entropy_from_eigenvalues(np.array([1.0, -1e-14])) == 0.0
     with pytest.raises(ValueError, match="not a state"):
         entropy_from_eigenvalues(np.array([1.1, -0.1]))
-    # a zero entropy is +0.0, so that reports never print -0.0
-    for vals in ([1.0, 0.0], [1.0], [], [1.0, -1e-14]):
+    # a zero entropy is +0.0, so that reports never print -0.0; a single
+    # value, whatever it is, is clamped to ln 1 = +0.0
+    for vals in ([1.0, 0.0], [1.0], [], [1.0, -1e-14], [0.0, -0.0], [0.5], [EIG_CLIP]):
         assert math.copysign(1.0, entropy_from_eigenvalues(np.array(vals))) == 1.0
-    for vals in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0],
-                 [0.5, 0.5, np.nan]):
-        raises_one_line(entropy_from_eigenvalues, np.array(vals), match="not a state")
+        assert entropy_from_eigenvalues(vals) == 0.0
+    # the clamp: n values never give more than ln n, also where the sum
+    # does, as it does for some n here
+    clamped = 0
+    for n in range(2, 10):
+        vals = np.full(n, 1 / n)
+        vals[0] += 4e-16
+        s = entropy_from_eigenvalues(vals)
+        assert s == min(oracle_entropy(vals), math.log(n))
+        clamped += oracle_entropy(vals) > s
+    assert clamped
+    bad = [[np.inf, 0.5, 0.5], [-np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf], [1.1, -0.1],
+           [np.inf, np.inf], [0.5, -2 * PSD_TOL, 0.5], [-np.inf, np.nan, np.inf]]
+    # NaN at every position: Python's min, unlike numpy's, misses a NaN that is not first
+    for n in (1, 2, 4, 9):
+        for k in range(n):
+            vals = [1.0 / n] * n
+            vals[k] = np.nan
+            bad.append(vals)
+            if n > 1:  # with a real negative elsewhere, the minimum is still NaN
+                bad.append([-1.0 if j == (k + 1) % n else x for j, x in enumerate(vals)])
+    for vals in bad:
+        with pytest.raises(ValueError) as expected:
+            oracle_entropy(vals)
+        raises_one_line(entropy_from_eigenvalues, np.array(vals),
+                        match=f"^{re.escape(str(expected.value))}$")
+
+
+def test_entropy_from_eigenvalues_matches_numpy_oracle():
+    # random spectra of 1-16 values with exact zeros, values at and around
+    # +-EIG_CLIP and tiny negatives, against the numpy formula with the clamp
+    rng = np.random.default_rng(18)
+    specials = (0.0, -0.0, EIG_CLIP, -EIG_CLIP, np.nextafter(EIG_CLIP, 1.0),
+                np.nextafter(EIG_CLIP, 0.0), -1e-14, -PSD_TOL, 1e-300)
+    for _ in range(2000):
+        n = int(rng.integers(1, 17))
+        vals = rng.random(n) ** rng.integers(1, 8)
+        vals[rng.random(n) < 0.3] = rng.choice(specials)
+        vals /= max(vals.sum(), 1.0)
+        for spectrum in (vals, vals.tolist(), np.sort(vals)):
+            got = entropy_from_eigenvalues(spectrum)
+            assert type(got) is float
+            assert abs(got - min(oracle_entropy(vals), math.log(n))) < 4e-15, vals
 
 
 def test_von_neumann_entropy_matches_eigenvalue_route():
