@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import MAX_WORKERS, check_mu
+from .closed_forms import MAX_WORKERS, check_int, check_mu
 from .closed_forms import nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
-from .linalg import check_int
 from .states import DensityMatrix, fano_form
 
 MC_CHUNK = 1 << 16  # samples per chunk, one stream each; read at call time
@@ -208,9 +207,7 @@ def nvol_mc(mu: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     how many threads counted chunks.
     """
     check_mu(mu)
-    workers = check_int("workers", workers, 1)
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+    workers = check_int("workers", workers, 1, MAX_WORKERS)
     t0 = time.perf_counter()
     # mu * B > 1 is unreachable at mu = 0, so nothing is drawn
     n_chunks = 0 if mu == 0.0 else (cfg.n + MC_CHUNK - 1) // MC_CHUNK

@@ -30,8 +30,8 @@ from collections import namedtuple
 from datetime import datetime, timezone
 
 from . import __version__
-from .closed_forms import (MAX_WORKERS, linspace, nmax_werner, nrb_werner_closed_form,
-                           nvol_werner_analytic)
+from .closed_forms import (MAX_WORKERS, check_int, linspace, nmax_werner,
+                           nrb_werner_closed_form, nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
 MAX_SAMPLES = 10**9  # vol --samples, sweep steps x samples; about 3 min of one-thread angles
@@ -45,14 +45,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _norm(value: float, at_one: float) -> float:
-    # normalized form with 0/0 defined as 0
-    if at_one == 0.0:
-        return 0.0
-    return value / at_one
-
-
 def sweep_rows(mu_values) -> list:
+    # each quantifier normalized by its value at mu = 1: ln 2, (pi - 3)/2 and
+    # sqrt(2) - 1, none of them zero
     rb1 = nrb_werner_closed_form(1.0)
     vol1 = nvol_werner_analytic(1.0)
     max1 = nmax_werner(1.0)
@@ -62,8 +57,7 @@ def sweep_rows(mu_values) -> list:
         rb = nrb_werner_closed_form(mu)
         vol = nvol_werner_analytic(mu)
         mx = nmax_werner(mu)
-        rows.append(SweepRow(mu, rb, vol, mx,
-                             _norm(rb, rb1), _norm(vol, vol1), _norm(mx, max1)))
+        rows.append(SweepRow(mu, rb, vol, mx, rb / rb1, vol / vol1, mx / max1))
     return rows
 
 
@@ -95,16 +89,11 @@ def _write_manifest(out_path: str, argv, seed, samples) -> None:
     _write_atomic(out_path + ".manifest.json", json.dumps(doc, indent=2) + "\n")
 
 
-def _check_steps(steps: int) -> None:
-    if not 2 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
-
-
 def cmd_sweep(args) -> int:
     if not (0.0 <= args.mu_start < args.mu_end <= 1.0):
         raise ValueError(
             f"need 0 <= mu-start < mu-end <= 1, got [{args.mu_start}, {args.mu_end}]")
-    _check_steps(args.steps)
+    check_int("steps", args.steps, 2, MAX_STEPS)
     if args.steps * args.samples > MAX_SAMPLES:
         raise ValueError(f"steps x samples must be <= {MAX_SAMPLES}, "
                          f"got {args.steps} x {args.samples}")
@@ -139,35 +128,23 @@ def cmd_state(args) -> int:
 
     rho = load_state(args.state_file)
     psi = pure_state(rho)
+    report = dict.fromkeys(("n_rb", "argmax_u", "argmax_v", "eta", "method"))
     if psi is not None:
-        report = {
-            "n_rb": nrb_pure(psi).value,
-            "argmax_u": None,
-            "argmax_v": None,
-            "eta": None,
-            "method": "schmidt",
-        }
+        report.update(n_rb=nrb_pure(psi).value, method="schmidt")
     else:
-        cfg = OptimizerConfig(theta_points=args.grid, phi_points=2 * args.grid,
-                              restarts=args.restarts)
-        res = nrb_two_qubit(rho, cfg)
-        report = {
-            "n_rb": res.value,
-            "argmax_u": [float(c) for c in res.argmax_u.components],
-            "argmax_v": [float(c) for c in res.argmax_v.components],
-            "eta": res.eta,
-            "method": "optimizer",
-        }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+        res = nrb_two_qubit(rho, OptimizerConfig(theta_points=args.grid, phi_points=2 * args.grid,
+                                                 restarts=args.restarts))
+        report.update(n_rb=res.value, argmax_u=res.argmax_u.components.tolist(),
+                      argmax_v=res.argmax_v.components.tolist(), eta=res.eta,
+                      method="optimizer")
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_vol(args) -> int:
     from .bell import McConfig, nvol_mc
 
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
+    check_int("samples", args.samples, 1, MAX_SAMPLES)
     cfg = McConfig(n=args.samples, seed=args.seed, method=args.method)
     est = nvol_mc(args.mu, cfg, workers=args.workers)
     analytic = nvol_werner_analytic(args.mu)
@@ -175,21 +152,16 @@ def cmd_vol(args) -> int:
         z = (est.fraction - analytic) / est.std_error
     else:
         z = 0.0 if est.fraction == analytic else math.inf
-    report = {
-        "fraction": est.fraction,
-        "std_error": est.std_error,
-        "analytic": analytic,
-        "z_score": z,
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    report = {"fraction": est.fraction, "std_error": est.std_error, "analytic": analytic,
+              "z_score": z}
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_decay(args) -> int:
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
-    _check_steps(args.steps)
+    check_int("steps", args.steps, 2, MAX_STEPS)
     ts = linspace(0.0, args.t_max, args.steps)
     rows = sweep_rows([math.exp(-t) for t in ts])
     _write_atomic(args.out, _csv("t,mu,norm_rb,norm_vol,norm_max",
@@ -207,20 +179,19 @@ def _default_seed() -> int:
         raise ValueError(f"RNL_SEED must be an integer, got {env!r}") from None
 
 
-def _int_in(minimum: int, maximum: int | None = None):
-    """argparse type: an integer no smaller than minimum and, if maximum is
-    given, no larger than maximum."""
+def _int_in(name: str, minimum: int, maximum: int):
+    """argparse type: the text of an integer that check_int(name, value,
+    minimum, maximum) accepts; its ValueError becomes a usage error."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
+        try:
+            return check_int(name, value, minimum, maximum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -235,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-start", type=float, default=0.0)
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
-    sw.add_argument("--samples", type=_int_in(0, MAX_SAMPLES), default=0,
+    sw.add_argument("--samples", type=_int_in("samples", 0, MAX_SAMPLES), default=0,
                     help=f"per-row MC samples, with steps x samples <= {MAX_SAMPLES}; "
                          "> 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
@@ -244,10 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("state", help="quantify one state from a JSON file")
     st.add_argument("state_file")
-    st.add_argument("--grid", type=_int_in(1, MAX_GRID), default=12,
+    st.add_argument("--grid", type=_int_in("grid", 1, MAX_GRID), default=12,
                     help="theta resolution of the N x 2N theta x phi grid, whose "
                          f"distinct observables are searched (121 for N = 12; N <= {MAX_GRID})")
-    st.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=8,
+    st.add_argument("--restarts", type=_int_in("restarts", 1, MAX_RESTARTS), default=8,
                     help=f"best grid pairs refined (<= {MAX_RESTARTS})")
     st.set_defaults(run=cmd_state)
 
@@ -256,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--samples", type=int, default=10**6)
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
-    vl.add_argument("--workers", type=_int_in(1, MAX_WORKERS), default=1)
+    vl.add_argument("--workers", type=_int_in("workers", 1, MAX_WORKERS), default=1)
     vl.set_defaults(run=cmd_vol)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")

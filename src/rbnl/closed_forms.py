@@ -1,15 +1,17 @@
 """Werner-family closed forms of the three quantifiers, the one check of
-the noise parameter mu (check_mu), linspace, and MAX_WORKERS, the thread
-cap of rbnl.bell.nvol_mc that the CLI parser also checks.
+mu (check_mu) and of a count (check_int), linspace, and MAX_WORKERS, the
+thread cap of rbnl.bell.nvol_mc that the CLI parser also checks.
 
-This module imports only `math`, so `rbnl sweep` and `rbnl decay`, which
-need nothing else, start without numpy. `rbnl.nonlocality` re-exports
-nrb_werner_closed_form and `rbnl.bell` re-exports nmax_werner and
-nvol_werner_analytic, next to their numeric routes.
+It imports only `math` and `numbers`: `rbnl sweep` and `rbnl decay`, which
+need nothing else, start without numpy, and the CLI checks its counts with
+the check_int of the numpy-backed modules. `rbnl.nonlocality` re-exports
+nrb_werner_closed_form and `rbnl.bell` nmax_werner and nvol_werner_analytic,
+next to their numeric routes.
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 SQRT2 = math.sqrt(2)
 MAX_WORKERS = 64  # threads of one Monte Carlo estimate
@@ -19,6 +21,21 @@ def check_mu(mu: float) -> None:
     """The one check of a noise parameter: mu in [0, 1]; NaN fails it."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
+
+
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """The one check of a count: value as a Python int, from a Python or numpy
+    integer in [minimum, maximum], unbounded above when maximum is None. A bool
+    or other type (a 0-d array too) raises TypeError; out of range, ValueError."""
+    # an exact int skips the ABC check, which costs about 0.5 us a call
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+    return int(value)
 
 
 def _h(x: float) -> float:

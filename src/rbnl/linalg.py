@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .closed_forms import check_int
+
 # Absolute tolerances, frozen for the whole package: conditioning is benign
 # at these dimensions.
 HERM_TOL = 1e-10
@@ -27,23 +29,14 @@ def tensor(a, b, *rest):
 
 
 def check_dims(dims) -> tuple[int, int]:
-    """dims as two Python ints; bools and floats such as 1.7 are rejected."""
-    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
-            and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                    for d in dims)):
-        raise ValueError(f"dims must be two integers, got {dims!r}")
-    return int(dims[0]), int(dims[1])
-
-
-def check_int(name: str, value, minimum: int) -> int:
-    """value as a Python int: a Python or numpy integer no smaller than
-    minimum. A bool or any other type raises TypeError, a smaller value
-    ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+    """dims as two Python ints >= 1 (see check_int); bools and floats such as
+    1.7 are rejected."""
+    if isinstance(dims, (tuple, list)) and len(dims) == 2:
+        try:
+            return check_int("d_a", dims[0], 1), check_int("d_b", dims[1], 1)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"dims must be two integers >= 1, got {dims!r}")
 
 
 def partial_trace(rho, dims, keep: str):

@@ -37,7 +37,7 @@ import numpy as np
 from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
 from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
-from .states import PVM, BlochVector, DensityMatrix, PureState, fano_form
+from .states import PVM, BlochVector, DensityMatrix, PureState, _freeze, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
 # max(|a|, |b|) <= MARGINAL_CUTOFF counts as maximally mixed marginals: the
@@ -84,12 +84,7 @@ class SchmidtDecomposition:
             gram = u.conj().T @ u
             if not np.max(np.abs(gram - np.eye(u.shape[1]))) <= 1e-10:
                 raise ValueError("basis not orthonormal")
-        xi.setflags(write=False)
-        ua.setflags(write=False)
-        ub.setflags(write=False)
-        object.__setattr__(self, "coefficients", xi)
-        object.__setattr__(self, "basis_a", ua)
-        object.__setattr__(self, "basis_b", ub)
+        _freeze(self, coefficients=xi, basis_a=ua, basis_b=ub)
 
 
 @dataclass(frozen=True, eq=False)

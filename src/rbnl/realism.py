@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import entropy_from_eigenvalues, tensor
-from .states import PVM, DensityMatrix
+from .states import PVM, DensityMatrix, _freeze
 
 SITES = ("A", "B")
 
@@ -59,10 +59,7 @@ class RealityComponents:
             if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
                 raise ValueError(f"component dimension: site-{site} states must be square "
                                  f"matrices of one shape, got shapes {shapes}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states_a", sa)
-        object.__setattr__(self, "states_b", sb)
+        _freeze(self, weights=w, states_a=sa, states_b=sb)
 
 
 # sum_k (P_k (x) I) rho (P_k (x) I) and sum_k (I (x) P_k) rho (I (x) P_k)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_int
+from .closed_forms import check_int
 
 GRAD_TOL = 1e-10  # stationary once the Riemannian gradient norm is below this
 VALUE_TOL = 1e-8  # finished once an accepted step gains less than this

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import check_mu
+from .closed_forms import check_int, check_mu
 from .linalg import HERM_TOL, PSD_TOL, check_dims, check_hermitian, entropy_from_eigenvalues
 
 TRACE_TOL = 1e-10
@@ -30,9 +30,12 @@ for _p in PAULIS:
     _p.setflags(write=False)
 
 
-def _freeze(obj, name, arr):
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
+def _freeze(obj, **fields):
+    """Set each field of obj to its array, or tuple of arrays, made read-only."""
+    for name, value in fields.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +53,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         d_a, d_b = check_dims(self.dims)
-        if d_a < 1 or d_b < 1 or m.shape != (d_a * d_b, d_a * d_b):
+        if m.shape != (d_a * d_b, d_a * d_b):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with matrix shape {m.shape}")
         # entries near 1e308 overflow m - m^H or the trace: a check fails, unwarned
@@ -62,8 +65,7 @@ class DensityMatrix:
         ev = np.linalg.eigvalsh(m)
         if ev[0] < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {ev[0]:.3e}: not positive semidefinite")
-        _freeze(self, "matrix", m)
-        _freeze(self, "eigenvalues", ev)
+        _freeze(self, matrix=m, eigenvalues=ev)
         object.__setattr__(self, "dims", (d_a, d_b))
 
     @property
@@ -89,7 +91,7 @@ class PureState:
     def __post_init__(self):
         v = np.array(self.vector, dtype=complex).reshape(-1)
         d_a, d_b = check_dims(self.dims)
-        if d_a < 1 or d_b < 1 or v.shape != (d_a * d_b,):
+        if v.shape != (d_a * d_b,):
             raise ValueError(
                 f"dims ({d_a}, {d_b}) inconsistent with vector length {v.shape[0]}")
         nrm = float(np.linalg.norm(v))
@@ -97,7 +99,7 @@ class PureState:
             raise ValueError("entries must be finite, got NaN or infinity")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"norm is {nrm:.12g}, not 1")
-        _freeze(self, "vector", v)
+        _freeze(self, vector=v)
         object.__setattr__(self, "dims", (d_a, d_b))
 
     def density(self) -> DensityMatrix:
@@ -132,7 +134,7 @@ class PVM:
             raise ValueError("projectors not pairwise orthogonal")
         if np.max(np.abs(p.sum(axis=0) - np.eye(d))) > HERM_TOL:
             raise ValueError("projectors do not sum to the identity")
-        _freeze(self, "projectors", p)
+        _freeze(self, projectors=p)
 
     @property
     def dim(self) -> int:
@@ -152,7 +154,7 @@ class BlochVector:
         nrm = float(np.linalg.norm(c))
         if not abs(nrm - 1.0) <= BLOCH_TOL:  # NaN fails too
             raise ValueError(f"norm is {nrm:.15g}, not 1")
-        _freeze(self, "components", c)
+        _freeze(self, components=c)
 
     def dot_sigma(self) -> np.ndarray:
         """The observable u . sigma as a 2x2 matrix."""
@@ -215,6 +217,7 @@ def _rng(seed):
 def random_pure(d_a: int, d_b: int, seed) -> PureState:
     """Rotation-invariant random pure state: complex standard normal
     components, normalized. Deterministic per seed."""
+    d_a, d_b = check_dims((d_a, d_b))
     rng = _rng(seed)
     n = d_a * d_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -222,10 +225,10 @@ def random_pure(d_a: int, d_b: int, seed) -> PureState:
 
 
 def random_density(d_a: int, d_b: int, rank: int, seed) -> DensityMatrix:
-    """Random mixture of `rank` rotation-invariant pure states."""
+    """Random mixture of `rank` rotation-invariant pure states, rank in [1, d_a d_b]."""
+    d_a, d_b = check_dims((d_a, d_b))
     n = d_a * d_b
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
+    rank = check_int("rank", rank, 1, n)
     rng = _rng(seed)
     w = rng.random(rank)
     w /= w.sum()

@@ -8,6 +8,7 @@ from rbnl import bell
 from rbnl.bell import (_MC_BLOCK, MC_CHUNK, McConfig, McEstimate, _mc_chunk_count,
                        correlation_matrix, nmax_numeric, nmax_werner, nvol_mc,
                        nvol_quadrature, nvol_werner_analytic)
+from rbnl.closed_forms import MAX_WORKERS
 from rbnl.linalg import EIG_CLIP, tensor
 from rbnl.search import OptimizerConfig, grid_refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
@@ -300,7 +301,9 @@ def test_mc_config_rejects_non_integers(monkeypatch):
     for kwargs, error in (({"n": True}, TypeError), ({"n": 2.5}, TypeError),
                           ({"n": 100, "seed": True}, TypeError),
                           ({"n": 100, "seed": 1.0}, TypeError),
-                          ({"n": 100, "seed": -1}, ValueError)):
+                          ({"n": 100, "seed": -1}, ValueError),
+                          ({"n": np.array(5)}, TypeError),
+                          ({"n": 100, "seed": np.array(5)}, TypeError)):
         with pytest.raises(error):
             McConfig(**kwargs)
     cfg = McConfig(n=np.int64(1000), seed=np.uint32(3))
@@ -312,11 +315,13 @@ def test_mc_config_rejects_non_integers(monkeypatch):
 
 def test_nvol_mc_rejects_bad_workers():
     cfg = McConfig(n=1000)
-    for workers, error in ((0, ValueError), (-3, ValueError), (65, ValueError),
-                           (2.5, TypeError), (True, TypeError), ("2", TypeError)):
-        with pytest.raises(error):
+    for workers, error in ((0, ValueError), (-3, ValueError), (MAX_WORKERS + 1, ValueError),
+                           (2.5, TypeError), (True, TypeError), ("2", TypeError),
+                           (np.array(2), TypeError)):
+        with pytest.raises(error, match="workers must be"):
             nvol_mc(0.9, cfg, workers=workers)
     assert nvol_mc(0.9, cfg, workers=np.int64(2)) == nvol_mc(0.9, cfg)
+    assert nvol_mc(0.9, cfg, workers=MAX_WORKERS) == nvol_mc(0.9, cfg)
 
 
 def test_nvol_quadrature_rejects_non_integer_resolution():

@@ -352,7 +352,7 @@ def test_samples_over_cap_rejected_before_any_draw(tmp_path, capsys, monkeypatch
         main(["sweep", "--steps", "3", "--samples", str(samples),
               "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert f"--samples: must be <= {MAX_SAMPLES}" in capsys.readouterr().err
+    assert f"--samples: samples must be <= {MAX_SAMPLES}, got {samples}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -401,7 +401,7 @@ def test_restarts_cap(tmp_path, capsys, monkeypatch):
         main(["state", str(path), "--restarts", str(MAX_RESTARTS + 1)])
     assert exc.value.code == 2
     out = capsys.readouterr()
-    assert out.out == "" and f"--restarts: must be <= {MAX_RESTARTS}" in out.err
+    assert out.out == "" and f"--restarts: restarts must be <= {MAX_RESTARTS}" in out.err
     assert seen == []
     assert run(["state", str(path), "--grid", "2", "--restarts", str(MAX_RESTARTS)],
                capsys)[0] == 0
@@ -550,7 +550,8 @@ def test_steps_out_of_range(tmp_path, capsys, command, steps):
                           "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1
     assert out == ""
-    assert err == f"rbnl: steps must be in [2, {MAX_STEPS}], got {steps}\n"
+    bound = ">= 2" if steps < 2 else f"<= {MAX_STEPS}"
+    assert err == f"rbnl: steps must be {bound}, got {steps}\n"
     assert list(tmp_path.iterdir()) == []
 
 

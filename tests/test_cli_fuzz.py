@@ -3,7 +3,8 @@ library only: mutated state documents, and mutated flag values for all four
 subcommands. Every case must end in exit 0, 1 or 2 (an argparse usage error,
 SystemExit(2), counts as 2) with no exception escaping. When main itself
 returns nonzero, stderr holds exactly one line, and no *.tmp file is ever
-left behind. A document with a cell value true or false is never answered.
+left behind. A document with a cell value true or false is never answered,
+and every count check of the flags rejects at least one flag set.
 Sizes stay small: nesting depth at most MAX_DEPTH, a few Monte Carlo samples
 (larger counts only past the cap, which is checked before any draw), a few CSV
 rows.
@@ -128,14 +129,22 @@ INTS = ("0", "1", "2", "3", "-1", "x", "", "1.5", "nan", "9" * 40)
 # sample counts: small ones, and ones past MAX_SAMPLES, rejected before any draw
 SAMPLES = ("0", "1", "2", "-1", "x", "", "1000000001", "9" * 16)
 # and one at MAX_SAMPLES: with any valid --steps (>= 2) a sweep's
-# steps x samples is over the budget, also rejected before any draw
-SWEEP_SAMPLES = (*SAMPLES, "1000000000")
+# steps x samples is over the budget, also rejected before any draw. It comes
+# with a valid mu range, which is checked first
+SWEEP_SAMPLES = (*SAMPLES, {"--samples": "1000000000", "--mu-start": "0", "--mu-end": "0.5"})
 SEEDS = ("0", "7", "-1", "9" * 33, "x", "1.5")
+# the start of each count check's rejection: one-line errors (exit 1) begin
+# "rbnl: ", usage errors name the flag
+COUNT_CHECKS = ("rbnl: steps must be", "rbnl: samples must be",
+                "argument --samples: samples must be", "rbnl: steps x samples must be",
+                "argument --grid: grid must be", "argument --restarts: restarts must be",
+                "argument --workers: workers must be", "rbnl: seed must be")
 
 
 def fuzzed_flags(rng, tmp_path, state_file):
     """A subcommand with valid flags, then one to three of them changed,
-    dropped, or joined by an unknown one."""
+    dropped, or joined by an unknown one. A pool value that is a dict
+    changes the flags it names together."""
     outs = (str(tmp_path / "o.csv"), str(tmp_path), str(tmp_path / "missing" / "o.csv"),
             "", str(tmp_path / ("x" * 300)))
     pools = {
@@ -164,7 +173,8 @@ def fuzzed_flags(rng, tmp_path, state_file):
             flags["--bogus"] = "1"
         else:
             flag = rng.choice(sorted(pools[command]))
-            flags[flag] = rng.choice(pools[command][flag])
+            value = rng.choice(pools[command][flag])
+            flags.update(value if isinstance(value, dict) else {flag: value})
     args = [command]
     for flag, value in flags.items():
         args += [value] if flag == "" else [flag, value]
@@ -172,7 +182,8 @@ def fuzzed_flags(rng, tmp_path, state_file):
 
 
 def run_case(args, capsys, tmp_path):
-    """main(args) under the four assertions; returns the exit code."""
+    """main(args) under the four assertions; returns the exit code and the
+    last line of stderr (the message of a rejection)."""
     try:
         code = main(args)
         usage = False
@@ -186,7 +197,7 @@ def run_case(args, capsys, tmp_path):
         assert len(err.splitlines()) == 1, (args, err)
     # an --out that is tmp_path itself puts its temp file next to it
     assert not [*tmp_path.rglob("*.tmp"), *tmp_path.parent.glob("*.tmp")], args
-    return code
+    return code, err.splitlines()[-1] if err else ""
 
 
 def test_fuzzed_state_documents(tmp_path, capsys):
@@ -196,7 +207,8 @@ def test_fuzzed_state_documents(tmp_path, capsys):
     for _ in range(300):
         raw, has_bool = fuzzed_document(rng)
         path.write_bytes(raw)
-        code = run_case(["state", str(path), "--grid", "2", "--restarts", "1"], capsys, tmp_path)
+        code, _ = run_case(["state", str(path), "--grid", "2", "--restarts", "1"], capsys,
+                           tmp_path)
         assert not (has_bool and code == 0), raw
         codes.add(code)
     assert codes == {0, 1, 2}  # the mutations reach every outcome
@@ -206,12 +218,16 @@ def test_fuzzed_flags(tmp_path, capsys, monkeypatch):
     rng = random.Random(SEED + 1)
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps(BASES[0]))
-    codes = set()
+    codes, messages = set(), set()
     for _ in range(300):
         env = rng.choice((None, "3", "x", "-1", "9" * 33))
         if env is None:
             monkeypatch.delenv("RNL_SEED", raising=False)
         else:
             monkeypatch.setenv("RNL_SEED", env)
-        codes.add(run_case(fuzzed_flags(rng, tmp_path, str(state_file)), capsys, tmp_path))
+        code, message = run_case(fuzzed_flags(rng, tmp_path, str(state_file)), capsys, tmp_path)
+        codes.add(code)
+        messages.add(message)
     assert codes == {0, 1, 2}
+    missed = [c for c in COUNT_CHECKS if not any(c in m for m in messages)]
+    assert not missed, missed  # every count check rejects some case

@@ -77,7 +77,8 @@ def test_partial_trace_rejects_bad_keep():
 
 
 @pytest.mark.parametrize("dims", [(2.9, 1), (2.0, 1), (True, 2), (2, False),
-                                  (2, 1, 1), [1, 1, 2], (2,), 2, None])
+                                  (2, 1, 1), [1, 1, 2], (2,), 2, None,
+                                  (0, 0), (0, 2), (-1, -1)])
 def test_partial_trace_rejects_non_integer_dims(dims):
     for keep in ("A", "B"):
         with pytest.raises(ValueError, match="dims must be two integers"):

@@ -47,6 +47,7 @@ def test_optimizer_config_validation():
     ({"restarts": 2.5}, TypeError),
     ({"theta_points": 2.5}, TypeError),
     ({"theta_points": True}, TypeError),
+    ({"restarts": np.array(5)}, TypeError),
     ({"value_tol": 1e-8}, TypeError),  # a constant, search.VALUE_TOL
 ])
 def test_optimizer_config_rejects_non_integers_and_bad_tolerance(kw, error):

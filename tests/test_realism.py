@@ -309,8 +309,10 @@ def test_reality_components_shapes_checked():
             RealityComponents(weights, sa, sb)
     with pytest.raises(ValueError, match="non-empty"):
         RealityComponents((), (), ())
-    rho = make_reality_state(RealityComponents((0.5, 0.5), (i2, i2), (i3, i3)), m)
-    assert rho.dims == (2, 3)
+    comps = RealityComponents((0.5, 0.5), (i2, i2), (i3, i3))
+    assert make_reality_state(comps, m).dims == (2, 3)
+    # validated, so read-only like every array the package's types hold
+    assert not any(a.flags.writeable for a in (comps.weights, *comps.states_a, *comps.states_b))
 
 
 def test_non_reality_state_detected():

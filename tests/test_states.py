@@ -56,7 +56,7 @@ def test_pure_state_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize("dims", [(1.7, 1), (1, 1.0), (True, 1), (1, False),
-                                  (1,), (1, 1, 1), 1, None, "11"])
+                                  (1,), (1, 1, 1), 1, None, "11", (0, 0), (0, 2), (-1, -1)])
 def test_dims_must_be_two_integers(dims):
     with pytest.raises(ValueError, match="dims must be two integers"):
         DensityMatrix(np.eye(1), dims)
@@ -301,8 +301,17 @@ def test_random_density_rank():
     rho = random_density(2, 2, rank=2, seed=0)
     ev = np.sort(np.linalg.eigvalsh(rho.matrix))
     assert np.all(ev[:2] < 1e-12)
-    with pytest.raises(ValueError):
-        random_density(2, 2, rank=5, seed=0)
+    for rank, error in ((0, ValueError), (5, ValueError), (True, TypeError),
+                        (2.0, TypeError), (np.array(2), TypeError)):
+        with pytest.raises(error, match="rank must be"):
+            random_density(2, 2, rank=rank, seed=0)
+    assert np.array_equal(random_density(2, 2, rank=np.int64(4), seed=0).matrix,
+                          random_density(2, 2, rank=4, seed=0).matrix)
+    for d_a, d_b in ((0, 2), (-1, 2), (2.0, 2)):  # checked before any draw
+        with pytest.raises(ValueError, match="dims must be two integers"):
+            random_pure(d_a, d_b, seed=0)
+        with pytest.raises(ValueError, match="dims must be two integers"):
+            random_density(d_a, d_b, rank=1, seed=0)
 
 
 def test_json_round_trip():
