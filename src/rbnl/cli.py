@@ -90,6 +90,7 @@ def _write_manifest(out_path: str, argv, seed, samples) -> None:
 
 
 def cmd_sweep(args) -> int:
+    check_int("seed", args.seed, 0)
     if not (0.0 <= args.mu_start < args.mu_end <= 1.0):
         raise ValueError(
             f"need 0 <= mu-start < mu-end <= 1, got [{args.mu_start}, {args.mu_end}]")
@@ -171,14 +172,6 @@ def cmd_decay(args) -> int:
     return 0
 
 
-def _default_seed() -> int:
-    env = os.environ.get("RNL_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"RNL_SEED must be an integer, got {env!r}") from None
-
-
 def _int_in(name: str, minimum: int, maximum: int):
     """argparse type: the text of an integer that check_int(name, value,
     minimum, maximum) accepts; its ValueError becomes a usage error."""
@@ -244,10 +237,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args.argv = argv
     if getattr(args, "seed", 0) is None:  # sweep or vol without --seed
+        env = os.environ.get("RNL_SEED", "0")
         try:
-            args.seed = _default_seed()
-        except ValueError as exc:  # a usage error, like a bad --seed
-            print(f"rbnl: {exc}", file=sys.stderr)
+            args.seed = int(env)
+        except ValueError:  # a usage error, like a bad --seed
+            print(f"rbnl: RNL_SEED must be an integer, got {env!r}", file=sys.stderr)
             return 2
     try:
         return args.run(args)

@@ -2,12 +2,13 @@
 observable pairs.
 
 nrb_two_qubit takes one of three routes, in this order (see its docstring).
-A pure state, purity above 1 - PURITY_CUTOFF, takes the Schmidt pair, whose
-drop is the entanglement entropy; nrb_pure gives that value for any
-dimensions. A state with maximally mixed marginals, |a| and |b| at most
-MARGINAL_CUTOFF in the Fano form below (the Werner states among them),
-takes the pair of singular vectors of the smallest singular value of T, in
-closed form. Both return diagnostics None. Every other two-qubit state is
+Two closed forms read one SVD of the correlation matrix T of the Fano form
+below. A pure state, purity above 1 - PURITY_CUTOFF, takes the top singular
+pair of T: the Bloch vectors of the leading Schmidt kets, up to a joint
+sign, whose drop is the entanglement entropy (nrb_pure gives that value for
+any dimensions). A state with maximally mixed marginals, |a| and |b| at
+most MARGINAL_CUTOFF (the Werner states among them), takes the bottom
+singular pair. Both return diagnostics None. Every other two-qubit state is
 searched over sharp qubit observables u.sigma and v.sigma, u and v unit
 Bloch vectors, of the objective
 
@@ -290,12 +291,6 @@ def _result(value, u, v, diagnostics=None) -> NrbResult:
     return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
 
 
-def _bloch(x: np.ndarray) -> np.ndarray:
-    """Bloch vector <x|sigma|x> of a unit qubit ket x."""
-    c = np.conj(x[0]) * x[1]
-    return np.array([2.0 * c.real, 2.0 * c.imag, abs(x[0]) ** 2 - abs(x[1]) ** 2])
-
-
 def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> NrbResult:
     """Maximize the irreality drop over sharp qubit observable pairs.
 
@@ -303,11 +298,12 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 
     - A pure state (pure_state, purity above 1 - PURITY_CUTOFF) takes no
       search: the maximum is the entanglement entropy, attained on the
-      Schmidt bases of the top eigenvector. argmax_u and argmax_v are the
-      Bloch vectors of the leading Schmidt kets. For a state inside the
-      cutoff but not exactly pure, rho = (1 - eps)|psi><psi| + eps sigma,
-      the value is still an attained drop, within O(eps ln eps) of the
-      maximum.
+      Schmidt bases. In the Schmidt frame T = diag(r, -r, 1), r <= 1, so
+      argmax_u and argmax_v, the top singular pair of T, are the Bloch
+      vectors of the leading Schmidt kets up to a joint sign (or any pair
+      of the top singular plane as r -> 1). For a state inside the cutoff
+      but not exactly pure, rho = (1 - eps)|psi><psi| + eps sigma, the
+      value is still an attained drop, within O(eps ln eps) of the maximum.
     - A state with maximally mixed marginals, |a| and |b| at most
       MARGINAL_CUTOFF, takes no search either. Each dephased spectrum then
       depends on one number: S(Phi_u rho) = ln 2 + H(|T^T u|),
@@ -315,31 +311,27 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
       ln 2 + H(u^T T v), with H(x) = h((1 + x)/2) decreasing in |x|. As
       |u^T T v| <= min(|T^T u|, |T v|), the drop is at most
       ln 2 + H(max(|T^T u|, |T v|)) - S(rho) <= ln 2 + H(t_min) - S(rho),
-      t_min the smallest singular value of T, and the pair of singular
-      vectors of t_min attains it (the route of Luo's discord of
-      Bell-diagonal states, Phys. Rev. A 77, 042303, 2008). argmax_u and
-      argmax_v are that pair.
+      t_min the smallest singular value of T, and the bottom singular pair
+      attains it (the route of Luo's discord of Bell-diagonal states,
+      Phys. Rev. A 77, 042303, 2008). argmax_u and argmax_v are that pair.
     - Every other state is searched (see _nrb_search), and cfg applies only
       there.
 
-    The first two routes return the drop evaluated at their pair, with
-    diagnostics None. u and -u are the same observable, so the signs of
-    argmax_u and argmax_v carry no meaning.
+    The first two routes read their pair from one SVD of T and return the
+    drop evaluated there, with diagnostics None. u and -u are the same
+    observable, so the signs of argmax_u and argmax_v carry no meaning.
 
     The search covers every projective observable of a qubit: a PVM on C^2
     is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
     {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
     a, b, t = _fano_parts(rho)
-    psi = pure_state(rho)
-    if psi is not None:
-        dec = schmidt(psi)
-        u, v = _bloch(dec.basis_a[:, 0]), _bloch(dec.basis_b[:, 0])
-    elif max(np.linalg.norm(a), np.linalg.norm(b)) <= MARGINAL_CUTOFF:
-        left, _, right = np.linalg.svd(t)
-        u, v = left[:, -1], right[-1]
-    else:
+    pure = pure_state(rho) is not None
+    if not pure and max(np.linalg.norm(a), np.linalg.norm(b)) > MARGINAL_CUTOFF:
         return _nrb_search(rho, cfg)
+    left, _, right = np.linalg.svd(t)
+    k = 0 if pure else -1
+    u, v = left[:, k], right[k]
     value, _ = _drop_value(a, b, t, rho.entropy(), u[None], v[None])
     return _result(float(value[0]), u, v)
 

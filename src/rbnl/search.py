@@ -132,11 +132,12 @@ class SearchDiagnostics:
     grid_best: the best objective value over the refined start pairs, that
     is at the top-ranked grid pair up to rounding. refined_best: the value
     returned, never below grid_best. evaluations: objective calls of the
-    refinement, each over every restart at once, finished or not. iterations:
-    refinement iterations made; each makes one call. converged: restarts
-    that stopped on the GRAD_TOL or VALUE_TOL test rather than on the
-    iteration cap or on a step damped below float resolution.
-    best_restart: the rank of the start pair whose refinement won.
+    refinement, each over every restart at once, finished or not: one at the
+    start pairs and one per iteration, so always iterations + 1. iterations:
+    refinement iterations made. converged: restarts that stopped on the
+    GRAD_TOL or VALUE_TOL test rather than on the iteration cap or on a step
+    damped below float resolution. best_restart: the rank of the start pair
+    whose refinement won.
     """
 
     grid_best: float
@@ -154,12 +155,13 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     the Euclidean gradients (m, 3) with respect to u and v, and the
     Euclidean Hessian (m, 6, 6) with respect to (u, v). Returns the final
     u, v and values, no value below its start, and the start values, the
-    objective calls, the iterations and the number of converged restarts.
+    iterations and the number of converged restarts. The objective is
+    called once at the starts and once per iteration.
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)
     f, tangent, normal, h = _evaluate(objective, x)
-    start, calls, iterations = f.copy(), 1, 0
+    start, iterations = f.copy(), 0
     lam = np.full(m, LM_START)
     converged = _stationary(tangent)
     active = ~converged
@@ -170,7 +172,6 @@ def refine(objective, u, v, cfg: OptimizerConfig):
         y = x + np.einsum("mij,mj->mi", q, coef).reshape(m, 2, 3)
         x1 = y / np.sqrt((y * y).sum(axis=2, keepdims=True))
         f1, tangent1, normal1, h1 = _evaluate(objective, x1)
-        calls += 1
         up = active & (f1 >= f)  # a step is taken only if the value does not drop
         done = up & ((f1 - f < VALUE_TOL) | _stationary(tangent1))
         rows = up[:, None, None]
@@ -182,17 +183,15 @@ def refine(objective, u, v, cfg: OptimizerConfig):
         lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
         converged |= done
         active &= ~done & (lam <= LM_MAX)
-    return x[:, 0], x[:, 1], f, (start, calls, iterations, int(np.count_nonzero(converged)))
+    return x[:, 0], x[:, 1], f, (start, iterations, int(np.count_nonzero(converged)))
 
 
 def _top(flat, k):
     """The first k of np.argsort(-flat, kind="stable"): the k largest
-    entries, ties to the lower index, without sorting the whole table."""
-    if k < flat.size:
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
-        cand = np.flatnonzero(flat >= kth)
-    else:
-        cand = np.arange(flat.size)
+    entries, ties to the lower index, without sorting the whole table. flat
+    holds no NaN; k >= flat.size keeps every entry."""
+    i = max(flat.size - k, 0)
+    cand = np.flatnonzero(flat >= np.partition(flat, i)[i])
     return cand[np.argsort(-flat[cand], kind="stable")[:k]]
 
 
@@ -203,8 +202,8 @@ def grid_refine(table, dirs, objective, cfg: OptimizerConfig):
     objective, and the result is never below its value at the top-ranked
     grid pair."""
     iu, iv = np.divmod(_top(table.ravel(), cfg.restarts), len(dirs))
-    u, v, f, (start, calls, iterations, converged) = refine(objective, dirs[iu], dirs[iv], cfg)
+    u, v, f, (start, iterations, converged) = refine(objective, dirs[iu], dirs[iv], cfg)
     k = int(np.argmax(f))
-    diagnostics = SearchDiagnostics(float(start.max()), float(f[k]), calls,
+    diagnostics = SearchDiagnostics(float(start.max()), float(f[k]), iterations + 1,
                                     iterations, converged, k)
     return float(f[k]), u[k], v[k], diagnostics

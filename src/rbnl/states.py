@@ -22,12 +22,8 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
 BLOCH_TOL = 1e-12
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-for _p in PAULIS:
-    _p.setflags(write=False)
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # x, y, z
+PAULIS.setflags(write=False)
 
 
 def _freeze(obj, **fields):
@@ -159,7 +155,7 @@ class BlochVector:
     def dot_sigma(self) -> np.ndarray:
         """The observable u . sigma as a 2x2 matrix."""
         x, y, z = self.components
-        return x * PAULI_X + y * PAULI_Y + z * PAULI_Z
+        return x * PAULIS[0] + y * PAULIS[1] + z * PAULIS[2]
 
 
 def singlet() -> PureState:
@@ -208,17 +204,11 @@ def qutrit_family(gamma: float) -> PureState:
     return PureState(v / np.linalg.norm(v), (3, 3))
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_pure(d_a: int, d_b: int, seed) -> PureState:
     """Rotation-invariant random pure state: complex standard normal
     components, normalized. Deterministic per seed."""
     d_a, d_b = check_dims((d_a, d_b))
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = d_a * d_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(v / np.linalg.norm(v), (d_a, d_b))
@@ -229,7 +219,7 @@ def random_density(d_a: int, d_b: int, rank: int, seed) -> DensityMatrix:
     d_a, d_b = check_dims((d_a, d_b))
     n = d_a * d_b
     rank = check_int("rank", rank, 1, n)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     w = rng.random(rank)
     w /= w.sum()
     m = np.zeros((n, n), dtype=complex)

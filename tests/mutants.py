@@ -1,0 +1,181 @@
+"""Mutation checks of the package's guards: each mutant breaks one check in a
+copy of the tree, and the tests it names must then fail within its budget.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named mutants only
+
+A mutant gives a file, an exact text that occurs in it once, its
+replacement, the pytest ids to run, of which one must fail, and a budget in
+seconds. For each
+mutant the runner copies src, tests, demos and pyproject.toml to a temporary
+directory, applies the mutant there and runs the named tests in a pytest
+subprocess (stopping at the first failure) under the budget. It prints each
+mutant as killed (a test failed), survived (the tests passed), timed out, or
+error (the text was not found once, or pytest could not run the tests), with
+its wall time, and exits 1 unless every mutant was killed.
+
+The budgets hold because a test that sends a count over a cap patches the
+work behind that cap to fail (see guard_caps in test_cli_fuzz.py), so a
+broken cap fails in seconds instead of running the work it let through.
+pytest does not collect this file: its name does not start with test_.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple  # pytest ids, relative to the repository root; one must fail
+    budget: float = 60.0  # seconds for the whole pytest run
+
+
+BELL, CLI, CLOSED = "src/rbnl/bell.py", "src/rbnl/cli.py", "src/rbnl/closed_forms.py"
+LINALG, STATES = "src/rbnl/linalg.py", "src/rbnl/states.py"
+FUZZ = "tests/test_cli_fuzz.py::test_fuzzed_flags"
+STEPS = "tests/test_cli.py::test_steps_out_of_range"
+SEARCH_FLAGS = "tests/test_cli.py::test_state_rejects_bad_search_flags"
+VOL_WORKERS = "tests/test_cli.py::test_vol_rejects_bad_workers"
+SAMPLES = "tests/test_cli.py::test_samples_over_cap_rejected_before_any_draw"
+DENSITY = "tests/test_states.py::test_density_matrix_validation"
+
+MUTANTS = (
+    # the filtered Monte Carlo counter recounts nothing
+    Mutant("margin-zero", BELL, "\nMARGIN = 1e-4", "\nMARGIN = 0.0",
+           ("tests/test_bell.py::test_filtered_angles_counts_equal_float64_kernel",)),
+    # the entropy's rejection names min(v), which skips a NaN
+    Mutant("entropy-nan-search", LINALG,
+           "lo = math.nan if any(map(math.isnan, v)) else min(v)", "lo = min(v)",
+           ("tests/test_linalg.py::test_entropy_from_eigenvalues",)),
+    Mutant("entropy-ln-n-clamp", LINALG,
+           "return min(s, math.log(len(v))) if s > 0.0 else 0.0",
+           "return s if s > 0.0 else 0.0",
+           ("tests/test_linalg.py::test_entropy_from_eigenvalues",
+            "tests/test_states.py::test_entropy_equals_von_neumann_entropy_bit_for_bit")),
+    # check_int: the bool test, the Integral test and the upper bound
+    Mutant("check-int-bool", CLOSED, "(isinstance(value, bool)\n", "(False\n",
+           ("tests/test_linalg.py::test_partial_trace_rejects_non_integer_dims",
+            "tests/test_bell.py::test_nvol_mc_rejects_bad_workers")),
+    Mutant("check-int-integral", CLOSED, "not isinstance(value, numbers.Integral)",
+           "not hasattr(value, '__index__')",
+           ("tests/test_bell.py::test_nvol_mc_rejects_bad_workers",)),
+    Mutant("check-int-upper-bound", CLOSED, "if maximum is not None and value > maximum:",
+           "if False:",
+           (STEPS, VOL_WORKERS, SEARCH_FLAGS, "tests/test_states.py::test_random_density_rank",
+            FUZZ), budget=30.0),
+    Mutant("check-dims-minimum", LINALG,
+           'check_int("d_a", dims[0], 1), check_int("d_b", dims[1], 1)',
+           'check_int("d_a", dims[0], -9), check_int("d_b", dims[1], -9)',
+           ("tests/test_states.py::test_dims_must_be_two_integers",
+            "tests/test_states.py::test_random_density_rank")),
+    Mutant("reality-components-unfrozen", "src/rbnl/realism.py",
+           "_freeze(self, weights=w, states_a=sa, states_b=sb)",
+           '_freeze(self, weights=w); object.__setattr__(self, "states_a", sa); '
+           'object.__setattr__(self, "states_b", sb)',
+           ("tests/test_realism.py::test_reality_components_shapes_checked",)),
+    # one per cap, and the sweep's total draws
+    Mutant("sweep-budget", CLI, "if args.steps * args.samples > MAX_SAMPLES:", "if False:",
+           ("tests/test_cli.py::test_sweep_over_budget_rejected_before_any_draw", FUZZ),
+           budget=30.0),
+    Mutant("vol-samples-cap", CLI, 'check_int("samples", args.samples, 1, MAX_SAMPLES)',
+           'check_int("samples", args.samples, 1)', (SAMPLES, FUZZ)),
+    Mutant("sweep-samples-cap", CLI, '_int_in("samples", 0, MAX_SAMPLES)',
+           '_int_in("samples", 0, None)', (SAMPLES,)),
+    Mutant("sweep-steps-cap", CLI,
+           'check_int("steps", args.steps, 2, MAX_STEPS)\n    if args.steps',
+           'check_int("steps", args.steps, 2)\n    if args.steps', (STEPS,)),
+    Mutant("decay-steps-cap", CLI,
+           'check_int("steps", args.steps, 2, MAX_STEPS)\n    ts =',
+           'check_int("steps", args.steps, 2)\n    ts =', (STEPS, FUZZ)),
+    Mutant("grid-cap", CLI, '_int_in("grid", 1, MAX_GRID)', '_int_in("grid", 1, None)',
+           (SEARCH_FLAGS, FUZZ)),
+    Mutant("restarts-cap", CLI, '_int_in("restarts", 1, MAX_RESTARTS)',
+           '_int_in("restarts", 1, None)', ("tests/test_cli.py::test_restarts_cap", FUZZ)),
+    Mutant("workers-cap", CLI, '_int_in("workers", 1, MAX_WORKERS)',
+           '_int_in("workers", 1, None)', (VOL_WORKERS, FUZZ)),
+    Mutant("nvol-mc-workers-cap", BELL, 'check_int("workers", workers, 1, MAX_WORKERS)',
+           'check_int("workers", workers, 1)',
+           ("tests/test_bell.py::test_nvol_mc_rejects_bad_workers",)),
+    # the three guards of DensityMatrix
+    Mutant("density-hermitian", STATES, 'check_hermitian(m, "density matrix")', "pass",
+           (DENSITY,)),
+    Mutant("density-trace", STATES, "if not abs(tr - 1.0) <= TRACE_TOL:", "if False:",
+           (DENSITY,)),
+    Mutant("density-psd", STATES, "if ev[0] < -PSD_TOL:", "if False:", (DENSITY,)),
+    # a negative sweep seed
+    Mutant("sweep-seed", CLI, '    check_int("seed", args.seed, 0)\n', "",
+           ("tests/test_cli.py::test_vol_negative_seed",)),
+    # a pure state takes the bottom singular pair of T, not the top one
+    Mutant("pure-pair", "src/rbnl/nonlocality.py", "k = 0 if pure else -1", "k = -1",
+           ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),
+)
+
+
+def run(mutant: Mutant, tree: Path) -> tuple[str, str]:
+    """Apply mutant to a fresh copy of the tree at tree and run its tests:
+    (status, the last lines of pytest's output)."""
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        else:
+            shutil.copy2(ROOT / name, tree / name)
+    target = tree / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return "error", f"{mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+    # a session of its own, so that a timeout ends any child of pytest too
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        out = proc.communicate(timeout=mutant.budget)[0]
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        return "timed out", proc.communicate()[0]
+    tail = "\n".join(out.strip().splitlines()[-3:])
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), tail
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="rbnl-mutants-") as tmp:
+        for mutant in chosen:
+            tree = Path(tmp) / mutant.name
+            t0 = time.perf_counter()
+            status, tail = run(mutant, tree)
+            print(f"{status:9s} {time.perf_counter() - t0:6.1f} s  (budget {mutant.budget:g} s)"
+                  f"  {mutant.name}", flush=True)
+            if status != "killed":
+                failed += 1
+                print("    " + tail.replace("\n", "\n    "), flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

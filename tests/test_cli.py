@@ -289,8 +289,12 @@ def test_state_has_no_seed(tmp_path, capsys, monkeypatch):
     *((value, flag) for flag in ("--grid", "--restarts") for value in ("0", "-3", "two")),
     (str(MAX_GRID + 1), "--grid"),  # a larger pair table could exhaust memory
 ])
-def test_state_rejects_bad_search_flags(tmp_path, capsys, flag, value):
-    # a usage error for pure inputs, which never search, and mixed ones alike
+def test_state_rejects_bad_search_flags(tmp_path, capsys, monkeypatch, flag, value):
+    # a usage error for pure inputs, which never search, and mixed ones alike;
+    # neither route runs, so a broken cap fails here at once
+    for route in ("nrb_two_qubit", "nrb_pure"):
+        monkeypatch.setattr(f"rbnl.nonlocality.{route}",
+                            lambda *a, route=route: pytest.fail(f"{route} ran"))
     for name, rho in (("pure", singlet().density()), ("mixed", werner(0.5))):
         path = tmp_path / f"{name}.json"
         save_state(rho, path)
@@ -324,11 +328,23 @@ def test_vol_invalid_mu(capsys):
     assert code == 1
 
 
-def test_vol_negative_seed(capsys):
-    code, out, err = run(["vol", "--mu", "0.9", "--samples", "1000", "--seed", "-1"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.strip() == "rbnl: seed must be >= 0, got -1"
+def test_vol_negative_seed(tmp_path, capsys, monkeypatch):
+    # from --seed or RNL_SEED, vol and sweep alike (with or without samples):
+    # exit 1, one line, and no file written
+    vol = ["vol", "--mu", "0.9", "--samples", "1000"]
+    sweep = ["sweep", "--steps", "3", "--out", str(tmp_path / "a.csv")]
+    for args, env, seed in ((vol + ["--seed", "-1"], None, -1), (vol, "-5", -5),
+                            (sweep + ["--seed", "-1"], None, -1), (sweep, "-5", -5),
+                            (sweep + ["--samples", "10", "--seed", "-1"], None, -1)):
+        if env is None:
+            monkeypatch.delenv("RNL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RNL_SEED", env)
+        code, out, err = run(args, capsys)
+        assert code == 1, args
+        assert out == ""
+        assert err.strip() == f"rbnl: seed must be >= 0, got {seed}"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_vol_bad_seed_env(capsys, monkeypatch):
@@ -409,7 +425,8 @@ def test_restarts_cap(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "two", str(MAX_WORKERS + 1)])
-def test_vol_rejects_bad_workers(capsys, workers):
+def test_vol_rejects_bad_workers(capsys, monkeypatch, workers):
+    monkeypatch.setattr("rbnl.bell.nvol_mc", lambda *a, **k: pytest.fail("sampled"))
     with pytest.raises(SystemExit) as exc:
         main(["vol", "--mu", "0.9", "--samples", "1000", "--workers", workers])
     assert exc.value.code == 2
@@ -544,8 +561,9 @@ def test_decay_grid_is_numpy_linspace(tmp_path, capsys, t_max, steps):
 
 @pytest.mark.parametrize("command", ["sweep", "decay"])
 @pytest.mark.parametrize("steps", [10**12, MAX_STEPS + 1, 1])
-def test_steps_out_of_range(tmp_path, capsys, command, steps):
-    # rejected before anything is allocated or written
+def test_steps_out_of_range(tmp_path, capsys, monkeypatch, command, steps):
+    # rejected before anything is allocated or written: the grid is never built
+    monkeypatch.setattr("rbnl.cli.linspace", lambda *a: pytest.fail("grid built"))
     code, out, err = run([command, "--steps", str(steps),
                           "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1

@@ -7,7 +7,8 @@ left behind. A document with a cell value true or false is never answered,
 and every count check of the flags rejects at least one flag set.
 Sizes stay small: nesting depth at most MAX_DEPTH, a few Monte Carlo samples
 (larger counts only past the cap, which is checked before any draw), a few CSV
-rows.
+rows. The work behind each cap refuses a count over it (see guard_caps), so a
+broken cap fails the flag fuzz at once instead of running it.
 """
 import json
 import math
@@ -15,7 +16,10 @@ import random
 
 import pytest
 
-from rbnl.cli import main
+import rbnl.bell
+import rbnl.cli
+import rbnl.nonlocality
+from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
 
 SEED = 2015
 MAX_DEPTH = 10**4
@@ -214,12 +218,47 @@ def test_fuzzed_state_documents(tmp_path, capsys):
     assert codes == {0, 1, 2}  # the mutations reach every outcome
 
 
+def guard_caps(monkeypatch):
+    """Wrap the work behind every count cap so that a count over its cap
+    raises an AssertionError naming the cap before any work is done: the CSV
+    grid (MAX_STEPS), the sampler (MAX_SAMPLES, MAX_WORKERS and a sweep's
+    total draws, steps x samples) and the search (MAX_GRID, MAX_RESTARTS).
+    Returns the one-element list of the last grid's rows, which the caller
+    resets to 1 before each case: a sweep draws samples on each row."""
+    rows = [1]
+    linspace, nvol_mc = rbnl.cli.linspace, rbnl.bell.nvol_mc
+    nrb_two_qubit = rbnl.nonlocality.nrb_two_qubit
+
+    def grid(start, stop, steps):
+        assert steps <= MAX_STEPS, f"steps {steps} over MAX_STEPS"
+        rows[0] = steps
+        return linspace(start, stop, steps)
+
+    def sampler(mu, cfg, workers=1):
+        assert cfg.n <= MAX_SAMPLES, f"samples {cfg.n} over MAX_SAMPLES"
+        assert rows[0] * cfg.n <= MAX_SAMPLES, f"sweep draws {rows[0]} x {cfg.n} over MAX_SAMPLES"
+        assert workers <= MAX_WORKERS, f"workers {workers} over MAX_WORKERS"
+        return nvol_mc(mu, cfg, workers=workers)
+
+    def search(rho, cfg):
+        assert cfg.theta_points <= MAX_GRID, f"grid {cfg.theta_points} over MAX_GRID"
+        assert cfg.restarts <= MAX_RESTARTS, f"restarts {cfg.restarts} over MAX_RESTARTS"
+        return nrb_two_qubit(rho, cfg)
+
+    monkeypatch.setattr(rbnl.cli, "linspace", grid)
+    monkeypatch.setattr(rbnl.bell, "nvol_mc", sampler)
+    monkeypatch.setattr(rbnl.nonlocality, "nrb_two_qubit", search)
+    return rows
+
+
 def test_fuzzed_flags(tmp_path, capsys, monkeypatch):
     rng = random.Random(SEED + 1)
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps(BASES[0]))
+    rows = guard_caps(monkeypatch)
     codes, messages = set(), set()
     for _ in range(300):
+        rows[0] = 1
         env = rng.choice((None, "3", "x", "-1", "9" * 33))
         if env is None:
             monkeypatch.delenv("RNL_SEED", raising=False)

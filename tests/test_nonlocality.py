@@ -241,10 +241,22 @@ def test_nrb_two_qubit_product_state_is_zero():
     assert 0.0 <= res.value < 1e-8
 
 
+def ket_bloch(x):
+    """Bloch vector <x|sigma|x> of a unit qubit ket x."""
+    c = np.conj(x[0]) * x[1]
+    return np.array([2.0 * c.real, 2.0 * c.imag, abs(x[0]) ** 2 - abs(x[1]) ** 2])
+
+
 def test_pure_states_take_the_schmidt_pair():
+    # random pure states, and cos t |00> + sin t |11> under random local
+    # unitaries with t = pi/4 - delta, up to the maximally entangled delta = 0
     rng = np.random.default_rng(40)
-    for _ in range(20):
-        psi = random_pure(2, 2, seed=rng)
+    states = [random_pure(2, 2, seed=rng) for _ in range(20)]
+    for delta in (1e-1, 1e-3, 1e-6, 1e-9, 0.0):
+        t = math.pi / 4 - delta
+        local = np.kron(haar_unitary(rng), haar_unitary(rng))
+        states.append(PureState(local @ np.array([math.cos(t), 0, 0, math.sin(t)]), (2, 2)))
+    for psi in states:
         rho = psi.density()
         res = nrb_two_qubit(rho)
         assert res.diagnostics is None  # no search ran
@@ -252,6 +264,14 @@ def test_pure_states_take_the_schmidt_pair():
         di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
                              LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
         assert abs(di - res.value) < 1e-12
+        dec = schmidt(psi)
+        if dec.coefficients[0] - dec.coefficients[1] >= 0.1:
+            # the Bloch vectors of the leading Schmidt kets, one sign for both
+            u, v = res.argmax_u.components, res.argmax_v.components
+            bloch_a, bloch_b = ket_bloch(dec.basis_a[:, 0]), ket_bloch(dec.basis_b[:, 0])
+            sign = np.sign(u @ bloch_a)
+            assert np.abs(u - sign * bloch_a).max() < 1e-12
+            assert np.abs(v - sign * bloch_b).max() < 1e-12
 
 
 def test_pure_product_and_bell_states():
