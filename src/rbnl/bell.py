@@ -87,7 +87,7 @@ class McEstimate:
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], so that the correlator
     Tr[rho (u.sigma (x) v.sigma)] is u . T v. fano_form rejects other dims."""
-    return fano_form(rho)[1:, 1:]
+    return fano_form(rho)[2]
 
 
 def nmax_numeric(rho: DensityMatrix) -> float:

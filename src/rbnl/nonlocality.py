@@ -279,11 +279,6 @@ def _drop_objective(a, b, t, s_rho):
     return objective
 
 
-def _fano_parts(rho: DensityMatrix):
-    fano = fano_form(rho)  # rejects dims other than (2, 2)
-    return fano[1:, 0], fano[0, 1:], fano[1:, 1:]
-
-
 def _result(value, u, v, diagnostics=None) -> NrbResult:
     u = u / np.linalg.norm(u) + 0.0  # so no -0.0 reaches the printed argmax
     v = v / np.linalg.norm(v) + 0.0
@@ -325,7 +320,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     is either a pair of rank-1 projectors (I +- u.sigma)/2 or the trivial
     {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
-    a, b, t = _fano_parts(rho)
+    a, b, t = fano_form(rho)  # rejects dims other than (2, 2)
     pure = pure_state(rho) is not None
     if not pure and max(np.linalg.norm(a), np.linalg.norm(b)) > MARGINAL_CUTOFF:
         return _nrb_search(rho, cfg)
@@ -345,13 +340,12 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     pairs are refined as one batch with the analytic Hessian (see
     rbnl.search). The returned value never falls below the grid maximum.
     """
-    a, b, t = _fano_parts(rho)
+    a, b, t = fano_form(rho)
     s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     table = _pair_table(a, b, t, dirs)
     table -= s_rho
-    value, u, v, diagnostics = grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg)
-    return _result(value, u, v, diagnostics)
+    return _result(*grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

@@ -22,8 +22,9 @@ no part along them. The step is Q diag(1 / (|w| + lambda)) Q^T P g for the
 eigenpairs (w, Q) of minus that Hessian, an ascent direction for any
 lambda > 0, and the trial point is (normalize(u + step_u),
 normalize(v + step_v)). Each iteration makes one objective call, at the
-trial points of every row; a row takes its trial point, with its gradient
-and Hessian, only while it is unfinished and the value does not drop.
+trial points of every row, and forms the tangent gradients and Riemannian
+Hessians there; a row takes its trial point, with that gradient and
+Hessian, only while it is unfinished and the value does not drop.
 """
 from __future__ import annotations
 
@@ -101,23 +102,17 @@ def sphere_grid(theta_points: int, phi_points: int) -> np.ndarray:
 
 def _evaluate(objective, x):
     """The objective at the rows of x (m, 2, 3): values (m,), the tangent
-    gradients (I - x x^T) g on each sphere (m, 2, 3), the normal parts x.g
-    (m, 2) of the Euclidean gradients g, and the Euclidean Hessian (m, 6, 6)."""
+    gradients P g (m, 2, 3) and the Riemannian Hessian
+    P H P - diag((u.g_u) I, (v.g_v) I) P (m, 6, 6), with
+    P = diag(I - u u^T, I - v v^T), g the Euclidean gradients and H the
+    Euclidean Hessian."""
     f, gu, gv, h = objective(x[:, 0], x[:, 1])
     g = np.empty_like(x)
     g[:, 0], g[:, 1] = gu, gv
     normal = (x * g).sum(axis=2)
     g -= normal[..., None] * x
-    return f, g, normal, h
-
-
-def _projected_hessian(x, normal, h):
-    """The Riemannian Hessian at the rows of x (m, 2, 3) as a 6 x 6 matrix,
-    P H P - diag((u.g_u) I, (v.g_v) I) P with P = diag(I - u u^T, I - v v^T),
-    from the normal parts x.g (m, 2) and the Euclidean Hessian h."""
-    flat = x.reshape(len(x), 6)
-    p = EYE6 - BLOCKS * flat[:, :, None] * flat[:, None, :]
-    return p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p
+    p = EYE6 - BLOCKS * x.reshape(-1, 6, 1) * x.reshape(-1, 1, 6)
+    return f, g, p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p
 
 
 def _stationary(tangent):
@@ -156,29 +151,28 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     Euclidean Hessian (m, 6, 6) with respect to (u, v). Returns the final
     u, v and values, no value below its start, and the start values, the
     iterations and the number of converged restarts. The objective is
-    called once at the starts and once per iteration.
+    called once at the starts and once per iteration. Each row carries its
+    point, value, tangent gradient and Riemannian Hessian (see _evaluate);
+    a refused step keeps all four, and the next step reads that Hessian.
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)
-    f, tangent, normal, h = _evaluate(objective, x)
+    f, tangent, hess = _evaluate(objective, x)
     start, iterations = f.copy(), 0
     lam = np.full(m, LM_START)
     converged = _stationary(tangent)
     active = ~converged
     while iterations < cfg.refine_iterations and active.any():
         iterations += 1
-        w, q = np.linalg.eigh(-_projected_hessian(x, normal, h))
+        w, q = np.linalg.eigh(-hess)
         coef = np.einsum("mji,mj->mi", q, tangent.reshape(m, 6)) / (np.abs(w) + lam[:, None])
         y = x + np.einsum("mij,mj->mi", q, coef).reshape(m, 2, 3)
         x1 = y / np.sqrt((y * y).sum(axis=2, keepdims=True))
-        f1, tangent1, normal1, h1 = _evaluate(objective, x1)
+        f1, tangent1, hess1 = _evaluate(objective, x1)
         up = active & (f1 >= f)  # a step is taken only if the value does not drop
         done = up & ((f1 - f < VALUE_TOL) | _stationary(tangent1))
-        rows = up[:, None, None]
-        np.copyto(x, x1, where=rows)
-        np.copyto(tangent, tangent1, where=rows)
-        np.copyto(h, h1, where=rows)
-        np.copyto(normal, normal1, where=up[:, None])
+        for old, new in ((x, x1), (tangent, tangent1), (hess, hess1)):
+            np.copyto(old, new, where=up[:, None, None])
         np.copyto(f, f1, where=up)
         lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
         converged |= done

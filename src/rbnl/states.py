@@ -173,16 +173,18 @@ def werner(mu: float) -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
-def fano_form(rho: DensityMatrix) -> np.ndarray:
-    """Real 4x4 R with R[i, j] = Tr[rho (s_i (x) s_j)], s_0 = I and s_1..3
-    the Paulis, so that rho = sum_ij R[i, j] s_i (x) s_j / 4 (Fano, Rev. Mod.
-    Phys. 55, 855, 1983). R[1:, 0] is the Bloch vector a of A, R[0, 1:] the
-    Bloch vector b of B and R[1:, 1:] the correlation matrix T."""
+def fano_form(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Fano form (a, b, T) of a two-qubit state (Fano, Rev. Mod. Phys.
+    55, 855, 1983): rho = (I + a.sigma (x) I + I (x) b.sigma
+    + sum_ij T_ij sigma_i (x) sigma_j) / 4, with the Bloch vectors
+    a_i = Tr[rho (sigma_i (x) I)] of A and b_j = Tr[rho (I (x) sigma_j)] of B
+    and the correlation matrix T_ij = Tr[rho (sigma_i (x) sigma_j)]. All
+    three come from one real 4x4 table of Tr[rho (s_i (x) s_j)], s_0 = I."""
     if rho.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {rho.dims}")
     basis = np.stack([np.eye(2), *PAULIS])
-    return np.einsum("ikjl,aji,blk->ab", rho.matrix.reshape(2, 2, 2, 2),
-                     basis, basis).real
+    r = np.einsum("ikjl,aji,blk->ab", rho.matrix.reshape(2, 2, 2, 2), basis, basis).real
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
 def bloch_pvm(u: BlochVector) -> PVM:

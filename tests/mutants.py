@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 
 
 BELL, CLI, CLOSED = "src/rbnl/bell.py", "src/rbnl/cli.py", "src/rbnl/closed_forms.py"
-LINALG, STATES = "src/rbnl/linalg.py", "src/rbnl/states.py"
+LINALG, SEARCH, STATES = "src/rbnl/linalg.py", "src/rbnl/search.py", "src/rbnl/states.py"
 FUZZ = "tests/test_cli_fuzz.py::test_fuzzed_flags"
 STEPS = "tests/test_cli.py::test_steps_out_of_range"
 SEARCH_FLAGS = "tests/test_cli.py::test_state_rejects_bad_search_flags"
@@ -97,7 +97,7 @@ MUTANTS = (
            '_int_in("samples", 0, None)', (SAMPLES,)),
     Mutant("sweep-steps-cap", CLI,
            'check_int("steps", args.steps, 2, MAX_STEPS)\n    if args.steps',
-           'check_int("steps", args.steps, 2)\n    if args.steps', (STEPS,)),
+           'check_int("steps", args.steps, 2)\n    if args.steps', (STEPS, FUZZ)),
     Mutant("decay-steps-cap", CLI,
            'check_int("steps", args.steps, 2, MAX_STEPS)\n    ts =',
            'check_int("steps", args.steps, 2)\n    ts =', (STEPS, FUZZ)),
@@ -118,10 +118,19 @@ MUTANTS = (
     Mutant("density-psd", STATES, "if ev[0] < -PSD_TOL:", "if False:", (DENSITY,)),
     # a negative sweep seed
     Mutant("sweep-seed", CLI, '    check_int("seed", args.seed, 0)\n', "",
-           ("tests/test_cli.py::test_vol_negative_seed",)),
+           ("tests/test_cli.py::test_vol_negative_seed", FUZZ)),
     # a pure state takes the bottom singular pair of T, not the top one
     Mutant("pure-pair", "src/rbnl/nonlocality.py", "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),
+    # refine takes every step, also one that lowers the value
+    Mutant("refine-accept-any", SEARCH, "up = active & (f1 >= f)", "up = active",
+           ("tests/test_search.py::test_diagnostics_describe_the_search",
+            "tests/test_search.py::test_search_path_is_pinned")),
+    # the Riemannian Hessian loses the curvature term of the spheres
+    Mutant("hessian-curvature", SEARCH,
+           "p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p", "p @ h @ p",
+           ("tests/test_search.py::test_projected_hessian_matches_finite_differences",
+            "tests/test_search.py::test_search_path_is_pinned")),
 )
 
 

@@ -136,13 +136,22 @@ SAMPLES = ("0", "1", "2", "-1", "x", "", "1000000001", "9" * 16)
 # steps x samples is over the budget, also rejected before any draw. It comes
 # with a valid mu range, which is checked first
 SWEEP_SAMPLES = (*SAMPLES, {"--samples": "1000000000", "--mu-start": "0", "--mu-end": "0.5"})
+# a sweep's --steps past MAX_STEPS, with the seed and the mu range that are
+# checked before it valid
+SWEEP_STEPS = (*INTS, {"--steps": str(MAX_STEPS + 1), "--seed": "0", "--mu-start": "0",
+                       "--mu-end": "0.5"})
 SEEDS = ("0", "7", "-1", "9" * 33, "x", "1.5")
-# the start of each count check's rejection: one-line errors (exit 1) begin
-# "rbnl: ", usage errors name the flag
-COUNT_CHECKS = ("rbnl: steps must be", "rbnl: samples must be",
-                "argument --samples: samples must be", "rbnl: steps x samples must be",
-                "argument --grid: grid must be", "argument --restarts: restarts must be",
-                "argument --workers: workers must be", "rbnl: seed must be")
+# each subcommand with the start of each of its count checks' rejections:
+# one-line errors (exit 1) begin "rbnl: ", usage errors name the flag. A
+# steps check must reject over its cap, MAX_STEPS, not only under 2
+COUNT_CHECKS = (("sweep", "rbnl: steps must be <="), ("decay", "rbnl: steps must be <="),
+                ("vol", "rbnl: samples must be"),
+                ("sweep", "argument --samples: samples must be"),
+                ("sweep", "rbnl: steps x samples must be"),
+                ("state", "argument --grid: grid must be"),
+                ("state", "argument --restarts: restarts must be"),
+                ("vol", "argument --workers: workers must be"),
+                ("sweep", "rbnl: seed must be"), ("vol", "rbnl: seed must be"))
 
 
 def fuzzed_flags(rng, tmp_path, state_file):
@@ -152,7 +161,7 @@ def fuzzed_flags(rng, tmp_path, state_file):
     outs = (str(tmp_path / "o.csv"), str(tmp_path), str(tmp_path / "missing" / "o.csv"),
             "", str(tmp_path / ("x" * 300)))
     pools = {
-        "sweep": {"--mu-start": FLOATS, "--mu-end": FLOATS, "--steps": INTS,
+        "sweep": {"--mu-start": FLOATS, "--mu-end": FLOATS, "--steps": SWEEP_STEPS,
                   "--samples": SWEEP_SAMPLES, "--seed": SEEDS, "--out": outs},
         "vol": {"--mu": FLOATS, "--samples": SAMPLES, "--seed": SEEDS,
                 "--method": ("angles", "xyz", "bogus", ""),
@@ -264,9 +273,11 @@ def test_fuzzed_flags(tmp_path, capsys, monkeypatch):
             monkeypatch.delenv("RNL_SEED", raising=False)
         else:
             monkeypatch.setenv("RNL_SEED", env)
-        code, message = run_case(fuzzed_flags(rng, tmp_path, str(state_file)), capsys, tmp_path)
+        args = fuzzed_flags(rng, tmp_path, str(state_file))
+        code, message = run_case(args, capsys, tmp_path)
         codes.add(code)
-        messages.add(message)
+        messages.add((args[0], message))
     assert codes == {0, 1, 2}
-    missed = [c for c in COUNT_CHECKS if not any(c in m for m in messages)]
+    missed = [c for c in COUNT_CHECKS
+              if not any(cmd == c[0] and c[1] in m for cmd, m in messages)]
     assert not missed, missed  # every count check rejects some case

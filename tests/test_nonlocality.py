@@ -146,7 +146,7 @@ def rotated_bell_diagonal(rng, floor=0.0):
 def zero_marginal_closed_form(rho, pick=min):
     """ln 2 + h((1 + t_min)/2) - S(rho) from the singular values of T, in nats;
     pick=max puts t_max in place of t_min."""
-    t = pick(np.linalg.svd(fano_form(rho)[1:, 1:], compute_uv=False))
+    t = pick(np.linalg.svd(fano_form(rho)[2], compute_uv=False))
     p = np.array([(1 + t) / 2, (1 - t) / 2])
     p = p[p > 0]
     return LN2 - float((p * np.log(p)).sum()) - von_neumann_entropy(rho.matrix)
@@ -154,7 +154,7 @@ def zero_marginal_closed_form(rho, pick=min):
 
 def svd_pair_drop(rho):
     """The drop, through 4x4 dephasings, at the singular vectors of t_min."""
-    left, _, right = np.linalg.svd(fano_form(rho)[1:, 1:])
+    left, _, right = np.linalg.svd(fano_form(rho)[2])
     return delta_irreality(LocalPVM(bloch_pvm(BlochVector(left[:, -1])), "A"),
                            LocalPVM(bloch_pvm(BlochVector(right[-1])), "B"), rho)
 
@@ -199,7 +199,7 @@ def test_marginal_cutoff_dispatch(side):
         op = np.kron(local, np.eye(2)) if side == 0 else np.kron(np.eye(2), local)
         for norm in (0.5 * MARGINAL_CUTOFF, 1e-6):
             tilted = DensityMatrix(rho.matrix + norm * op / 4, (2, 2))
-            marginal = fano_form(tilted)[1:, 0] if side == 0 else fano_form(tilted)[0, 1:]
+            marginal = fano_form(tilted)[side]
             assert abs(np.linalg.norm(marginal) - norm) < 1e-15
             res = nrb_two_qubit(tilted)
             if norm <= MARGINAL_CUTOFF:

@@ -17,7 +17,7 @@ import rbnl.nonlocality
 from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
                               nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
-from rbnl.search import OptimizerConfig, _projected_hessian, _top, sphere_grid
+from rbnl.search import OptimizerConfig, _evaluate, _top, sphere_grid
 from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
 from test_bell import chsh_objective
@@ -41,14 +41,9 @@ def drop_route(rho, u, v):
                            LocalPVM(bloch_pvm(BlochVector(v)), "B"), rho)
 
 
-def fano_parts(rho):
-    r = fano_form(rho)
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
-
-
 def drop_objective(rho):
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
-    return _drop_objective(*fano_parts(rho), s_rho)
+    return _drop_objective(*fano_form(rho), s_rho)
 
 
 def full_grid(cfg):
@@ -65,11 +60,12 @@ def test_fano_form_reconstructs_state():
                            ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
     for rank in (1, 2, 3, 4):
         rho = random_density(2, 2, rank=rank, seed=rng)
-        r = fano_form(rho)
+        a, b, t = fano_form(rho)
+        r = np.block([[np.ones((1, 1)), b[None]], [a[:, None], t]])
         rebuilt = sum(r[i, j] * np.kron(basis[i], basis[j])
                       for i, j in itertools.product(range(4), repeat=2)) / 4
         assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-14
-        assert np.array_equal(r[1:, 1:], correlation_matrix(rho))
+        assert np.array_equal(t, correlation_matrix(rho))
     with pytest.raises(ValueError):
         fano_form(random_density(2, 3, rank=2, seed=rng))
 
@@ -174,15 +170,14 @@ def riemannian_gradient(objective, x):
 
 
 def projected_hessian_errors(objective, u, v):
-    """Largest gaps, at (u, v), between the projected Hessian that refine
-    uses and (a) central differences of the Riemannian gradient along the
-    tangent directions of the chart axes, projected back onto the tangent
-    space at (u, v), and (b) the chart Hessian lifted by the tangent bases,
-    E H_chart E^T."""
+    """Largest gaps, at (u, v), between the projected Hessian that _evaluate
+    forms for refine and (a) central differences of the Riemannian gradient
+    along the tangent directions of the chart axes, projected back onto the
+    tangent space at (u, v), and (b) the chart Hessian lifted by the tangent
+    bases, E H_chart E^T."""
     x = np.stack([u, v])
     _, gu, gv, h = objective(u[None], v[None])
-    normal = np.array([[u @ gu[0], v @ gv[0]]])
-    hess = _projected_hessian(x[None], normal, h)[0]
+    hess = _evaluate(objective, x[None])[2][0]
     eu, ev = tangent_basis(u[None])[0], tangent_basis(v[None])[0]
     e = np.zeros((6, 4))
     e[:3, :2], e[3:, 2:] = eu, ev
@@ -245,7 +240,7 @@ def test_pair_table_maximum_equals_full_grid_maximum(rank):
     for grid in ((12, 24), (5, 9), (6, 7)):
         cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
         for _ in range(3):
-            parts = fano_parts(random_density(2, 2, rank=rank, seed=rng))
+            parts = fano_form(random_density(2, 2, rank=rank, seed=rng))
             quotient = _pair_table(*parts, sphere_grid(*grid)).max()
             assert abs(quotient - _pair_table(*parts, full_grid(cfg)).max()) < 1e-12
 
@@ -259,7 +254,7 @@ def test_pair_table_equals_dephasing_route(kind):
     else:
         rho = random_density(2, 2, rank=kind, seed=np.random.default_rng(375 + kind))
     dirs = sphere_grid(4, 6)
-    table = _pair_table(*fano_parts(rho), dirs)
+    table = _pair_table(*fano_form(rho), dirs)
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     for i, j in itertools.product(range(len(dirs)), repeat=2):
         assert abs(table[i, j] - s_rho - drop_route(rho, dirs[i], dirs[j])) < 1e-13
@@ -271,7 +266,7 @@ def test_start_pairs_are_distinct_observables(rank):
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     rng = np.random.default_rng(380 + rank)
     for rho in [random_density(2, 2, rank=rank, seed=rng) for _ in range(3)] + [werner(0.7)]:
-        iu, iv = np.divmod(_top(_pair_table(*fano_parts(rho), dirs).ravel(),
+        iu, iv = np.divmod(_top(_pair_table(*fano_form(rho), dirs).ravel(),
                                 cfg.restarts), len(dirs))
         same_u = np.abs(dirs[iu] @ dirs[iu].T) > 1.0 - 1e-9
         same_v = np.abs(dirs[iv] @ dirs[iv].T) > 1.0 - 1e-9
