@@ -38,11 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import MAX_WORKERS, check_int, check_mu
+from .closed_forms import check_int, check_mu
 from .closed_forms import nmax_werner, nvol_werner_analytic  # noqa: F401  (re-exported)
 from .states import DensityMatrix, fano_form
 
 MC_CHUNK = 1 << 16  # samples per chunk, one stream each; read at call time
+MAX_WORKERS = 64  # threads of one Monte Carlo estimate
 MC_METHODS = ("angles", "xyz")
 _MC_BLOCK = 1 << 13  # rows counted at once within a chunk
 # half-width of the band around 2/mu whose samples the float64 kernel

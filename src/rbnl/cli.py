@@ -8,6 +8,9 @@ takes the parsed namespace (seed resolved, raw arguments as argv):
   decay   exponential-noise comparison of the normalized quantifiers, CSV
 
 Exit codes: 0 success, 1 domain or validation error, 2 I/O or usage error.
+The parser checks only that each value parses as its type; each command checks
+the ranges of its counts with check_int, so an out-of-range count exits 1 with
+one line, before any file is read or written and before any sample is drawn.
 Every CSV gets a .manifest.json sibling recording the invocation. CSVs are
 bit-identical across runs for identical flags and seed: comma separated,
 LF line endings, 12 significant digits. Every output file is written to a
@@ -30,8 +33,8 @@ from collections import namedtuple
 from datetime import datetime, timezone
 
 from . import __version__
-from .closed_forms import (MAX_WORKERS, check_int, linspace, nmax_werner,
-                           nrb_werner_closed_form, nvol_werner_analytic)
+from .closed_forms import (check_int, linspace, nmax_werner, nrb_werner_closed_form,
+                           nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
 MAX_SAMPLES = 10**9  # vol --samples, sweep steps x samples; about 3 min of one-thread angles
@@ -95,6 +98,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"need 0 <= mu-start < mu-end <= 1, got [{args.mu_start}, {args.mu_end}]")
     check_int("steps", args.steps, 2, MAX_STEPS)
+    check_int("samples", args.samples, 0, MAX_SAMPLES)
     if args.steps * args.samples > MAX_SAMPLES:
         raise ValueError(f"steps x samples must be <= {MAX_SAMPLES}, "
                          f"got {args.steps} x {args.samples}")
@@ -123,6 +127,8 @@ def cmd_state(args) -> int:
     search only. argmax_u and argmax_v are printed in full, but the search
     fixes them only to about 1e-7: it stops on VALUE_TOL at a flat maximum.
     """
+    check_int("grid", args.grid, 1, MAX_GRID)
+    check_int("restarts", args.restarts, 1, MAX_RESTARTS)
     from .nonlocality import nrb_pure, nrb_two_qubit, pure_state
     from .search import OptimizerConfig
     from .states import load_state
@@ -152,7 +158,7 @@ def cmd_vol(args) -> int:
     if est.std_error > 0.0:
         z = (est.fraction - analytic) / est.std_error
     else:
-        z = 0.0 if est.fraction == analytic else math.inf
+        z = 0.0 if est.fraction == analytic else None  # JSON has no infinity
     report = {"fraction": est.fraction, "std_error": est.std_error, "analytic": analytic,
               "z_score": z}
     print(json.dumps(report, indent=2))
@@ -172,23 +178,6 @@ def cmd_decay(args) -> int:
     return 0
 
 
-def _int_in(name: str, minimum: int, maximum: int):
-    """argparse type: the text of an integer that check_int(name, value,
-    minimum, maximum) accepts; its ValueError becomes a usage error."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        try:
-            return check_int(name, value, minimum, maximum)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rbnl",
@@ -199,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-start", type=float, default=0.0)
     sw.add_argument("--mu-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
-    sw.add_argument("--samples", type=_int_in("samples", 0, MAX_SAMPLES), default=0,
+    sw.add_argument("--samples", type=int, default=0,
                     help=f"per-row MC samples, with steps x samples <= {MAX_SAMPLES}; "
                          "> 0 writes a .mc.csv companion")
     sw.add_argument("--seed", type=int, default=None)
@@ -208,10 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("state", help="quantify one state from a JSON file")
     st.add_argument("state_file")
-    st.add_argument("--grid", type=_int_in("grid", 1, MAX_GRID), default=12,
+    st.add_argument("--grid", type=int, default=12,
                     help="theta resolution of the N x 2N theta x phi grid, whose "
                          f"distinct observables are searched (121 for N = 12; N <= {MAX_GRID})")
-    st.add_argument("--restarts", type=_int_in("restarts", 1, MAX_RESTARTS), default=8,
+    st.add_argument("--restarts", type=int, default=8,
                     help=f"best grid pairs refined (<= {MAX_RESTARTS})")
     st.set_defaults(run=cmd_state)
 
@@ -220,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--samples", type=int, default=10**6)
     vl.add_argument("--seed", type=int, default=None)
     vl.add_argument("--method", choices=["angles", "xyz"], default="angles")
-    vl.add_argument("--workers", type=_int_in("workers", 1, MAX_WORKERS), default=1)
+    vl.add_argument("--workers", type=int, default=1)
     vl.set_defaults(run=cmd_vol)
 
     dc = sub.add_parser("decay", help="exponential-noise decay comparison to CSV")

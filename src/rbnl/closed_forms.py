@@ -1,6 +1,5 @@
 """Werner-family closed forms of the three quantifiers, the one check of
-mu (check_mu) and of a count (check_int), linspace, and MAX_WORKERS, the
-thread cap of rbnl.bell.nvol_mc that the CLI parser also checks.
+mu (check_mu) and of a count (check_int), and linspace.
 
 It imports only `math` and `numbers`: `rbnl sweep` and `rbnl decay`, which
 need nothing else, start without numpy, and the CLI checks its counts with
@@ -14,7 +13,6 @@ import math
 import numbers
 
 SQRT2 = math.sqrt(2)
-MAX_WORKERS = 64  # threads of one Monte Carlo estimate
 
 
 def check_mu(mu: float) -> None:

@@ -93,29 +93,31 @@ MUTANTS = (
            budget=30.0),
     Mutant("vol-samples-cap", CLI, 'check_int("samples", args.samples, 1, MAX_SAMPLES)',
            'check_int("samples", args.samples, 1)', (SAMPLES, FUZZ)),
-    Mutant("sweep-samples-cap", CLI, '_int_in("samples", 0, MAX_SAMPLES)',
-           '_int_in("samples", 0, None)', (SAMPLES,)),
+    Mutant("sweep-samples-cap", CLI, 'check_int("samples", args.samples, 0, MAX_SAMPLES)',
+           'check_int("samples", args.samples, 0)', (SAMPLES,)),
     Mutant("sweep-steps-cap", CLI,
-           'check_int("steps", args.steps, 2, MAX_STEPS)\n    if args.steps',
-           'check_int("steps", args.steps, 2)\n    if args.steps', (STEPS, FUZZ)),
+           'check_int("steps", args.steps, 2, MAX_STEPS)\n    check_int("samples"',
+           'check_int("steps", args.steps, 2)\n    check_int("samples"', (STEPS, FUZZ)),
     Mutant("decay-steps-cap", CLI,
            'check_int("steps", args.steps, 2, MAX_STEPS)\n    ts =',
            'check_int("steps", args.steps, 2)\n    ts =', (STEPS, FUZZ)),
-    Mutant("grid-cap", CLI, '_int_in("grid", 1, MAX_GRID)', '_int_in("grid", 1, None)',
-           (SEARCH_FLAGS, FUZZ)),
-    Mutant("restarts-cap", CLI, '_int_in("restarts", 1, MAX_RESTARTS)',
-           '_int_in("restarts", 1, None)', ("tests/test_cli.py::test_restarts_cap", FUZZ)),
-    Mutant("workers-cap", CLI, '_int_in("workers", 1, MAX_WORKERS)',
-           '_int_in("workers", 1, None)', (VOL_WORKERS, FUZZ)),
+    Mutant("grid-cap", CLI, 'check_int("grid", args.grid, 1, MAX_GRID)',
+           'check_int("grid", args.grid, 1)', (SEARCH_FLAGS, FUZZ)),
+    Mutant("restarts-cap", CLI, 'check_int("restarts", args.restarts, 1, MAX_RESTARTS)',
+           'check_int("restarts", args.restarts, 1)',
+           ("tests/test_cli.py::test_restarts_cap", FUZZ)),
     Mutant("nvol-mc-workers-cap", BELL, 'check_int("workers", workers, 1, MAX_WORKERS)',
            'check_int("workers", workers, 1)',
-           ("tests/test_bell.py::test_nvol_mc_rejects_bad_workers",)),
+           ("tests/test_bell.py::test_nvol_mc_rejects_bad_workers", VOL_WORKERS)),
     # the three guards of DensityMatrix
     Mutant("density-hermitian", STATES, 'check_hermitian(m, "density matrix")', "pass",
            (DENSITY,)),
     Mutant("density-trace", STATES, "if not abs(tr - 1.0) <= TRACE_TOL:", "if False:",
            (DENSITY,)),
     Mutant("density-psd", STATES, "if ev[0] < -PSD_TOL:", "if False:", (DENSITY,)),
+    # vol prints Infinity, which is not JSON, for a degenerate z
+    Mutant("vol-z-null", CLI, "else None", "else math.inf",
+           ("tests/test_cli.py::test_vol_degenerate_z_score_is_null",)),
     # a negative sweep seed
     Mutant("sweep-seed", CLI, '    check_int("seed", args.seed, 0)\n', "",
            ("tests/test_cli.py::test_vol_negative_seed", FUZZ)),

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from rbnl import bell
-from rbnl.bell import (_MC_BLOCK, MC_CHUNK, McConfig, McEstimate, _mc_chunk_count,
-                       correlation_matrix, nmax_numeric, nmax_werner, nvol_mc,
-                       nvol_quadrature, nvol_werner_analytic)
-from rbnl.closed_forms import MAX_WORKERS
+from rbnl.bell import (_MC_BLOCK, MAX_WORKERS, MC_CHUNK, McConfig, McEstimate,
+                       _mc_chunk_count, correlation_matrix, nmax_numeric, nmax_werner,
+                       nvol_mc, nvol_quadrature, nvol_werner_analytic)
 from rbnl.linalg import EIG_CLIP, tensor
 from rbnl.search import OptimizerConfig, grid_refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner

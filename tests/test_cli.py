@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import rbnl
-from rbnl.bell import McEstimate
-from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
+from rbnl.bell import MAX_WORKERS, McEstimate
+from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, main
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
@@ -65,11 +65,10 @@ def test_sweep_mc_companion(tmp_path, capsys):
 
 
 def test_sweep_samples_must_be_non_negative(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--steps", "3", "--samples", "-5",
-              "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
-    assert "--samples" in capsys.readouterr().err
+    code, out, err = run(["sweep", "--steps", "3", "--samples", "-5",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert err == "rbnl: samples must be >= 0, got -5\n"
     assert list(tmp_path.iterdir()) == []
     # zero keeps its meaning: no Monte Carlo companion
     assert run(["sweep", "--steps", "3", "--samples", "0",
@@ -290,19 +289,26 @@ def test_state_has_no_seed(tmp_path, capsys, monkeypatch):
     (str(MAX_GRID + 1), "--grid"),  # a larger pair table could exhaust memory
 ])
 def test_state_rejects_bad_search_flags(tmp_path, capsys, monkeypatch, flag, value):
-    # a usage error for pure inputs, which never search, and mixed ones alike;
-    # neither route runs, so a broken cap fails here at once
+    # exit 1 and one line for pure inputs, which never search, and mixed ones
+    # alike; neither route runs, so a broken cap fails here at once. A value
+    # that is not an integer is a usage error (exit 2)
     for route in ("nrb_two_qubit", "nrb_pure"):
         monkeypatch.setattr(f"rbnl.nonlocality.{route}",
                             lambda *a, route=route: pytest.fail(f"{route} ran"))
     for name, rho in (("pure", singlet().density()), ("mixed", werner(0.5))):
         path = tmp_path / f"{name}.json"
         save_state(rho, path)
-        with pytest.raises(SystemExit) as exc:
-            main(["state", str(path), flag, value])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == "" and flag in out.err
+        if value == "two":
+            with pytest.raises(SystemExit) as exc:
+                main(["state", str(path), flag, value])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and flag in out.err
+            continue
+        code, out, err = run(["state", str(path), flag, value], capsys)
+        assert (code, out) == (1, "")
+        bound = ">= 1" if int(value) < 1 else f"<= {MAX_GRID}"
+        assert err == f"rbnl: {flag[2:]} must be {bound}, got {value}\n"
 
 
 def test_vol_report(capsys):
@@ -321,6 +327,16 @@ def test_vol_zero_region(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["fraction"] == 0.0 and rep["z_score"] == 0.0
+
+
+def test_vol_degenerate_z_score_is_null(capsys):
+    # no sample of 10 violates, so std_error is 0 while the closed form is
+    # not: z has no finite value, and JSON has no infinity
+    code, out, _ = run(["vol", "--mu", "0.9", "--samples", "10", "--seed", "0"], capsys)
+    assert code == 0
+    rep = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert (rep["fraction"], rep["std_error"], rep["z_score"]) == (0.0, 0.0, None)
+    assert rep["analytic"] > 0.0
 
 
 def test_vol_invalid_mu(capsys):
@@ -358,17 +374,14 @@ def test_vol_bad_seed_env(capsys, monkeypatch):
 
 @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**15])
 def test_samples_over_cap_rejected_before_any_draw(tmp_path, capsys, monkeypatch, samples):
-    # each flag keeps its own check: vol its ValueError (exit 1), sweep its
-    # argparse type (exit 2); neither reaches the sampler
+    # vol and sweep alike: exit 1 and one line, before the sampler runs or
+    # any file is written
     monkeypatch.setattr("rbnl.bell.nvol_mc", lambda *a, **k: pytest.fail("sampled"))
-    code, out, err = run(["vol", "--mu", "0.9", "--samples", str(samples)], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"rbnl: samples must be <= {MAX_SAMPLES}, got {samples}\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--steps", "3", "--samples", str(samples),
-              "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
-    assert f"--samples: samples must be <= {MAX_SAMPLES}, got {samples}" in capsys.readouterr().err
+    for args in (["vol", "--mu", "0.9"],
+                 ["sweep", "--steps", "3", "--out", str(tmp_path / "x.csv")]):
+        code, out, err = run([*args, "--samples", str(samples)], capsys)
+        assert (code, out) == (1, ""), args
+        assert err == f"rbnl: samples must be <= {MAX_SAMPLES}, got {samples}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -402,8 +415,8 @@ def test_sweep_over_budget_rejected_before_any_draw(tmp_path, capsys, monkeypatc
 
 
 def test_restarts_cap(tmp_path, capsys, monkeypatch):
-    # over the cap is a usage error before any search; at the cap the
-    # search gets every restart asked for
+    # over the cap is rejected (exit 1, one line) before any search; at the
+    # cap the search gets every restart asked for
     seen = []
 
     def fake(rho, cfg):
@@ -413,11 +426,9 @@ def test_restarts_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("rbnl.nonlocality.nrb_two_qubit", fake)
     path = tmp_path / "w.json"
     save_state(random_density(2, 2, rank=3, seed=18), path)
-    with pytest.raises(SystemExit) as exc:
-        main(["state", str(path), "--restarts", str(MAX_RESTARTS + 1)])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == "" and f"--restarts: restarts must be <= {MAX_RESTARTS}" in out.err
+    code, out, err = run(["state", str(path), "--restarts", str(MAX_RESTARTS + 1)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"rbnl: restarts must be <= {MAX_RESTARTS}, got {MAX_RESTARTS + 1}\n"
     assert seen == []
     assert run(["state", str(path), "--grid", "2", "--restarts", str(MAX_RESTARTS)],
                capsys)[0] == 0
@@ -426,11 +437,20 @@ def test_restarts_cap(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["0", "-2", "two", str(MAX_WORKERS + 1)])
 def test_vol_rejects_bad_workers(capsys, monkeypatch, workers):
-    monkeypatch.setattr("rbnl.bell.nvol_mc", lambda *a, **k: pytest.fail("sampled"))
-    with pytest.raises(SystemExit) as exc:
-        main(["vol", "--mu", "0.9", "--samples", "1000", "--workers", workers])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    # nvol_mc checks the count before any chunk is drawn; a value that is
+    # not an integer is a usage error
+    monkeypatch.setattr("rbnl.bell._mc_chunk_count", lambda *a: pytest.fail("sampled"))
+    args = ["vol", "--mu", "0.9", "--samples", "1000", "--workers", workers]
+    if workers == "two":
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        return
+    code, out, err = run(args, capsys)
+    assert (code, out) == (1, "")
+    bound = ">= 1" if int(workers) < 1 else f"<= {MAX_WORKERS}"
+    assert err == f"rbnl: workers must be {bound}, got {workers}\n"
 
 
 def test_vol_seed_env_and_flag(capsys, monkeypatch):
@@ -631,6 +651,11 @@ def test_commands_needing_numpy_exit_2_without_it(tmp_path):
         assert proc.returncode == 2, args
         assert proc.stdout == ""
         assert proc.stderr == "rbnl: this command needs numpy\n"
+    # an out-of-range count is rejected before anything needs numpy
+    for args, err in ((["sweep", "--samples", "-1"], "rbnl: samples must be >= 0, got -1\n"),
+                      (["decay", "--steps", "1"], "rbnl: steps must be >= 2, got 1\n")):
+        proc = run_without_numpy(*args, "--out", str(tmp_path / "x.csv"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err), args
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
     # sweep and decay need no numpy
     out = tmp_path / "g.csv"

@@ -2,8 +2,9 @@
 library only: mutated state documents, and mutated flag values for all four
 subcommands. Every case must end in exit 0, 1 or 2 (an argparse usage error,
 SystemExit(2), counts as 2) with no exception escaping. When main itself
-returns nonzero, stderr holds exactly one line, and no *.tmp file is ever
-left behind. A document with a cell value true or false is never answered,
+returns nonzero, stderr holds exactly one line; when it returns 0, the stdout
+of `state` and `vol` is strict JSON (no NaN or Infinity); and no *.tmp file is
+ever left behind. A document with a cell value true or false is never answered,
 and every count check of the flags rejects at least one flag set.
 Sizes stay small: nesting depth at most MAX_DEPTH, a few Monte Carlo samples
 (larger counts only past the cap, which is checked before any draw), a few CSV
@@ -19,7 +20,7 @@ import pytest
 import rbnl.bell
 import rbnl.cli
 import rbnl.nonlocality
-from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, MAX_WORKERS, main
+from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, main
 
 SEED = 2015
 MAX_DEPTH = 10**4
@@ -141,16 +142,13 @@ SWEEP_SAMPLES = (*SAMPLES, {"--samples": "1000000000", "--mu-start": "0", "--mu-
 SWEEP_STEPS = (*INTS, {"--steps": str(MAX_STEPS + 1), "--seed": "0", "--mu-start": "0",
                        "--mu-end": "0.5"})
 SEEDS = ("0", "7", "-1", "9" * 33, "x", "1.5")
-# each subcommand with the start of each of its count checks' rejections:
-# one-line errors (exit 1) begin "rbnl: ", usage errors name the flag. A
-# steps check must reject over its cap, MAX_STEPS, not only under 2
+# each subcommand with the start of each of its count checks' rejections,
+# all one-line errors (exit 1). A steps check must reject over its cap,
+# MAX_STEPS, not only under 2
 COUNT_CHECKS = (("sweep", "rbnl: steps must be <="), ("decay", "rbnl: steps must be <="),
-                ("vol", "rbnl: samples must be"),
-                ("sweep", "argument --samples: samples must be"),
-                ("sweep", "rbnl: steps x samples must be"),
-                ("state", "argument --grid: grid must be"),
-                ("state", "argument --restarts: restarts must be"),
-                ("vol", "argument --workers: workers must be"),
+                ("vol", "rbnl: samples must be"), ("sweep", "rbnl: samples must be"),
+                ("sweep", "rbnl: steps x samples must be"), ("state", "rbnl: grid must be"),
+                ("state", "rbnl: restarts must be"), ("vol", "rbnl: workers must be"),
                 ("sweep", "rbnl: seed must be"), ("vol", "rbnl: seed must be"))
 
 
@@ -195,7 +193,7 @@ def fuzzed_flags(rng, tmp_path, state_file):
 
 
 def run_case(args, capsys, tmp_path):
-    """main(args) under the four assertions; returns the exit code and the
+    """main(args) under the five assertions; returns the exit code and the
     last line of stderr (the message of a rejection)."""
     try:
         code = main(args)
@@ -204,10 +202,12 @@ def run_case(args, capsys, tmp_path):
         code, usage = exc.code, True
     except Exception as exc:  # the failure names the case
         pytest.fail(f"{args!r} raised {exc!r}")
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2) and (code == 2 or not usage), (args, code)
     if code and not usage:
         assert len(err.splitlines()) == 1, (args, err)
+    if code == 0 and args[0] in ("state", "vol"):
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{args!r} printed {c}"))
     # an --out that is tmp_path itself puts its temp file next to it
     assert not [*tmp_path.rglob("*.tmp"), *tmp_path.parent.glob("*.tmp")], args
     return code, err.splitlines()[-1] if err else ""
@@ -230,8 +230,9 @@ def test_fuzzed_state_documents(tmp_path, capsys):
 def guard_caps(monkeypatch):
     """Wrap the work behind every count cap so that a count over its cap
     raises an AssertionError naming the cap before any work is done: the CSV
-    grid (MAX_STEPS), the sampler (MAX_SAMPLES, MAX_WORKERS and a sweep's
-    total draws, steps x samples) and the search (MAX_GRID, MAX_RESTARTS).
+    grid (MAX_STEPS), the sampler (MAX_SAMPLES and a sweep's total draws,
+    steps x samples) and the search (MAX_GRID, MAX_RESTARTS). nvol_mc checks
+    its own MAX_WORKERS before it draws.
     Returns the one-element list of the last grid's rows, which the caller
     resets to 1 before each case: a sweep draws samples on each row."""
     rows = [1]
@@ -246,7 +247,6 @@ def guard_caps(monkeypatch):
     def sampler(mu, cfg, workers=1):
         assert cfg.n <= MAX_SAMPLES, f"samples {cfg.n} over MAX_SAMPLES"
         assert rows[0] * cfg.n <= MAX_SAMPLES, f"sweep draws {rows[0]} x {cfg.n} over MAX_SAMPLES"
-        assert workers <= MAX_WORKERS, f"workers {workers} over MAX_WORKERS"
         return nvol_mc(mu, cfg, workers=workers)
 
     def search(rho, cfg):
