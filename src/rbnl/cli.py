@@ -125,7 +125,8 @@ def cmd_state(args) -> int:
     dims (method "schmidt"), else nrb_two_qubit (method "optimizer"), whose
     Fano form rejects dims other than (2, 2). --grid and --restarts set its
     search only. argmax_u and argmax_v are printed in full, but the search
-    fixes them only to about 1e-7: it stops on VALUE_TOL at a flat maximum.
+    fixes them only to about 1e-6: the value is flat at a maximum, and the
+    search stops once its Newton decrement is below search.PRED_TOL.
     """
     check_int("grid", args.grid, 1, MAX_GRID)
     check_int("restarts", args.restarts, 1, MAX_RESTARTS)

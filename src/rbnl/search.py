@@ -18,13 +18,16 @@ P = diag(I - u u^T, I - v v^T) the Riemannian gradient is P g and the
 Riemannian Hessian is the 6 x 6 matrix
 P H P - diag((u.g_u) I, (v.g_v) I) P, so no tangent basis is needed: the
 normals (u, 0) and (0, v) are eigenvectors with eigenvalue 0, and P g has
-no part along them. The step is Q diag(1 / (|w| + lambda)) Q^T P g for the
-eigenpairs (w, Q) of minus that Hessian, an ascent direction for any
-lambda > 0, and the trial point is (normalize(u + step_u),
-normalize(v + step_v)). Each iteration makes one objective call, at the
-trial points of every row, and forms the tangent gradients and Riemannian
-Hessians there; a row takes its trial point, with that gradient and
-Hessian, only while it is unfinished and the value does not drop.
+no part along them. With (w, Q) the eigenpairs of minus that Hessian and
+c = Q^T P g, a row has converged once its Newton decrement
+sum_i c_i^2 / (2 |w_i|), summed over w_i != 0 (Boyd and Vandenberghe,
+Convex Optimization, 2004, 9.5.1), is below PRED_TOL, the one stop test.
+Else it tries the step Q diag(1 / (|w| + lambda)) c, an ascent direction
+for any lambda > 0, to (normalize(u + step_u), normalize(v + step_v)). Each
+iteration makes one objective call, at the trial points of every row, and
+forms the tangent gradients and Riemannian Hessians there; a row takes its
+trial point, with that gradient and Hessian, only while it is unfinished
+and the value does not drop.
 """
 from __future__ import annotations
 
@@ -36,8 +39,7 @@ import numpy as np
 
 from .closed_forms import check_int
 
-GRAD_TOL = 1e-10  # stationary once the Riemannian gradient norm is below this
-VALUE_TOL = 1e-8  # finished once an accepted step gains less than this
+PRED_TOL = 1e-12  # converged once the Newton decrement is below this
 LM_START = 1e-3
 LM_DOWN = 0.25
 LM_UP = 8.0
@@ -57,9 +59,8 @@ class OptimizerConfig:
     grid pairs are refined as one batch of damped Newton iterations.
     `refine_iterations` caps the iterations; each tries one step per
     unfinished restart, and a step that would lower the value is refused
-    and retried with more damping in the next iteration. A restart
-    finishes early when an accepted step raises the value by less than
-    VALUE_TOL, or when its Riemannian gradient norm is at most GRAD_TOL.
+    and retried with more damping in the next iteration. A restart finishes
+    early once its Newton decrement is below PRED_TOL (see rbnl.search).
     The search is deterministic. The four counts must be integers >= 1
     (bool is rejected).
     """
@@ -115,11 +116,6 @@ def _evaluate(objective, x):
     return f, g, p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p
 
 
-def _stationary(tangent):
-    """Rows whose Riemannian gradient norm is at most GRAD_TOL."""
-    return np.sqrt((tangent * tangent).sum(axis=(1, 2))) <= GRAD_TOL
-
-
 @dataclass(frozen=True)
 class SearchDiagnostics:
     """How a grid-then-refine search got its value.
@@ -129,10 +125,10 @@ class SearchDiagnostics:
     returned, never below grid_best. evaluations: objective calls of the
     refinement, each over every restart at once, finished or not: one at the
     start pairs and one per iteration, so always iterations + 1. iterations:
-    refinement iterations made. converged: restarts that stopped on the
-    GRAD_TOL or VALUE_TOL test rather than on the iteration cap or on a step
-    damped below float resolution. best_restart: the rank of the start pair
-    whose refinement won.
+    refinement iterations made. converged: restarts whose Newton decrement
+    is below PRED_TOL at the end, rather than those stopped by the iteration
+    cap or by a step damped below float resolution. best_restart: the rank
+    of the start pair whose refinement won.
     """
 
     grid_best: float
@@ -154,29 +150,31 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     called once at the starts and once per iteration. Each row carries its
     point, value, tangent gradient and Riemannian Hessian (see _evaluate);
     a refused step keeps all four, and the next step reads that Hessian.
+    The stop test comes before the step: a stationary start takes 0 steps.
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)
     f, tangent, hess = _evaluate(objective, x)
-    start, iterations = f.copy(), 0
+    start = f.copy()
     lam = np.full(m, LM_START)
-    converged = _stationary(tangent)
-    active = ~converged
-    while iterations < cfg.refine_iterations and active.any():
-        iterations += 1
+    for iterations in range(cfg.refine_iterations + 1):
         w, q = np.linalg.eigh(-hess)
-        coef = np.einsum("mji,mj->mi", q, tangent.reshape(m, 6)) / (np.abs(w) + lam[:, None])
-        y = x + np.einsum("mij,mj->mi", q, coef).reshape(m, 2, 3)
+        w = np.abs(w)
+        coef = np.einsum("mji,mj->mi", q, tangent.reshape(m, 6))
+        # the Newton decrement is half this sum; the normal eigenvectors have
+        # w = 0 (up to rounding) and carry no gradient, so an exact 0 adds 0
+        converged = (coef * coef / np.where(w == 0, np.inf, w)).sum(axis=1) < 2 * PRED_TOL
+        active = ~converged & (lam <= LM_MAX)
+        if iterations == cfg.refine_iterations or not active.any():
+            break
+        y = x + np.einsum("mij,mj->mi", q, coef / (w + lam[:, None])).reshape(m, 2, 3)
         x1 = y / np.sqrt((y * y).sum(axis=2, keepdims=True))
         f1, tangent1, hess1 = _evaluate(objective, x1)
         up = active & (f1 >= f)  # a step is taken only if the value does not drop
-        done = up & ((f1 - f < VALUE_TOL) | _stationary(tangent1))
         for old, new in ((x, x1), (tangent, tangent1), (hess, hess1)):
             np.copyto(old, new, where=up[:, None, None])
         np.copyto(f, f1, where=up)
         lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
-        converged |= done
-        active &= ~done & (lam <= LM_MAX)
     return x[:, 0], x[:, 1], f, (start, iterations, int(np.count_nonzero(converged)))
 
 

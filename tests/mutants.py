@@ -128,6 +128,14 @@ MUTANTS = (
     Mutant("refine-accept-any", SEARCH, "up = active & (f1 >= f)", "up = active",
            ("tests/test_search.py::test_diagnostics_describe_the_search",
             "tests/test_search.py::test_search_path_is_pinned")),
+    # refine stops once the Newton decrement is below 1e-6, short of a flat ridge's top
+    Mutant("pred-tol-loose", SEARCH, "PRED_TOL = 1e-12", "PRED_TOL = 1e-6",
+           ("tests/test_search.py::test_search_reaches_the_top_of_a_flat_ridge",)),
+    # no restart ever converges, so a stationary start still takes steps
+    Mutant("refine-never-finishes", SEARCH,
+           "converged = (coef * coef / np.where(w == 0, np.inf, w)).sum(axis=1) < 2 * PRED_TOL",
+           "converged = np.zeros(m, dtype=bool)",
+           ("tests/test_search.py::test_werner_states_need_no_refinement",)),
     # the Riemannian Hessian loses the curvature term of the spheres
     Mutant("hessian-curvature", SEARCH,
            "p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p", "p @ h @ p",

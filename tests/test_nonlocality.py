@@ -48,7 +48,7 @@ def test_optimizer_config_validation():
     ({"theta_points": 2.5}, TypeError),
     ({"theta_points": True}, TypeError),
     ({"restarts": np.array(5)}, TypeError),
-    ({"value_tol": 1e-8}, TypeError),  # a constant, search.VALUE_TOL
+    ({"value_tol": 1e-8}, TypeError),  # a constant, search.PRED_TOL
 ])
 def test_optimizer_config_rejects_non_integers_and_bad_tolerance(kw, error):
     with pytest.raises(error, match=next(iter(kw))):

@@ -2,8 +2,9 @@
 Fano-form irreality drop and the CHSH objective of the test_bell oracle:
 second routes for the objectives, their gradients and Hessians, the
 projected Hessian of the refinement, the grid of distinct observables, the
-search diagnostics, and metamorphic checks of the searched values. Seeded,
-so deterministic."""
+search diagnostics, the stop rule against a stronger search on nearly flat
+maxima, and metamorphic checks of the searched values. Seeded, so
+deterministic."""
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +15,12 @@ import pytest
 from rbnl.bell import correlation_matrix, nmax_numeric
 from rbnl.linalg import entropy_from_eigenvalues
 import rbnl.nonlocality
+import rbnl.search
 from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
                               nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import OptimizerConfig, _evaluate, _top, sphere_grid
-from rbnl.states import (BlochVector, DensityMatrix, bloch_pvm, fano_form,
+from rbnl.states import (PAULIS, BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, werner)
 from test_bell import chsh_objective
 
@@ -381,8 +383,8 @@ def test_search_path_is_pinned():
     # iterations and evaluations per state; a step from tangent charts gives
     # the same counts (the two steps agree in exact arithmetic), and a change
     # to the step, the damping or the acceptance rule moves them
-    want = [(8, 9), (7, 8), (7, 8), (7, 8), (5, 6), (3, 4), (4, 5), (8, 9),
-            (4, 5), (4, 5), (3, 4), (7, 8)]
+    want = [(8, 9), (7, 8), (7, 8), (7, 8), (5, 6), (3, 4), (3, 4), (8, 9),
+            (3, 4), (3, 4), (3, 4), (7, 8)]
     rng = np.random.default_rng(420)
     got = []
     for rank in (2, 3, 4):
@@ -390,6 +392,44 @@ def test_search_path_is_pinned():
             diag = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng)).diagnostics
             got.append((diag.iterations, diag.evaluations))
     assert got == want
+
+
+def near_degenerate(rng):
+    """A positive definite two-qubit state with T = diag(t, t +- gap, c),
+    |t| in [0.1, 0.7], gap log-uniform in [1e-6, 1e-1], c in [-0.6, 0.6],
+    and marginals of norm log-uniform in [1e-4, 1e-1], under Haar local
+    unitaries: two nearly equal singular values of T leave a nearly flat
+    ridge of maxima."""
+    basis = np.stack([np.eye(2), *PAULIS])
+    while True:
+        t = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.7)
+        gap = 10 ** rng.uniform(-6, -1)
+        r = np.diag([1.0, t, t + rng.choice([-1.0, 1.0]) * gap, rng.uniform(-0.6, 0.6)])
+        r[1:, 0] = 10 ** rng.uniform(-4, -1) * unit(rng)
+        r[0, 1:] = 10 ** rng.uniform(-4, -1) * unit(rng)
+        m = np.einsum("ij,iab,jcd->acbd", r, basis, basis).reshape(4, 4) / 4
+        if np.linalg.eigvalsh(m)[0] > 0:
+            break
+    lu = np.kron(haar_unitary(rng), haar_unitary(rng))
+    m = lu @ m @ lu.conj().T
+    return DensityMatrix((m + m.conj().T) / 2, (2, 2))
+
+
+def test_search_reaches_the_top_of_a_flat_ridge(monkeypatch):
+    # states of this seeded corpus on which stopping once a step gains less
+    # than 1e-8 ended 1.3e-9 to 4.9e-8 below the oracle: 32 restarts run
+    # until the damping exceeds LM_MAX or for 400 iterations
+    rng = np.random.default_rng(2026)
+    corpus = [near_degenerate(rng) for _ in range(60)]
+    states = [corpus[i] for i in (9, 40, 50, 59)]
+    cfg = OptimizerConfig()
+    found = [_nrb_search(rho, cfg) for rho in states]
+    monkeypatch.setattr(rbnl.search, "PRED_TOL", 0.0)
+    oracle = OptimizerConfig(restarts=32, refine_iterations=400)
+    for rho, res in zip(states, found):
+        assert res.value >= _nrb_search(rho, oracle).value - 1e-10
+        assert res.diagnostics.iterations < cfg.refine_iterations
+        assert res.diagnostics.converged == cfg.restarts
 
 
 def test_threads_give_the_serial_results():
