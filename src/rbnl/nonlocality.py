@@ -167,6 +167,9 @@ SIGNS = np.array([[1.0], [-1.0]])  # s, on the axis of w_s before the last
 # the drop is S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho):
 # minus the sign of each eigenvalue's -L ln L term
 NEG_DROP_SIGN = -np.repeat([1.0, 1.0, -1.0], 4)
+# JACOBIAN @ (the gradients of F): the gradients of the 12 eigenvalues, then
+# those of the four |w_s| alone
+JACOBIAN = np.vstack([EIGEN.T, np.eye(8)[4:]])
 
 
 def _plogp(p):
@@ -178,53 +181,66 @@ def _plogp(p):
     return out
 
 
-def _features(a, b, t, u, v):
-    """The features F (m, 8) of the rows of u and v (see EIGEN), with
-    (T^T u, T v) (m, 2, 3), w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed
-    [row, site, s]. Both sites take one product with diag(T, T^T)."""
-    m = len(u)
+def _fano_constants(a, b, t):
+    """The per-state constants of _drop_value: a, b, diag(T, T^T), which takes
+    (u, v) to (T^T u, T v), and (b, a) (2, 1, 3), the constant parts of w_s
+    at the two sites."""
     linear = np.zeros((6, 6))
     linear[:3, :3], linear[3:, 3:] = t, t.T
-    xt = (np.concatenate([u, v], axis=1) @ linear).reshape(m, 2, 3)
-    w = np.stack([b, a])[:, None] + SIGNS * xt[:, :, None]
-    r = np.sqrt((w * w).sum(axis=3))
-    feat = np.empty((m, 8))
-    feat[:, 0] = 1.0
-    feat[:, 1], feat[:, 2] = u @ a, v @ b
-    feat[:, 3] = (u * xt[:, 1]).sum(axis=1)
-    feat[:, 4:] = r.reshape(m, 4)
-    return feat, xt, w, r
+    return a, b, linear, np.concatenate([b, a]).reshape(2, 1, 3)
 
 
 def _pair_table(a, b, t, dirs):
     """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) on every pair of
-    directions (u, v) = (dirs[i], dirs[j]), shape (n, n). The doubly
-    dephased state has the outcome probabilities
+    directions (u, v) = (dirs[i], dirs[j]), shape (n, n). The one-sided
+    spectra (1 + s a.u +- |w_As|) / 4 and (1 + s b.v +- |w_Bs|) / 4 come
+    from T^T u and T v on each direction, and T^T u is also the first factor
+    of u^T T v. The doubly dephased state has the outcome probabilities
     (1 + s a.u + q b.v + s q u^T T v) / 4, that is q A_s + R_s with
     A_s = (s u^T T v + b.v) / 4 and R_s = (1 + s a.u) / 4; each plane (s, q)
     is formed and added to the sum of p ln p on its own, so no (4, n, n)
     array is made."""
     n = len(dirs)
-    # -S(Phi_u rho) and -S(Phi_v rho) at u = v = dirs[i], shape (n, 2)
-    one = _plogp(_features(a, b, t, dirs, dirs)[0] @ EIGEN[:, :8])
-    one = one.reshape(n, 2, 4).sum(axis=2)
-    corr = (dirs @ t @ dirs.T) / 4
-    row, col = (dirs @ a) / 4, (dirs @ b) / 4
+    tu = dirs @ t  # the rows T^T u
+    au, bv = dirs @ a, dirs @ b
+    # -S(Phi_u rho) and -S(Phi_v rho) at u = v = dirs[i], shape (2, n), from
+    # w_s, |w_s| and the four eigenvalues of each site; the directions come
+    # last, so that each operation runs along them and not along axes of 2 or 3
+    xt = np.concatenate([tu, dirs @ t.T], axis=1).T
+    w = np.concatenate([b, a])[:, None] + SIGNS[..., None] * xt  # (s, 6, n)
+    r = np.sqrt((w * w).reshape(2, 2, 3, n).sum(axis=2))  # (s, site, n)
+    mid = 1.0 + SIGNS[..., None] * np.stack([au, bv])
+    one = _plogp(np.stack([mid + r, mid - r], axis=1).reshape(4, 2, n) / 4).sum(axis=0)
+    corr = (tu @ dirs.T) / 4
+    row, col = au / 4, bv / 4
     total = np.zeros((n, n))
     for s in (1.0, -1.0):
         a_s = corr * s + col
         r_s = (0.25 + s * row)[:, None]
         total += _plogp(a_s + r_s)  # q = +1
         total += _plogp(r_s - a_s)  # q = -1
-    total -= one[:, 0, None] + one[:, 1]
+    total -= one[0, :, None] + one[1]
     return total
 
 
-def _drop_value(a, b, t, s_rho, u, v):
-    """The drop at the rows of u and v, (m,), from the features, L = F @ EIGEN
-    and one log: the value part of _drop_objective, read alone by the closed-
-    form routes. Also returns the pieces the derivatives reuse."""
-    feat, xt, w, r = _features(a, b, t, u, v)
+def _drop_value(fano, s_rho, u, v):
+    """The drop at the rows of u and v, (m,), from the features F (m, 8) (see
+    EIGEN), L = F @ EIGEN and one log: the value part of _drop_objective,
+    read alone by the closed-form routes. fano holds the state's constants
+    (see _fano_constants); both sites take one product with diag(T, T^T).
+    Also returns the pieces the derivatives reuse: (T^T u, T v) (m, 2, 3),
+    w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed [row, site, s], then the
+    clipped L, its log and the signs of the terms."""
+    a, b, linear, ab = fano
+    m = len(u)
+    xt = (np.concatenate([u, v], axis=1) @ linear).reshape(m, 2, 3)
+    w = ab + SIGNS * xt[:, :, None]
+    r = np.sqrt((w * w).sum(axis=3))
+    feat = np.empty((m, 8))
+    feat[:, 0] = 1.0
+    feat[:, 1], feat[:, 2] = u @ a, v @ b
+    feat[:, 3] = (u * xt[:, 1]).sum(axis=1)
+    feat[:, 4:] = r.reshape(m, 4)
     big = feat @ EIGEN
     clipped = np.maximum(big, EIG_CLIP)
     log = np.log(clipped)
@@ -239,41 +255,47 @@ def _drop_objective(a, b, t, s_rho):
 
     The 12 eigenvalues L = F @ EIGEN of the three dephased states take one
     log. With eta = -x ln x and c = +-1 the sign of each term in the drop,
-    the gradient is sum c eta'(L) grad L and the Hessian
-    sum c eta''(L) grad L grad L^T + sum e_f hess F_f, where
-    e = (c eta'(L)) @ EIGEN^T is the derivative in the features. Of the
-    features, u^T T v has the Hessian [[0, T], [T^T, 0]], |w_As| the u-u
-    block T (I - w^ w^T) T^T / |w_As| and the s T w^ gradient, with w^ the
-    unit w_As and |w_As| clipped at EIG_CLIP where the two eigenvalues of a
-    block coincide, and |w_Bs| the same with T^T for T in the v-v block.
-    eta' = eta'' = 0 where L <= EIG_CLIP.
+    the gradient is sum c eta'(L) grad L = sum_f e_f grad F_f, where
+    e = (c eta'(L)) @ EIGEN^T is the derivative in the features, and the
+    Hessian is sum c eta''(L) grad L grad L^T + sum_f e_f hess F_f. Of the
+    features, u^T T v has the Hessian [[0, T], [T^T, 0]], and |w_As| the
+    gradient s T w^ in u and the u-u block T T^T / |w_As| -
+    (T w^)(T w^)^T / |w_As|, with w^ the unit w_As and |w_As| clipped at
+    EIG_CLIP where the two eigenvalues of a block coincide; |w_Bs| is the
+    same with T^T for T in v. The terms (T w^)(T w^)^T join the
+    grad L grad L^T terms in one product. eta' = eta'' = 0 where
+    L <= EIG_CLIP. Everything that depends on the state alone (the
+    constants of the features, the gradients of a.u and b.v, the blocks
+    T T^T, T^T T and [[0, T], [T^T, 0]]) is built once, here.
     """
-    tt = np.stack([t.T, t])  # w^ @ tt = T w^ at site A and T^T w^ at site B
-    ttt = np.stack([t @ t.T, t.T @ t])
-    block = np.zeros((2, 2, 3))  # the gradients of a.u and b.v
-    block[0, 0], block[1, 1] = a, b
+    fano = _fano_constants(a, b, t)
+    # the unit w_s of the four |w_s|, side by side (m, 12), @ lift: their
+    # gradients (m, 4 x 6), s T w^ in u for |w_As| and s T^T w^ in v for |w_Bs|
+    lift = np.zeros((4, 3, 4, 6))
+    lift[0, :, 0, :3], lift[1, :, 1, :3] = t.T, -t.T
+    lift[2, :, 2, 3:], lift[3, :, 3, 3:] = t, -t
+    lift = lift.reshape(12, 24)
+    template = np.zeros((1, 8, 6))  # the gradients of the features, less those set per call
+    template[0, 1, :3], template[0, 2, 3:] = a, b
+    blocks = np.zeros((5, 6, 6))  # times (e_3, e_4 / |w_A+|, ..., e_7 / |w_B-|)
+    blocks[0, :3, 3:], blocks[0, 3:, :3] = t, t.T
+    blocks[1:3, :3, :3], blocks[3:, 3:, 3:] = t @ t.T, t.T @ t
+    blocks = blocks.reshape(5, 36)
 
     def objective(u, v):
         m = len(u)
-        f, (xt, w, r, clipped, log, sign) = _drop_value(a, b, t, s_rho, u, v)
-        d1 = (1.0 + log) * sign  # c eta'(L)
+        f, (xt, w, r, clipped, log, sign) = _drop_value(fano, s_rho, u, v)
+        e = ((1.0 + log) * sign) @ EIGEN.T  # c eta'(L) @ EIGEN^T
         rc = np.maximum(r, EIG_CLIP)[..., None]
-        tw = (w / rc) @ tt
-        grad = np.zeros((m, 8, 2, 3))  # the gradients of the features
-        grad[:, 1:3] = block
-        grad[:, 3] = xt[:, ::-1]
-        grad[:, 4:6, 0] = SIGNS * tw[:, 0]
-        grad[:, 6:, 1] = SIGNS * tw[:, 1]
-        dl = EIGEN.T @ grad.reshape(m, 8, 6)
-        g = np.einsum("mk,mkj->mj", d1, dl)
-        h = (dl * (sign / clipped)[..., None]).transpose(0, 2, 1) @ dl
-        e = d1 @ EIGEN.T
-        curv = (ttt[:, None] - tw[..., :, None] * tw[..., None, :]) / rc[..., None]
-        curv = np.einsum("mks,mksij->mkij", e[:, 4:].reshape(m, 2, 2), curv)
-        h[:, :3, :3] += curv[:, 0]
-        h[:, 3:, 3:] += curv[:, 1]
-        h[:, :3, 3:] += e[:, 3, None, None] * t
-        h[:, 3:, :3] += e[:, 3, None, None] * t.T
+        grad = template.repeat(m, axis=0)
+        grad[:, 3, :3], grad[:, 3, 3:] = xt[:, 1], xt[:, 0]
+        grad[:, 4:] = ((w / rc).reshape(m, 12) @ lift).reshape(m, 4, 6)
+        curv = e[:, 4:] / rc.reshape(m, 4)
+        jac = JACOBIAN @ grad
+        weight = np.concatenate([sign / clipped, -curv], axis=1)
+        h = (jac * weight[..., None]).transpose(0, 2, 1) @ jac
+        h += (np.concatenate([e[:, 3:4], curv], axis=1) @ blocks).reshape(m, 6, 6)
+        g = (e[:, None] @ grad)[:, 0]
         return f, g[:, :3], g[:, 3:], h
 
     return objective
@@ -327,7 +349,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     left, _, right = np.linalg.svd(t)
     k = 0 if pure else -1
     u, v = left[:, k], right[k]
-    value, _ = _drop_value(a, b, t, rho.entropy(), u[None], v[None])
+    value, _ = _drop_value(_fano_constants(a, b, t), rho.entropy(), u[None], v[None])
     return _result(float(value[0]), u, v)
 
 

@@ -27,7 +27,9 @@ for any lambda > 0, to (normalize(u + step_u), normalize(v + step_v)). Each
 iteration makes one objective call, at the trial points of every row, and
 forms the tangent gradients and Riemannian Hessians there; a row takes its
 trial point, with that gradient and Hessian, only while it is unfinished
-and the value does not drop.
+and the value rises. A step that leaves the value unchanged is refused
+like one that lowers it, so a row whose steps fall below float resolution
+raises its damping until it passes LM_MAX and stops.
 """
 from __future__ import annotations
 
@@ -58,9 +60,10 @@ class OptimizerConfig:
     theta_points x phi_points grid (see sphere_grid). The best `restarts`
     grid pairs are refined as one batch of damped Newton iterations.
     `refine_iterations` caps the iterations; each tries one step per
-    unfinished restart, and a step that would lower the value is refused
+    unfinished restart, and a step that does not raise the value is refused
     and retried with more damping in the next iteration. A restart finishes
-    early once its Newton decrement is below PRED_TOL (see rbnl.search).
+    early once its Newton decrement is below PRED_TOL (see rbnl.search), or
+    once its damping passes LM_MAX, where a step is below float resolution.
     The search is deterministic. The four counts must be integers >= 1
     (bool is rejected).
     """
@@ -127,7 +130,8 @@ class SearchDiagnostics:
     start pairs and one per iteration, so always iterations + 1. iterations:
     refinement iterations made. converged: restarts whose Newton decrement
     is below PRED_TOL at the end, rather than those stopped by the iteration
-    cap or by a step damped below float resolution. best_restart: the rank
+    cap or by a damping past LM_MAX, which a restart reaches when no step it
+    tries raises the value, as at a non-smooth maximum. best_restart: the rank
     of the start pair whose refinement won.
     """
 
@@ -148,9 +152,12 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     u, v and values, no value below its start, and the start values, the
     iterations and the number of converged restarts. The objective is
     called once at the starts and once per iteration. Each row carries its
-    point, value, tangent gradient and Riemannian Hessian (see _evaluate);
-    a refused step keeps all four, and the next step reads that Hessian.
-    The stop test comes before the step: a stationary start takes 0 steps.
+    point, value, tangent gradient and Riemannian Hessian (see _evaluate).
+    A step is taken only on a strict gain, f1 > f; a refused step, a tie at
+    float resolution included, keeps all four and multiplies the damping by
+    LM_UP, and the next step reads that Hessian. A row stops once its
+    decrement is below PRED_TOL or its damping passes LM_MAX. The stop test
+    comes before the step: a stationary start takes 0 steps.
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)
@@ -160,17 +167,17 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     for iterations in range(cfg.refine_iterations + 1):
         w, q = np.linalg.eigh(-hess)
         w = np.abs(w)
-        coef = np.einsum("mji,mj->mi", q, tangent.reshape(m, 6))
+        coef = (tangent.reshape(m, 1, 6) @ q)[:, 0]
         # the Newton decrement is half this sum; the normal eigenvectors have
         # w = 0 (up to rounding) and carry no gradient, so an exact 0 adds 0
         converged = (coef * coef / np.where(w == 0, np.inf, w)).sum(axis=1) < 2 * PRED_TOL
         active = ~converged & (lam <= LM_MAX)
         if iterations == cfg.refine_iterations or not active.any():
             break
-        y = x + np.einsum("mij,mj->mi", q, coef / (w + lam[:, None])).reshape(m, 2, 3)
+        y = x + (q @ (coef / (w + lam[:, None]))[:, :, None]).reshape(m, 2, 3)
         x1 = y / np.sqrt((y * y).sum(axis=2, keepdims=True))
         f1, tangent1, hess1 = _evaluate(objective, x1)
-        up = active & (f1 >= f)  # a step is taken only if the value does not drop
+        up = active & (f1 > f)  # a step is taken only on a strict gain
         for old, new in ((x, x1), (tangent, tangent1), (hess, hess1)):
             np.copyto(old, new, where=up[:, None, None])
         np.copyto(f, f1, where=up)

@@ -125,9 +125,13 @@ MUTANTS = (
     Mutant("pure-pair", "src/rbnl/nonlocality.py", "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),
     # refine takes every step, also one that lowers the value
-    Mutant("refine-accept-any", SEARCH, "up = active & (f1 >= f)", "up = active",
+    Mutant("refine-accept-any", SEARCH, "up = active & (f1 > f)", "up = active",
            ("tests/test_search.py::test_diagnostics_describe_the_search",
             "tests/test_search.py::test_search_path_is_pinned")),
+    # refine takes a step that leaves the value unchanged, so the damping of a
+    # search at a non-smooth maximum never passes LM_MAX
+    Mutant("refine-accept-ties", SEARCH, "up = active & (f1 > f)", "up = active & (f1 >= f)",
+           ("tests/test_search.py::test_exactly_pure_searches_end_before_the_cap",)),
     # refine stops once the Newton decrement is below 1e-6, short of a flat ridge's top
     Mutant("pred-tol-loose", SEARCH, "PRED_TOL = 1e-12", "PRED_TOL = 1e-6",
            ("tests/test_search.py::test_search_reaches_the_top_of_a_flat_ridge",)),

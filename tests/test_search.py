@@ -3,7 +3,8 @@ Fano-form irreality drop and the CHSH objective of the test_bell oracle:
 second routes for the objectives, their gradients and Hessians, the
 projected Hessian of the refinement, the grid of distinct observables, the
 search diagnostics, the stop rule against a stronger search on nearly flat
-maxima, and metamorphic checks of the searched values. Seeded, so
+maxima, the acceptance rule at the non-smooth maxima of pure states, and
+metamorphic checks of the searched values. Seeded, so
 deterministic."""
 import itertools
 import sys
@@ -17,11 +18,11 @@ from rbnl.linalg import entropy_from_eigenvalues
 import rbnl.nonlocality
 import rbnl.search
 from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
-                              nrb_two_qubit)
+                              entanglement_entropy, nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import OptimizerConfig, _evaluate, _top, sphere_grid
 from rbnl.states import (PAULIS, BlochVector, DensityMatrix, bloch_pvm, fano_form,
-                         random_density, werner)
+                         random_density, random_pure, werner)
 from test_bell import chsh_objective
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -430,6 +431,20 @@ def test_search_reaches_the_top_of_a_flat_ridge(monkeypatch):
         assert res.value >= _nrb_search(rho, oracle).value - 1e-10
         assert res.diagnostics.iterations < cfg.refine_iterations
         assert res.diagnostics.converged == cfg.restarts
+
+
+def test_exactly_pure_searches_end_before_the_cap():
+    # criterion 1's second route: at the non-smooth optimum of an exactly pure
+    # state the Newton decrement stays near 3e-12, above PRED_TOL, and steps
+    # below float resolution leave the value unchanged. Accepting such a tie
+    # lowered the damping, so these four searches ran all 200 iterations;
+    # refusing it lets the damping pass LM_MAX
+    cfg = OptimizerConfig(theta_points=10, phi_points=20, restarts=4)
+    for seed in (0, 1, 2, 3):
+        psi = random_pure(2, 2, seed=seed)
+        res = _nrb_search(psi.density(), cfg)
+        assert res.diagnostics.iterations < cfg.refine_iterations
+        assert abs(res.value - entanglement_entropy(psi)) <= 1e-4
 
 
 def test_threads_give_the_serial_results():
