@@ -121,12 +121,10 @@ def cmd_sweep(args) -> int:
 def cmd_state(args) -> int:
     """Report N_rb of the state in args.state_file as JSON on stdout.
 
-    nonlocality.pure_state picks the route: nrb_pure for a pure input of any
-    dims (method "schmidt"), else nrb_two_qubit (method "optimizer"), whose
-    Fano form rejects dims other than (2, 2). --grid and --restarts set its
-    search only. argmax_u and argmax_v are printed in full, but the search
-    fixes them only to about 1e-6: the value is flat at a maximum, and the
-    search stops once its Newton decrement is below search.PRED_TOL.
+    nonlocality.pure_state picks the method: nrb_pure for a pure input of
+    any dims ("schmidt"), else nrb_two_qubit ("optimizer"), whose Fano form
+    rejects dims other than (2, 2). --grid and --restarts make its
+    OptimizerConfig.
     """
     check_int("grid", args.grid, 1, MAX_GRID)
     check_int("restarts", args.restarts, 1, MAX_RESTARTS)

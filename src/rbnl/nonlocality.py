@@ -1,33 +1,7 @@
-"""The state-level quantifier: maximal drop of irreality over local
-observable pairs.
-
-nrb_two_qubit takes one of three routes, in this order (see its docstring).
-Two closed forms read one SVD of the correlation matrix T of the Fano form
-below. A pure state, purity above 1 - PURITY_CUTOFF, takes the top singular
-pair of T: the Bloch vectors of the leading Schmidt kets, up to a joint
-sign, whose drop is the entanglement entropy (nrb_pure gives that value for
-any dimensions). A state with maximally mixed marginals, |a| and |b| at
-most MARGINAL_CUTOFF (the Werner states among them), takes the bottom
-singular pair. Both return diagnostics None. Every other two-qubit state is
-searched over sharp qubit observables u.sigma and v.sigma, u and v unit
-Bloch vectors, of the objective
-
-    S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) - S(rho).
-
-In the Fano form rho = (I + a.sigma (x) I + I (x) b.sigma
-+ sum_ij T_ij sigma_i (x) sigma_j) / 4 every term is closed form, with an
-analytic gradient: S(Phi_u rho) is the entropy of the four eigenvalues
-(1 + s a.u +- |b + s T^T u|) / 4, s = +-1, its mirror image gives
-S(Phi_v rho), and S(Phi_u Phi_v rho) is the Shannon entropy of
-(1 + s a.u + q b.v + s q u^T T v) / 4. All 4 + 4 + 4 eigenvalues are
-affine in eight features of (u, v), both one-sided parts computed in one
-stacked pass, so one call of the objective forms them with one product,
-takes one log, and returns the value, the gradients and the analytic
-6 x 6 Hessian in (u, v). The drop does not
-change under u -> -u or v -> -v, so a grid of one direction per observable
-on each sphere (the theta x phi grid modulo the antipodal map) localizes
-the basins, and a batched damped Newton iteration (rbnl.search) polishes
-the best candidates with that Hessian.
+"""The state-level quantifier: the maximal drop of irreality over pairs of
+local observables. nrb_pure gives it for pure states of any dimensions, and
+nrb_two_qubit for every two-qubit state, by the routes its docstring sets
+out.
 """
 from __future__ import annotations
 
@@ -147,11 +121,13 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
 # ---------------------------------------------------------------------------
 # two-qubit search
 
-# Every eigenvalue of Phi_u rho, Phi_v rho and Phi_u Phi_v rho is affine in
-# eight features of (u, v), F = (1, a.u, b.v, u^T T v, |w_A+|, |w_A-|,
-# |w_B+|, |w_B-|) with w_As = b + s T^T u and w_Bs = a + s T v: the 12
-# eigenvalues are F @ EIGEN, four per state in the sign order (+, +),
-# (+, -), (-, +), (-, -) of (s, q).
+# In the Fano form (a, b, T) of rho (see fano_form), Phi_u rho has the
+# eigenvalues (1 + s a.u +- |w_As|) / 4 and Phi_v rho (1 + s b.v +- |w_Bs|) / 4,
+# s = +-1, with w_As = b + s T^T u and w_Bs = a + s T v, and Phi_u Phi_v rho
+# the outcome probabilities (1 + s a.u + q b.v + s q u^T T v) / 4, q = +-1.
+# So all 12 are affine in eight features of (u, v), F = (1, a.u, b.v,
+# u^T T v, |w_A+|, |w_A-|, |w_B+|, |w_B-|): they are F @ EIGEN, four per
+# state in the sign order (+, +), (+, -), (-, +), (-, -) of (s, q).
 EIGEN = np.array([
     # Phi_u rho        Phi_v rho          Phi_u Phi_v rho
     [1, 1, 1, 1,       1, 1, 1, 1,        1, 1, 1, 1],      # 1
@@ -192,11 +168,10 @@ def _fano_constants(a, b, t):
 
 def _pair_table(a, b, t, dirs):
     """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) on every pair of
-    directions (u, v) = (dirs[i], dirs[j]), shape (n, n). The one-sided
-    spectra (1 + s a.u +- |w_As|) / 4 and (1 + s b.v +- |w_Bs|) / 4 come
-    from T^T u and T v on each direction, and T^T u is also the first factor
-    of u^T T v. The doubly dephased state has the outcome probabilities
-    (1 + s a.u + q b.v + s q u^T T v) / 4, that is q A_s + R_s with
+    directions (u, v) = (dirs[i], dirs[j]), shape (n, n), from the spectra
+    of EIGEN. The one-sided ones come from T^T u and T v on each direction,
+    and T^T u is also the first factor of u^T T v. The outcome
+    probabilities of Phi_u Phi_v rho are q A_s + R_s with
     A_s = (s u^T T v + b.v) / 4 and R_s = (1 + s a.u) / 4; each plane (s, q)
     is formed and added to the sum of p ln p on its own, so no (4, n, n)
     array is made."""
@@ -224,8 +199,8 @@ def _pair_table(a, b, t, dirs):
 
 
 def _drop_value(fano, s_rho, u, v):
-    """The drop at the rows of u and v, (m,), from the features F (m, 8) (see
-    EIGEN), L = F @ EIGEN and one log: the value part of _drop_objective,
+    """The drop at the rows of u and v, (m,), from the features F (m, 8) of
+    EIGEN, L = F @ EIGEN and one log: the value part of _drop_objective,
     read alone by the closed-form routes. fano holds the state's constants
     (see _fano_constants); both sites take one product with diag(T, T^T).
     Also returns the pieces the derivatives reuse: (T^T u, T v) (m, 2, 3),
@@ -354,14 +329,9 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 
 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
-    """The grid-then-refine search for N_rb, for any two-qubit state.
-
-    The state is taken in its Fano form (a, b, T). The drop is scored on
-    every pair of the grid of distinct observables, with S(Phi_u rho) and
-    S(Phi_v rho) computed once per direction, and the best cfg.restarts
-    pairs are refined as one batch with the analytic Hessian (see
-    rbnl.search). The returned value never falls below the grid maximum.
-    """
+    """The search route of nrb_two_qubit, for any two-qubit state: the
+    drop of _pair_table on every pair of sphere_grid, then grid_refine with
+    _drop_objective. The value never falls below that of the best grid pair."""
     a, b, t = fano_form(rho)
     s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)

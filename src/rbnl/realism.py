@@ -18,6 +18,7 @@ from .linalg import entropy_from_eigenvalues, tensor
 from .states import PVM, DensityMatrix, _freeze
 
 SITES = ("A", "B")
+REALITY_TOL = 1e-10  # max-abs change under a dephasing that is_reality_state allows
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +133,6 @@ def make_reality_state(c: RealityComponents, a_pvm: PVM) -> DensityMatrix:
     return DensityMatrix(total, (d_a, c.states_b[0].shape[0]))
 
 
-def is_reality_state(rho: DensityMatrix, m: LocalPVM, tol: float = 1e-10) -> bool:
-    """True when rho is unchanged (within tol, max-abs) by dephasing m."""
-    diff = _dephased(rho.matrix, rho.dims, m) - rho.matrix
-    return float(np.max(np.abs(diff))) <= tol
+def is_reality_state(rho: DensityMatrix, m: LocalPVM) -> bool:
+    """True when dephasing m moves no entry of rho by more than REALITY_TOL."""
+    return float(np.abs(_dephased(rho.matrix, rho.dims, m) - rho.matrix).max()) <= REALITY_TOL

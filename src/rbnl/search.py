@@ -1,35 +1,10 @@
 """Grid-then-refine maximization over pairs of qubit observables, S^2 x S^2.
 
-N_rb of a mixed two-qubit state maximizes the irreality drop, a smooth
-function of two Bloch directions that does not change under u -> -u or
-v -> -v: both signs give the same observable. The grid therefore holds one
-direction per observable of a theta x phi grid on the sphere, the
-quotient of that grid by the antipodal map (each pole once, one of every
-antipodal pair). The caller scores every pair of it as one table; the best
-cfg.restarts pairs (stable ranking, so ties go to the lower grid index) are
-distinct observables, and they are refined together, as one batch, by a
-Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony
-and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5).
-
-A batch is one (m, 2, 3) array, u and v of each start pair. The caller's
-objective returns the value, the Euclidean gradients g and the 6 x 6
-Euclidean Hessian H in (u, v) in one call. With the tangent projector
-P = diag(I - u u^T, I - v v^T) the Riemannian gradient is P g and the
-Riemannian Hessian is the 6 x 6 matrix
-P H P - diag((u.g_u) I, (v.g_v) I) P, so no tangent basis is needed: the
-normals (u, 0) and (0, v) are eigenvectors with eigenvalue 0, and P g has
-no part along them. With (w, Q) the eigenpairs of minus that Hessian and
-c = Q^T P g, a row has converged once its Newton decrement
-sum_i c_i^2 / (2 |w_i|), summed over w_i != 0 (Boyd and Vandenberghe,
-Convex Optimization, 2004, 9.5.1), is below PRED_TOL, the one stop test.
-Else it tries the step Q diag(1 / (|w| + lambda)) c, an ascent direction
-for any lambda > 0, to (normalize(u + step_u), normalize(v + step_v)). Each
-iteration makes one objective call, at the trial points of every row, and
-forms the tangent gradients and Riemannian Hessians there; a row takes its
-trial point, with that gradient and Hessian, only while it is unfinished
-and the value rises. A step that leaves the value unchanged is refused
-like one that lowers it, so a row whose steps fall below float resolution
-raises its damping until it passes LM_MAX and stops.
+The caller scores every pair of directions of sphere_grid as one table.
+grid_refine takes its best cfg.restarts pairs and refine polishes them
+together, as one batch, by a Levenberg-Marquardt damped Newton iteration on
+S^2 x S^2 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, 5.5), with the Riemannian Hessian of _evaluate.
 """
 from __future__ import annotations
 
@@ -54,18 +29,11 @@ EYE6 = np.eye(6)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search knobs for the two-qubit N_rb maximization.
-
-    The grid per sphere holds the distinct observables of the
-    theta_points x phi_points grid (see sphere_grid). The best `restarts`
-    grid pairs are refined as one batch of damped Newton iterations.
-    `refine_iterations` caps the iterations; each tries one step per
-    unfinished restart, and a step that does not raise the value is refused
-    and retried with more damping in the next iteration. A restart finishes
-    early once its Newton decrement is below PRED_TOL (see rbnl.search), or
-    once its damping passes LM_MAX, where a step is below float resolution.
-    The search is deterministic. The four counts must be integers >= 1
-    (bool is rejected).
+    """Search knobs for the two-qubit N_rb maximization: the grid of
+    sphere_grid(theta_points, phi_points) on each sphere, the best `restarts`
+    grid pairs refined as one batch, and `refine_iterations`, the iteration
+    cap of refine. The search is deterministic. The four counts must be
+    integers >= 1 (bool is rejected).
     """
 
     theta_points: int = 12
@@ -81,13 +49,15 @@ class OptimizerConfig:
 @functools.lru_cache(maxsize=16)
 def sphere_grid(theta_points: int, phi_points: int) -> np.ndarray:
     """One unit vector per observable of the theta x phi grid, theta-major,
-    shape (n, 3). theta includes both poles and phi excludes 2 pi; of the
-    theta_points * phi_points grid directions this keeps the north pole
-    once and, where the antipode -x is also a grid direction (phi_points
-    even), only the one of x and -x that comes first. Every grid direction
-    is +- one of the rows, and no two rows are equal up to sign. The
-    default 12 x 24 grid gives 121 rows. Each shape is built once per
-    process and shared by every search that uses it, so it is read-only."""
+    shape (n, 3): the grid modulo the antipodal map, as u and -u give the
+    same observable u.sigma and so the same value of the search. theta
+    includes both poles and phi excludes 2 pi; of the
+    theta_points * phi_points grid directions this keeps the north pole once
+    and, where the antipode -x is also a grid direction (phi_points even),
+    only the one of x and -x that comes first. Every grid direction is +-
+    one of the rows, and no two rows are equal up to sign. The default
+    12 x 24 grid gives 121 rows. Each shape is built once per process and
+    shared by every search that uses it, so it is read-only."""
     n_t, n_p = theta_points, phi_points
     i, j = np.divmod(np.arange(n_t * n_p), n_p)
     mirror = n_t - 1 - i  # ring of the antipodes, at phi + pi
@@ -107,9 +77,11 @@ def sphere_grid(theta_points: int, phi_points: int) -> np.ndarray:
 def _evaluate(objective, x):
     """The objective at the rows of x (m, 2, 3): values (m,), the tangent
     gradients P g (m, 2, 3) and the Riemannian Hessian
-    P H P - diag((u.g_u) I, (v.g_v) I) P (m, 6, 6), with
-    P = diag(I - u u^T, I - v v^T), g the Euclidean gradients and H the
-    Euclidean Hessian."""
+    P H P - diag((u.g_u) I, (v.g_v) I) P (m, 6, 6), with the tangent
+    projector P = diag(I - u u^T, I - v v^T), g the Euclidean gradients and
+    H the Euclidean Hessian. No tangent basis is needed: the normals (u, 0)
+    and (0, v) are eigenvectors of that Hessian with eigenvalue 0, and P g
+    has no part along them."""
     f, gu, gv, h = objective(x[:, 0], x[:, 1])
     g = np.empty_like(x)
     g[:, 0], g[:, 1] = gu, gv
@@ -128,11 +100,9 @@ class SearchDiagnostics:
     returned, never below grid_best. evaluations: objective calls of the
     refinement, each over every restart at once, finished or not: one at the
     start pairs and one per iteration, so always iterations + 1. iterations:
-    refinement iterations made. converged: restarts whose Newton decrement
-    is below PRED_TOL at the end, rather than those stopped by the iteration
-    cap or by a damping past LM_MAX, which a restart reaches when no step it
-    tries raises the value, as at a non-smooth maximum. best_restart: the rank
-    of the start pair whose refinement won.
+    refinement iterations made. converged: the restarts that refine counts
+    as converged at the end (see there). best_restart: the rank of the
+    start pair whose refinement won.
     """
 
     grid_best: float
@@ -148,16 +118,28 @@ def refine(objective, u, v, cfg: OptimizerConfig):
 
     objective(u, v) takes (m, 3) unit vectors and returns the values (m,),
     the Euclidean gradients (m, 3) with respect to u and v, and the
-    Euclidean Hessian (m, 6, 6) with respect to (u, v). Returns the final
-    u, v and values, no value below its start, and the start values, the
-    iterations and the number of converged restarts. The objective is
-    called once at the starts and once per iteration. Each row carries its
-    point, value, tangent gradient and Riemannian Hessian (see _evaluate).
-    A step is taken only on a strict gain, f1 > f; a refused step, a tie at
-    float resolution included, keeps all four and multiplies the damping by
-    LM_UP, and the next step reads that Hessian. A row stops once its
-    decrement is below PRED_TOL or its damping passes LM_MAX. The stop test
-    comes before the step: a stationary start takes 0 steps.
+    Euclidean Hessian (m, 6, 6) with respect to (u, v). It is called once at
+    the starts and once per iteration, at the trial points of every row.
+    Each row carries its point, value, tangent gradient P g and Riemannian
+    Hessian (see _evaluate), and its damping lambda, from LM_START. With
+    (w, Q) the eigenpairs of minus that Hessian and c = Q^T P g:
+
+    - stop: a row has converged once its Newton decrement
+      sum_i c_i^2 / (2 |w_i|), summed over w_i != 0 (Boyd and Vandenberghe,
+      Convex Optimization, 2004, 9.5.1), is below PRED_TOL. It stops then,
+      or once lambda passes LM_MAX, where a step is below float resolution.
+      The test comes before the step: a stationary start takes 0 steps.
+    - step: Q diag(1 / (|w| + lambda)) c, an ascent direction for any
+      lambda > 0, to (normalize(u + step_u), normalize(v + step_v)).
+    - accept: only on a strict gain, f1 > f, which takes the trial point
+      with its gradient and Hessian and multiplies lambda by LM_DOWN. A
+      refused step, a tie at float resolution included, keeps all four and
+      multiplies lambda by LM_UP. So a row whose steps fall below float
+      resolution, as at a non-smooth maximum, stops past LM_MAX.
+
+    Returns the final u, v and values, no value below its start, and the
+    start values, the iterations and the number of converged restarts
+    (those that passed the decrement test, not the cap or LM_MAX).
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)

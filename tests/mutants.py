@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 BELL, CLI, CLOSED = "src/rbnl/bell.py", "src/rbnl/cli.py", "src/rbnl/closed_forms.py"
 LINALG, SEARCH, STATES = "src/rbnl/linalg.py", "src/rbnl/search.py", "src/rbnl/states.py"
+NONLOCALITY, REALISM = "src/rbnl/nonlocality.py", "src/rbnl/realism.py"
 FUZZ = "tests/test_cli_fuzz.py::test_fuzzed_flags"
 STEPS = "tests/test_cli.py::test_steps_out_of_range"
 SEARCH_FLAGS = "tests/test_cli.py::test_state_rejects_bad_search_flags"
@@ -82,7 +83,7 @@ MUTANTS = (
            'check_int("d_a", dims[0], -9), check_int("d_b", dims[1], -9)',
            ("tests/test_states.py::test_dims_must_be_two_integers",
             "tests/test_states.py::test_random_density_rank")),
-    Mutant("reality-components-unfrozen", "src/rbnl/realism.py",
+    Mutant("reality-components-unfrozen", REALISM,
            "_freeze(self, weights=w, states_a=sa, states_b=sb)",
            '_freeze(self, weights=w); object.__setattr__(self, "states_a", sa); '
            'object.__setattr__(self, "states_b", sb)',
@@ -115,6 +116,26 @@ MUTANTS = (
     Mutant("density-trace", STATES, "if not abs(tr - 1.0) <= TRACE_TOL:", "if False:",
            (DENSITY,)),
     Mutant("density-psd", STATES, "if ev[0] < -PSD_TOL:", "if False:", (DENSITY,)),
+    # each validation tolerance loosened 1e4 times: an input off by twice the
+    # old tolerance passes
+    Mutant("trace-tol-loose", STATES, "TRACE_TOL = 1e-10", "TRACE_TOL = 1e-6",
+           ("tests/test_states.py::test_trace_tolerance",)),
+    Mutant("norm-tol-loose", STATES, "NORM_TOL = 1e-10", "NORM_TOL = 1e-6",
+           ("tests/test_states.py::test_pure_state_norm_tolerance",)),
+    Mutant("bloch-tol-loose", STATES, "BLOCH_TOL = 1e-12", "BLOCH_TOL = 1e-8",
+           ("tests/test_states.py::test_bloch_norm_tolerance",)),
+    Mutant("psd-tol-loose", LINALG, "PSD_TOL = 1e-10", "PSD_TOL = 1e-6",
+           ("tests/test_states.py::test_psd_tolerance",)),
+    Mutant("reality-tol-loose", REALISM, "REALITY_TOL = 1e-10", "REALITY_TOL = 1e-6",
+           ("tests/test_realism.py::test_reality_tolerance",)),
+    # states with 1 - purity from 1e-8 to 1e-6 take the top singular pair of T
+    Mutant("purity-cutoff-loose", NONLOCALITY, "PURITY_CUTOFF = 1e-10", "PURITY_CUTOFF = 1e-6",
+           ("tests/test_nonlocality.py::test_structured_noise_outside_the_purity_cutoff_is_searched",)),
+    # a searched N_rb below 1e-6 is reported as 0, so near-product states
+    # read as null
+    Mutant("nrb-small-to-zero", NONLOCALITY, "NrbResult(max(value, 0.0)",
+           "NrbResult(value if value > 1e-6 else 0.0",
+           ("tests/test_nonlocality.py::test_nrb_of_near_product_states_is_positive_and_vanishes",)),
     # vol prints Infinity, which is not JSON, for a degenerate z
     Mutant("vol-z-null", CLI, "else None", "else math.inf",
            ("tests/test_cli.py::test_vol_degenerate_z_score_is_null",)),
@@ -122,7 +143,7 @@ MUTANTS = (
     Mutant("sweep-seed", CLI, '    check_int("seed", args.seed, 0)\n', "",
            ("tests/test_cli.py::test_vol_negative_seed", FUZZ)),
     # a pure state takes the bottom singular pair of T, not the top one
-    Mutant("pure-pair", "src/rbnl/nonlocality.py", "k = 0 if pure else -1", "k = -1",
+    Mutant("pure-pair", NONLOCALITY, "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),
     # refine takes every step, also one that lowers the value
     Mutant("refine-accept-any", SEARCH, "up = active & (f1 > f)", "up = active",

@@ -306,6 +306,25 @@ def test_near_pure_states_agree_with_the_search(eps, noise):
         assert abs(res.value - _nrb_search(rho, OptimizerConfig()).value) < 1e-9
 
 
+def test_structured_noise_outside_the_purity_cutoff_is_searched():
+    # (1 - eps)|psi><psi| + eps sigma with sigma of rank 1-4, 1 - purity from
+    # about 1e-8 to 1e-3: outside PURITY_CUTOFF, so each state is searched.
+    # The top singular pair of T falls short of the search here by up to
+    # 6.4e-6 at 1 - purity ~ 1e-3, 8.3e-8 at 1.5e-4 and 2.5e-10 at 1.7e-6, but
+    # by about 1e-14 at 1e-8: so it is the routing assert, not the value, that
+    # sees a cutoff loosened past 1e-8. White noise cannot show this: the pair
+    # stays optimal under it (see test_near_pure_states_agree_with_the_search)
+    rng = np.random.default_rng(9)
+    for eps in (1e-8, 1e-6, 1e-5, 1e-4, 6e-4):
+        for rank in (1, 2, 3, 4):
+            m = (1 - eps) * random_pure(2, 2, seed=rng).density().matrix
+            rho = DensityMatrix(m + eps * random_density(2, 2, rank=rank, seed=rng).matrix, (2, 2))
+            assert 5e-9 < 1 - rho.purity() < 2e-3
+            res = nrb_two_qubit(rho)
+            assert res.diagnostics is not None
+            assert abs(res.value - _nrb_search(rho, OptimizerConfig(restarts=16)).value) < 1e-10
+
+
 def test_nrb_two_qubit_rejects_wrong_dims():
     for rho in (random_density(3, 3, rank=2, seed=5), random_pure(3, 2, seed=5).density()):
         with pytest.raises(ValueError):
@@ -367,6 +386,81 @@ def test_nrb_vanishes_on_product_states():
         rho_b = random_density(1, 2, rank=(k // 2) % 2 + 1, seed=rng)
         prod = DensityMatrix(tensor(rho_a.matrix, rho_b.matrix), (2, 2))
         assert nrb_two_qubit(prod).value < 1e-12
+
+
+def test_nrb_of_near_product_states_is_positive_and_vanishes():
+    # the abstract's class of states with null N_rb, seen from outside it:
+    # (1 - eps) rho_A (x) rho_B + eps sigma has N_rb > 0 for each eps > 0,
+    # and N_rb tends to 0 with eps, here like eps^2 (a decade of eps takes it
+    # down 20-100 times). The abstract does not name the class, so this
+    # claims no "if and only if" with test_nrb_vanishes_on_product_states
+    rng = np.random.default_rng(3)
+    for k in range(6):
+        prod = tensor(random_density(2, 1, rank=2, seed=rng).matrix,
+                      random_density(1, 2, rank=2, seed=rng).matrix)
+        sigma = random_density(2, 2, rank=k % 4 + 1, seed=rng).matrix
+        values = [nrb_two_qubit(DensityMatrix((1 - eps) * prod + eps * sigma, (2, 2))).value
+                  for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
+        assert min(values) > 0.0
+        assert all(small < big / 10 for big, small in zip(values, values[1:]))
+
+
+def exp_i(h):
+    """exp(i h) for Hermitian h (..., 3, 3)."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def test_no_local_ascent_beats_nrb_pure_in_d3():
+    # "reduces to entanglement for pure states", for qutrits and from above:
+    # no pair of local PVMs drops more than nrb_pure. Each ascent moves the
+    # bases U_A, U_B of the two PVMs by U -> U exp(i t sum_k g_k G_k) over the
+    # six off-diagonal generators G_k of each side, g a forward-difference
+    # gradient of delta_irreality; t doubles on a gain and shrinks 4x on a
+    # loss. It starts from random bases and from the Schmidt bases turned
+    # by about 1e-3, and no value it reads exceeds nrb_pure by 1e-10
+    gens = np.zeros((6, 3, 3), dtype=complex)
+    for k, (i, j, z) in enumerate((i, j, z) for i, j in ((0, 1), (0, 2), (1, 2))
+                                  for z in (1.0, 1j)):
+        gens[k, i, j], gens[k, j, i] = z, np.conj(z)
+    h = 1e-6
+    nudges = exp_i(h * gens)
+    seen = []
+
+    def drop(rho, ua, ub):  # the PVMs onto the columns of ua and ub
+        pvms = (LocalPVM(PVM(u.T[:, :, None] * u.T.conj()[:, None, :]), site)
+                for u, site in ((ua, "A"), (ub, "B")))
+        seen.append(delta_irreality(*pvms, rho))
+        return seen[-1]
+
+    rng = np.random.default_rng(2000)
+    for i in range(3):
+        psi = random_pure(3, 3, seed=2000 + i)
+        rho, top, dec = psi.density(), nrb_pure(psi).value, schmidt(psi)
+        turns = exp_i(np.tensordot(1e-3 * rng.standard_normal((2, 6)), gens, 1))
+        starts = (np.linalg.qr(rng.standard_normal((2, 3, 3))
+                               + 1j * rng.standard_normal((2, 3, 3)))[0],
+                  (dec.basis_a @ turns[0], dec.basis_b @ turns[1]))
+        for schmidt_start, (ua, ub) in enumerate(starts):
+            f = first = drop(rho, ua, ub)
+            t = 0.1
+            for _ in range(30):
+                if t <= 1e-12:
+                    break
+                ga = np.array([drop(rho, ua @ n, ub) - f for n in nudges]) / h
+                gb = np.array([drop(rho, ua, ub @ n) - f for n in nudges]) / h
+                while t > 1e-12:
+                    va = ua @ exp_i(t * np.tensordot(ga, gens, 1))
+                    vb = ub @ exp_i(t * np.tensordot(gb, gens, 1))
+                    if drop(rho, va, vb) > f:
+                        ua, ub, f, t = va, vb, seen[-1], 2 * t
+                        break
+                    t /= 4
+            assert f > first
+            if schmidt_start:
+                assert top - f < 1e-6
+        assert max(seen) <= top + 1e-10
+        seen.clear()
 
 
 def test_nrb_at_most_mutual_information():

@@ -286,6 +286,17 @@ def test_reality_state_fixed_point():
         assert abs(irreality(lm, rho)) < 1e-10
 
 
+def test_reality_tolerance():  # REALITY_TOL
+    # a coherence c between |00> and |10>, which the Z dephasing of site A
+    # removes: a state within 1e-10 of its dephasing is a reality state. The
+    # tolerance is written out, so that the test fails when it moves
+    z = LocalPVM(PVM(np.eye(2)[:, :, None] * np.eye(2)[:, None, :]), "A")
+    for c, real in ((0.5e-10, True), (2e-10, False)):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 2] = m[2, 0] = c
+        assert is_reality_state(DensityMatrix(m, (2, 2)), z) is real
+
+
 def test_reality_state_component_dimension_checked():
     m = random_basis_pvm(np.random.default_rng(19), 2)
     for sa in (np.eye(3) / 3, np.ones((2, 3)) / 2):

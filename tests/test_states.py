@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rbnl.linalg import partial_trace, von_neumann_entropy
+from rbnl.linalg import entropy_from_eigenvalues, partial_trace, von_neumann_entropy
 from rbnl.states import (PAULIS, BlochVector, DensityMatrix, PureState, PVM,
                          bloch_pvm, load_state, qutrit_family, random_density,
                          random_pure, save_state, singlet, state_from_json,
@@ -236,6 +236,39 @@ def test_bloch_vector():
         op = BlochVector(n).dot_sigma()
         ev = np.sort(np.linalg.eigvalsh(op))
         assert np.allclose(ev, [-1.0, 1.0], atol=1e-12)
+
+
+# Each validation tolerance, from both sides: an input off by twice the
+# tolerance is rejected with its message, and one off by half of it is
+# accepted. The tolerances are written out, not imported, so that a test
+# fails when one of them moves.
+def assert_tolerance(build, tol, match, signs=(1.0, -1.0)):
+    for sign in signs:
+        build(sign * tol / 2)
+        with pytest.raises(ValueError, match=match):
+            build(sign * 2 * tol)
+
+
+def test_trace_tolerance():  # TRACE_TOL
+    assert_tolerance(lambda off: DensityMatrix(np.diag([0.25 + off, 0.25, 0.25, 0.25]), (2, 2)),
+                     1e-10, "trace is")
+
+
+def test_pure_state_norm_tolerance():  # NORM_TOL
+    assert_tolerance(lambda off: PureState(np.array([1.0 + off, 0.0, 0.0, 0.0]), (2, 2)),
+                     1e-10, "norm is")
+
+
+def test_bloch_norm_tolerance():  # BLOCH_TOL
+    assert_tolerance(lambda off: BlochVector(np.array([0.0, 0.0, 1.0 + off])), 1e-12, "norm is")
+
+
+def test_psd_tolerance():  # PSD_TOL, in DensityMatrix and in the entropy of a spectrum
+    # one eigenvalue -off, the trace kept at 1
+    assert_tolerance(lambda off: DensityMatrix(np.diag([0.5 + off, 0.5, 0.0, -off]), (2, 2)),
+                     1e-10, "positive semidefinite", signs=(1.0,))
+    assert_tolerance(lambda off: entropy_from_eigenvalues([1.0 + off, -off]), 1e-10,
+                     "not a state", signs=(1.0,))
 
 
 def test_bloch_pvm_projects():
