@@ -38,7 +38,7 @@ from .closed_forms import (check_int, linspace, nmax_werner, nrb_werner_closed_f
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
 MAX_SAMPLES = 10**9  # vol --samples, sweep steps x samples; about 3 min of one-thread angles
-MAX_GRID = 64  # state --grid; a mixed-state search at 64 peaks at about 650 MB
+MAX_GRID = 64  # state --grid; a mixed-state search at 64 peaks at about 470 MB
 MAX_RESTARTS = 64  # state --restarts: grid pairs refined as one batch
 
 SweepRow = namedtuple("SweepRow", "mu n_rb n_vol n_max norm_rb norm_vol norm_max")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, SearchDiagnostics, grid_refine, sphere_grid
+from .search import OptimizerConfig, SearchDiagnostics, _top, refine_starts, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, _freeze, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
@@ -19,6 +19,7 @@ PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
 # closed form holds at a = b = 0 only, and rounding in the Fano form of an
 # exactly zero-marginal state stays near 1e-16
 MARGINAL_CUTOFF = 1e-12
+TABLE_MARGIN = 1e-4  # the float32 screen of the pair table: see _grid_candidates
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +103,16 @@ def _basis_pvm(basis: np.ndarray) -> PVM:
     return PVM(cols[:, :, None] * cols.conj()[:, None, :])
 
 
+def _is_pure(rho: DensityMatrix) -> bool:
+    """Tr rho^2 > 1 - PURITY_CUTOFF: the one purity test, which sends a
+    state to the Schmidt route in nrb_two_qubit and, through pure_state, in
+    rbnl state."""
+    return rho.purity() > 1.0 - PURITY_CUTOFF
+
+
 def pure_state(rho: DensityMatrix) -> PureState | None:
-    """The top eigenvector of rho when Tr rho^2 > 1 - PURITY_CUTOFF, else
-    None: the one purity test, which sends a state to the Schmidt route in
-    nrb_two_qubit and in rbnl state."""
-    if rho.purity() > 1.0 - PURITY_CUTOFF:
+    """The top eigenvector of rho when _is_pure(rho), else None."""
+    if _is_pure(rho):
         return PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims)
     return None
 
@@ -166,36 +172,70 @@ def _fano_constants(a, b, t):
     return a, b, linear, np.concatenate([b, a]).reshape(2, 1, 3)
 
 
-def _pair_table(a, b, t, dirs):
-    """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) on every pair of
-    directions (u, v) = (dirs[i], dirs[j]), shape (n, n), from the spectra
-    of EIGEN. The one-sided ones come from T^T u and T v on each direction,
-    and T^T u is also the first factor of u^T T v. The outcome
-    probabilities of Phi_u Phi_v rho are q A_s + R_s with
-    A_s = (s u^T T v + b.v) / 4 and R_s = (1 + s a.u) / 4; each plane (s, q)
-    is formed and added to the sum of p ln p on its own, so no (4, n, n)
-    array is made."""
+def _table_parts(a, b, t, dirs):
+    """The float64 arguments of _planes on every pair (dirs[i], dirs[j]) of
+    dirs (n, 3): corr = u^T T v / 4 (n, n), one product of the rows T^T u
+    with dirs; a.u / 4 (n, 1) and b.v / 4 (n,); and -S(Phi_u rho) (n, 1) and
+    -S(Phi_v rho) (n,) at u = v = dirs[i], from w_s, |w_s| and the four
+    eigenvalues of each site, with the directions last so that each
+    operation runs along them."""
     n = len(dirs)
     tu = dirs @ t  # the rows T^T u
     au, bv = dirs @ a, dirs @ b
-    # -S(Phi_u rho) and -S(Phi_v rho) at u = v = dirs[i], shape (2, n), from
-    # w_s, |w_s| and the four eigenvalues of each site; the directions come
-    # last, so that each operation runs along them and not along axes of 2 or 3
     xt = np.concatenate([tu, dirs @ t.T], axis=1).T
     w = np.concatenate([b, a])[:, None] + SIGNS[..., None] * xt  # (s, 6, n)
     r = np.sqrt((w * w).reshape(2, 2, 3, n).sum(axis=2))  # (s, site, n)
     mid = 1.0 + SIGNS[..., None] * np.stack([au, bv])
     one = _plogp(np.stack([mid + r, mid - r], axis=1).reshape(4, 2, n) / 4).sum(axis=0)
-    corr = (tu @ dirs.T) / 4
-    row, col = au / 4, bv / 4
-    total = np.zeros((n, n))
-    for s in (1.0, -1.0):
-        a_s = corr * s + col
-        r_s = (0.25 + s * row)[:, None]
-        total += _plogp(a_s + r_s)  # q = +1
-        total += _plogp(r_s - a_s)  # q = -1
-    total -= one[0, :, None] + one[1]
+    return (tu @ dirs.T) / 4, au[:, None] / 4, bv / 4, one[0, :, None], one[1]
+
+
+def _planes(corr, row, col, one_u, one_v):
+    """S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) from the parts of
+    _table_parts, taken at any broadcastable shapes and computed in their
+    dtype. The outcome probabilities of Phi_u Phi_v rho are q A_s + R_s
+    with A_s = (s u^T T v + b.v) / 4 and R_s = (1 + s a.u) / 4; each plane
+    (s, q) is formed and added to the sum of p ln p on its own, so no
+    (4, ...) array is made."""
+    a_s, r_s = corr + col, 0.25 + row  # s = +1
+    total = _plogp(a_s + r_s)  # q = +1
+    total += _plogp(r_s - a_s)  # q = -1
+    a_s, r_s = col - corr, 0.25 - row  # s = -1
+    total += _plogp(a_s + r_s)
+    total += _plogp(r_s - a_s)
+    total -= one_u + one_v
     return total
+
+
+def _pair_table(a, b, t, dirs):
+    """The float64 table of _planes on every pair (dirs[i], dirs[j]), (n, n):
+    the reference that _grid_candidates reproduces on the pairs it keeps."""
+    return _planes(*_table_parts(a, b, t, dirs))
+
+
+def _grid_candidates(parts, s_rho, k):
+    """The flat indices i n + j of the grid pairs that may rank among the k
+    best, ascending, and their drops, equal bit for bit to those of
+    _pair_table less s_rho: so _top of the drops picks the k pairs that _top
+    of the whole float64 table picks, ties included.
+
+    Every pair is first scored by _planes in float32 (Shewchuk, Discrete
+    Comput. Geom. 18, 305, 1997), and the pairs within TABLE_MARGIN of the
+    k-th best float32 score are recounted by _planes in float64, with the
+    operations of the float64 table. A float32 probability errs by at most
+    about 2e-7, so a score by at most about 2e-5 (|x ln x - y ln y| <= 3.3e-6
+    for |x - y| <= 2e-7, over four planes, plus the rounding of the sums);
+    measured, below 1e-6. As 2e-5 < TABLE_MARGIN / 2, every pair of the
+    float64 top k is kept."""
+    corr, row, col, one_u, one_v = parts
+    n = len(col)
+    screen = _planes(*(x.astype(np.float32) for x in parts)).ravel()
+    kth = max(n * n - k, 0)  # the k-th best, or the worst when k >= n^2
+    keep = np.flatnonzero(screen >= np.partition(screen, kth)[kth] - TABLE_MARGIN)
+    i, j = np.divmod(keep, n)
+    drop = _planes(corr.ravel()[keep], row[i, 0], col[j], one_u[i, 0], one_v[j])
+    drop -= s_rho
+    return keep, drop
 
 
 def _drop_value(fano, s_rho, u, v):
@@ -288,7 +328,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 
     Three routes, tried in this order:
 
-    - A pure state (pure_state, purity above 1 - PURITY_CUTOFF) takes no
+    - A pure state (_is_pure, purity above 1 - PURITY_CUTOFF) takes no
       search: the maximum is the entanglement entropy, attained on the
       Schmidt bases. In the Schmidt frame T = diag(r, -r, 1), r <= 1, so
       argmax_u and argmax_v, the top singular pair of T, are the Bloch
@@ -318,7 +358,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     {I}, whose dephasing leaves rho unchanged and whose drop is 0.
     """
     a, b, t = fano_form(rho)  # rejects dims other than (2, 2)
-    pure = pure_state(rho) is not None
+    pure = _is_pure(rho)
     if not pure and max(np.linalg.norm(a), np.linalg.norm(b)) > MARGINAL_CUTOFF:
         return _nrb_search(rho, cfg)
     left, _, right = np.linalg.svd(t)
@@ -329,15 +369,16 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 
 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
-    """The search route of nrb_two_qubit, for any two-qubit state: the
-    drop of _pair_table on every pair of sphere_grid, then grid_refine with
+    """The search route of nrb_two_qubit, for any two-qubit state: the best
+    cfg.restarts pairs of sphere_grid by their drop, ranked as on the whole
+    _pair_table (see _grid_candidates), then refine_starts with
     _drop_objective. The value never falls below that of the best grid pair."""
     a, b, t = fano_form(rho)
     s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
-    table = _pair_table(a, b, t, dirs)
-    table -= s_rho
-    return _result(*grid_refine(table, dirs, _drop_objective(a, b, t, s_rho), cfg))
+    keep, drop = _grid_candidates(_table_parts(a, b, t, dirs), s_rho, cfg.restarts)
+    starts = keep[_top(drop, cfg.restarts)]
+    return _result(*refine_starts(starts, dirs, _drop_objective(a, b, t, s_rho), cfg))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

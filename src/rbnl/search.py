@@ -1,10 +1,11 @@
 """Grid-then-refine maximization over pairs of qubit observables, S^2 x S^2.
 
-The caller scores every pair of directions of sphere_grid as one table.
-grid_refine takes its best cfg.restarts pairs and refine polishes them
-together, as one batch, by a Levenberg-Marquardt damped Newton iteration on
-S^2 x S^2 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008, 5.5), with the Riemannian Hessian of _evaluate.
+The caller ranks the pairs of directions of sphere_grid, and refine_starts
+(or grid_refine, from a whole table of scores) takes its best cfg.restarts
+pairs; refine polishes them together, as one batch, by a
+Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5), with the
+Riemannian Hessian of _evaluate.
 """
 from __future__ import annotations
 
@@ -178,11 +179,17 @@ def _top(flat, k):
 
 def grid_refine(table, dirs, objective, cfg: OptimizerConfig):
     """Maximize over S^2 x S^2: rank the grid pair table (table[i, j] scores
-    dirs[i], dirs[j]), refine the best cfg.restarts pairs, and return
-    (value, u, v, diagnostics). The table only ranks; values come from the
-    objective, and the result is never below its value at the top-ranked
-    grid pair."""
-    iu, iv = np.divmod(_top(table.ravel(), cfg.restarts), len(dirs))
+    dirs[i], dirs[j]) and refine its best cfg.restarts pairs (see
+    refine_starts)."""
+    return refine_starts(_top(table.ravel(), cfg.restarts), dirs, objective, cfg)
+
+
+def refine_starts(starts, dirs, objective, cfg: OptimizerConfig):
+    """Refine the grid pairs at the flat indices starts, best first (i n + j
+    for dirs[i], dirs[j]), and return (value, u, v, diagnostics). The
+    ranking only picks the starts; values come from the objective, and the
+    result is never below its value at the top-ranked grid pair."""
+    iu, iv = np.divmod(starts, len(dirs))
     u, v, f, (start, iterations, converged) = refine(objective, dirs[iu], dirs[iv], cfg)
     k = int(np.argmax(f))
     diagnostics = SearchDiagnostics(float(start.max()), float(f[k]), iterations + 1,

@@ -24,6 +24,11 @@ BLOCH_TOL = 1e-12
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # x, y, z
 PAULIS.setflags(write=False)
+# _FANO[(i, k, j, l), (a, b)] = (s_a)_ji (s_b)_lk, s_0 = I: rho.reshape(16) @
+# _FANO is the table Tr[rho (s_a (x) s_b)] of fano_form, flattened
+_BASIS = np.stack([np.eye(2), *PAULIS])
+_FANO = np.multiply.outer(_BASIS, _BASIS).transpose(2, 5, 1, 4, 0, 3).reshape(16, 16)
+_FANO.setflags(write=False)
 
 
 def _freeze(obj, **fields):
@@ -179,11 +184,11 @@ def fano_form(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     + sum_ij T_ij sigma_i (x) sigma_j) / 4, with the Bloch vectors
     a_i = Tr[rho (sigma_i (x) I)] of A and b_j = Tr[rho (I (x) sigma_j)] of B
     and the correlation matrix T_ij = Tr[rho (sigma_i (x) sigma_j)]. All
-    three come from one real 4x4 table of Tr[rho (s_i (x) s_j)], s_0 = I."""
+    three come from one real 4x4 table of Tr[rho (s_i (x) s_j)], s_0 = I,
+    one product with the constant _FANO."""
     if rho.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {rho.dims}")
-    basis = np.stack([np.eye(2), *PAULIS])
-    r = np.einsum("ikjl,aji,blk->ab", rho.matrix.reshape(2, 2, 2, 2), basis, basis).real
+    r = (rho.matrix.reshape(16) @ _FANO).real.reshape(4, 4)
     return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rbnl.linalg import partial_trace, tensor, von_neumann_entropy
-from rbnl.nonlocality import (MARGINAL_CUTOFF, NrbResult, OptimizerConfig,
+from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, OptimizerConfig,
                               SchmidtDecomposition, _nrb_search,
-                              entanglement_entropy, nrb_pure,
-                              nrb_two_qubit, nrb_werner_closed_form, schmidt,
+                              entanglement_entropy, nrb_pure, nrb_two_qubit,
+                              nrb_werner_closed_form, pure_state, schmidt,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
 from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
@@ -323,6 +323,26 @@ def test_structured_noise_outside_the_purity_cutoff_is_searched():
             res = nrb_two_qubit(rho)
             assert res.diagnostics is not None
             assert abs(res.value - _nrb_search(rho, OptimizerConfig(restarts=16)).value) < 1e-10
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_route_follows_the_purity_test_at_the_cutoff(factor):
+    # (1 - eps)|psi><psi| + eps |phi><phi|, phi orthogonal to psi, has
+    # 1 - purity = 2 eps (1 - eps), here factor * PURITY_CUTOFF; nrb_two_qubit
+    # takes the Schmidt pair exactly when pure_state finds a pure state
+    rng = np.random.default_rng(48)
+    eps = (1 - math.sqrt(1 - 2 * factor * PURITY_CUTOFF)) / 2
+    for _ in range(4):
+        z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        psi, phi = np.linalg.qr(z)[0].T
+        m = (1 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
+        rho = DensityMatrix(m, (2, 2))
+        assert abs((1 - rho.purity()) / PURITY_CUTOFF - factor) < 1e-3
+        a, b, _ = fano_form(rho)
+        assert min(np.linalg.norm(a), np.linalg.norm(b)) > 1e-3  # not the zero-marginal route
+        pure = pure_state(rho) is not None
+        assert pure == (factor < 1)
+        assert (nrb_two_qubit(rho).diagnostics is None) == pure
 
 
 def test_nrb_two_qubit_rejects_wrong_dims():

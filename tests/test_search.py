@@ -2,10 +2,12 @@
 Fano-form irreality drop and the CHSH objective of the test_bell oracle:
 second routes for the objectives, their gradients and Hessians, the
 projected Hessian of the refinement, the grid of distinct observables, the
+float32 screen that ranks the grid pairs as the float64 table does, the
 search diagnostics, the stop rule against a stronger search on nearly flat
 maxima, the acceptance rule at the non-smooth maxima of pure states, and
 metamorphic checks of the searched values. Seeded, so
 deterministic."""
+import functools
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +19,9 @@ from rbnl.bell import correlation_matrix, nmax_numeric
 from rbnl.linalg import entropy_from_eigenvalues
 import rbnl.nonlocality
 import rbnl.search
-from rbnl.nonlocality import (_drop_objective, _nrb_search, _pair_table,
-                              entanglement_entropy, nrb_two_qubit)
+from rbnl.nonlocality import (TABLE_MARGIN, _drop_objective, _grid_candidates, _nrb_search,
+                              _pair_table, _planes, _table_parts, entanglement_entropy,
+                              nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import OptimizerConfig, _evaluate, _top, sphere_grid
 from rbnl.states import (PAULIS, BlochVector, DensityMatrix, bloch_pvm, fano_form,
@@ -274,6 +277,82 @@ def test_start_pairs_are_distinct_observables(rank):
         same_u = np.abs(dirs[iu] @ dirs[iu].T) > 1.0 - 1e-9
         same_v = np.abs(dirs[iv] @ dirs[iv].T) > 1.0 - 1e-9
         assert np.array_equal(same_u & same_v, np.eye(cfg.restarts, dtype=bool))
+
+
+def pool_states():
+    """The 120 states of the mixed-search pool, built as
+    bench/make_references.py builds them (seed 20171, 40 each of rank 2-4)."""
+    rng = np.random.default_rng(20171)
+    states = []
+    for rank in (2, 3, 4):
+        for _ in range(40):
+            w = rng.random(rank)
+            w /= w.sum()
+            m = np.zeros((4, 4), dtype=complex)
+            for k in range(rank):
+                x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                x /= np.linalg.norm(x)
+                m += w[k] * np.outer(x, x.conj())
+            states.append(DensityMatrix((m + m.conj().T) / 2, (2, 2)))
+    return states
+
+
+def symmetric_states(rng, count):
+    """Bell-diagonal states with equal z-marginals, (I + m (sz (x) I + I (x)
+    sz) + sum_i t_i s_i (x) s_i) / 4: their tables hold many exact ties."""
+    basis = np.stack([np.eye(2), *PAULIS])
+    states = []
+    while len(states) < count:
+        r = np.diag([1.0, *rng.uniform(-1.0, 1.0, 3)])
+        r[3, 0] = r[0, 3] = rng.uniform(0.0, 0.5)
+        m = np.einsum("ij,iab,jcd->acbd", r, basis, basis).reshape(4, 4) / 4
+        if np.linalg.eigvalsh(m)[0] > 0:
+            states.append(DensityMatrix(m, (2, 2)))
+    return states
+
+
+@functools.lru_cache(maxsize=1)
+def screen_corpus():
+    """The pool, 300 random states of rank 1-4, near-pure states
+    (1 - eps)|psi><psi| + eps sigma and 30 symmetric_states."""
+    rng = np.random.default_rng(470)
+    states = pool_states()
+    states += [random_density(2, 2, rank=1 + i % 4, seed=rng) for i in range(300)]
+    for eps in (1e-9, 1e-6, 1e-3):
+        for rank in (1, 2, 3, 4):
+            m = (1 - eps) * random_pure(2, 2, seed=rng).density().matrix
+            m += eps * random_density(2, 2, rank=rank, seed=rng).matrix
+            states.append(DensityMatrix(m, (2, 2)))
+    return states + symmetric_states(rng, 30)
+
+
+# (grid, k): the default, two small grids, and k >= n^2 (7 directions, 49 pairs)
+SCREENS = [((12, 24), 8), ((5, 9), 3), ((6, 7), 40), ((4, 6), 64)]
+
+
+def test_screened_ranking_equals_full_table_ranking():
+    # the starts of _nrb_search are those of the whole float64 table, and the
+    # recounted drops are its entries, bit for bit; at TABLE_MARGIN = 0 a
+    # symmetric state, with ties that float32 splits, loses one of its starts
+    for grid, k in SCREENS:
+        dirs = sphere_grid(*grid)
+        for rho in screen_corpus():
+            a, b, t = fano_form(rho)
+            table = _pair_table(a, b, t, dirs).ravel() - rho.entropy()
+            keep, drop = _grid_candidates(_table_parts(a, b, t, dirs), rho.entropy(), k)
+            assert np.array_equal(keep[_top(drop, k)], _top(table, k))
+            assert drop.tobytes() == table[keep].tobytes()
+
+
+def test_float32_table_error_is_far_inside_the_margin():
+    worst = 0.0
+    for grid, _ in SCREENS:
+        dirs = sphere_grid(*grid)
+        for rho in screen_corpus():
+            parts = _table_parts(*fano_form(rho), dirs)
+            screen = _planes(*(x.astype(np.float32) for x in parts))
+            worst = max(worst, np.abs(screen - _planes(*parts)).max())
+    assert worst < TABLE_MARGIN / 50
 
 
 def test_ranking_is_a_stable_descending_sort():
