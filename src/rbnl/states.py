@@ -111,9 +111,15 @@ class PureState:
 class PVM:
     """Projective observable: orthogonal projectors summing to the identity.
     `projectors` is one read-only (k, d, d) array, copied from the input and
-    checked here once; iterating it gives read-only (d, d) views of it."""
+    checked here once; iterating it gives read-only (d, d) views of it.
+    `superoperator` is the read-only (d^2, d^2) matrix of its dephasing
+    X -> sum_k P_k X P_k, S[(a, c), (i, j)] = sum_k P_k[a, i] P_k[j, c], that
+    is sum_k P_k (x) P_k^T (vec(P X P) = (P (x) P^T) vec(X) for row-major
+    vec; Horn & Johnson, Topics in Matrix Analysis, 1991, 4.3). It is built
+    here once; realism dephases with it."""
 
     projectors: np.ndarray
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -133,9 +139,14 @@ class PVM:
             raise ValueError("projector not idempotent")
         if err.max() > HERM_TOL:
             raise ValueError("projectors not pairwise orthogonal")
-        if np.max(np.abs(p.sum(axis=0) - np.eye(d))) > HERM_TOL:
+        total = p.sum(axis=0)
+        total.flat[::d + 1] -= 1
+        if np.abs(total).max() > HERM_TOL:
             raise ValueError("projectors do not sum to the identity")
-        _freeze(self, projectors=p)
+        # one product over k gives sum_k P_k[a, i] P_k[j, c] at [(a, i), (c, j)]
+        s = p.reshape(k, d * d).T @ p.swapaxes(1, 2).reshape(k, d * d)
+        s = s.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+        _freeze(self, projectors=p, superoperator=s)
 
     @property
     def dim(self) -> int:

@@ -128,6 +128,13 @@ MUTANTS = (
            ("tests/test_states.py::test_psd_tolerance",)),
     Mutant("reality-tol-loose", REALISM, "REALITY_TOL = 1e-10", "REALITY_TOL = 1e-6",
            ("tests/test_realism.py::test_reality_tolerance",)),
+    # HERM_TOL loosened 100 times, which every other test lets through
+    Mutant("herm-tol-loose", LINALG, "HERM_TOL = 1e-10", "HERM_TOL = 1e-8",
+           ("tests/test_states.py::test_herm_tolerance",)),
+    # site B dephases with S, not S^T: for complex projectors the map of the
+    # conjugated ones
+    Mutant("site-b-untransposed", REALISM, "r @ s.T", "r @ s",
+           ("tests/test_realism.py::test_dephase_equals_kron_sandwich",)),
     # states with 1 - purity from 1e-8 to 1e-6 take the top singular pair of T
     Mutant("purity-cutoff-loose", NONLOCALITY, "PURITY_CUTOFF = 1e-10", "PURITY_CUTOFF = 1e-6",
            ("tests/test_nonlocality.py::test_structured_noise_outside_the_purity_cutoff_is_searched",)),

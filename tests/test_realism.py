@@ -93,24 +93,26 @@ def test_dephase_output_is_fully_validated(monkeypatch, bad, match):
 
 
 def test_one_spectrum_per_state(monkeypatch):
-    # irreality and delta_irreality diagonalize each dephased matrix once,
-    # with one eigvalsh call and no DensityMatrix around it; rho's own
-    # spectrum is the one kept from its construction
+    # irreality diagonalizes its dephased matrix with one eigvalsh call and
+    # no DensityMatrix around it; delta_irreality diagonalizes its three
+    # (Phi_a rho, Phi_b rho and Phi_a Phi_b rho) with one eigvalsh call on
+    # their (3, d, d) stack; rho's own spectrum is the one kept from its
+    # construction
     rng = np.random.default_rng(6)
     rho = random_density(3, 2, rank=4, seed=rng)
     ma, mb = random_local(rng, (3, 2), "A"), random_local(rng, (3, 2), "B")
     expected = (irreality(ma, rho), delta_irreality(ma, mb, rho))
     calls = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
     assert irreality(ma, rho) == expected[0]
-    assert len(calls) == 1
+    assert calls == [(6, 6)]
     calls.clear()
     assert delta_irreality(ma, mb, rho) == expected[1]
-    assert len(calls) == 3  # Phi_b rho, Phi_a rho and Phi_a Phi_b rho
+    assert calls == [(3, 6, 6)]
     calls.clear()
     DensityMatrix(rho.matrix, rho.dims)
-    assert len(calls) == 1
+    assert calls == [(6, 6)]
 
 
 def irreality_oracle(m, rho):

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -221,6 +222,24 @@ def test_pvm_projectors_are_read_only_views_of_one_copy(projs):
     assert np.array_equal(PVM(np.stack(projs)).projectors, m.projectors)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pvm_superoperator(d):
+    # the matrix of the dephasing, sum_k P_k (x) P_k^T, built once and read-only,
+    # for a full basis and, for d >= 2, a coarse PVM (the first two rays merged)
+    rng = np.random.default_rng(40 + d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rays = [np.outer(q[:, j], q[:, j].conj()) for j in range(d)]
+    for projs in [rays] + ([[rays[0] + rays[1], *rays[2:]]] if d > 1 else []):
+        m = PVM(tuple(projs))
+        s = m.superoperator
+        assert s.shape == (d * d, d * d) and not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.5
+        expected = sum(np.kron(p, p.T) for p in m.projectors)
+        assert np.max(np.abs(s - expected)) <= 1e-15
+        assert "superoperator" not in repr(m)
+
+
 def test_bloch_vector():
     with pytest.raises(ValueError):
         BlochVector(np.array([1.0, 1.0, 0.0]))
@@ -269,6 +288,34 @@ def test_psd_tolerance():  # PSD_TOL, in DensityMatrix and in the entropy of a s
                      1e-10, "positive semidefinite", signs=(1.0,))
     assert_tolerance(lambda off: entropy_from_eigenvalues([1.0 + off, -off]), 1e-10,
                      "not a state", signs=(1.0,))
+
+
+def test_herm_tolerance():  # HERM_TOL, in every check that reads it
+    # one entry above the diagonal off by `off`, so max |m - m^H| = |off|
+    def skewed(off):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = off
+        return m
+
+    assert_tolerance(lambda off: DensityMatrix(skewed(off), (2, 2)), 1e-10, "not Hermitian")
+    assert_tolerance(lambda off: von_neumann_entropy(skewed(off)), 1e-10, "not Hermitian")
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    assert_tolerance(lambda off: PVM((p0 + off * np.triu(np.ones((2, 2)), 1), p1)), 1e-10,
+                     "projector is not Hermitian")
+    # P_0 scaled by 1 + off: P_0^2 - P_0 and the sum's residual are both off
+    # to first order, and the idempotence check comes first
+    assert_tolerance(lambda off: PVM(((1 + off) * p0, p1)), 1e-10, "not idempotent")
+    # P_1 = |v><v| with v = (off, 1) normalized: P_0 P_1 and the sum's
+    # residual are off to first order, both projectors idempotent to second
+    def tilted(off):
+        v = np.array([off, 1.0]) / math.hypot(off, 1.0)
+        return PVM((p0, np.outer(v, v).astype(complex)))
+
+    assert_tolerance(tilted, 1e-10, "not pairwise orthogonal")
+    # To first order the residual of the sum to the identity is made of the
+    # blocks that the idempotence and orthogonality residuals hold, so no
+    # input near HERM_TOL fails the sum check alone; the inputs off by half
+    # of it above pass that check too, so it cannot be tightened unseen.
 
 
 def test_bloch_pvm_projects():
