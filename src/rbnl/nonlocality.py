@@ -65,12 +65,17 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PureNrbResult:
-    """Value plus the Schmidt decomposition of a pure state; pvm_a and pvm_b,
-    the attaining observables (projectors onto the Schmidt bases), are built
-    from it when read."""
+    """N_rb of a pure state, its entanglement entropy, and the state. The
+    Schmidt decomposition and pvm_a and pvm_b, the attaining observables
+    (projectors onto the Schmidt bases), are built from the state when read,
+    anew at each read."""
 
     value: float
-    decomposition: SchmidtDecomposition
+    state: PureState
+
+    @property
+    def decomposition(self) -> SchmidtDecomposition:
+        return schmidt(self.state)
 
     @property
     def pvm_a(self) -> PVM:
@@ -81,21 +86,29 @@ class PureNrbResult:
         return _basis_pvm(self.decomposition.basis_b)
 
 
-def schmidt(psi: PureState) -> SchmidtDecomposition:
-    """Biorthogonal decomposition from one full SVD of the coefficient
-    matrix: psi = sum_i s_i |alpha_i>|beta_i> with alpha_i the columns of U
-    and beta_i the rows of V^H, so xi_i = s_i^2 and both bases come out
-    complete, zero-coefficient slots included. Reconstruction
-    sum_i sqrt(xi_i)|alpha_i>|beta_i> recovers psi exactly.
-    """
+def _schmidt_svd(psi: PureState):
+    """(xi, U, W) from one full SVD U s V^H of the coefficient matrix,
+    unvalidated: psi = sum_i s_i |alpha_i>|beta_i> with alpha_i the columns
+    of U and beta_i the rows of V^H, which are the columns of W = (V^H)^T,
+    and xi = s^2 / sum s^2, descending."""
     u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims))
     xi = s * s
-    return SchmidtDecomposition(xi / xi.sum(), u, vh.T)
+    return xi / xi.sum(), u, vh.T
+
+
+def schmidt(psi: PureState) -> SchmidtDecomposition:
+    """Biorthogonal decomposition of psi, the arrays of _schmidt_svd
+    validated by SchmidtDecomposition: both bases come out complete,
+    zero-coefficient slots included, and sum_i sqrt(xi_i)|alpha_i>|beta_i>
+    recovers psi exactly.
+    """
+    return SchmidtDecomposition(*_schmidt_svd(psi))
 
 
 def entanglement_entropy(psi: PureState) -> float:
-    """Entropy of either marginal, in nats."""
-    return entropy_from_eigenvalues(schmidt(psi).coefficients)
+    """Entropy of either marginal, in nats, from the Schmidt coefficients of
+    _schmidt_svd alone: no SchmidtDecomposition is built."""
+    return entropy_from_eigenvalues(_schmidt_svd(psi)[0])
 
 
 def _basis_pvm(basis: np.ndarray) -> PVM:
@@ -119,9 +132,10 @@ def pure_state(rho: DensityMatrix) -> PureState | None:
 
 def nrb_pure(psi: PureState) -> PureNrbResult:
     """For pure states the maximal irreality drop equals the entanglement
-    entropy and is attained by measuring the Schmidt bases on both sides."""
-    dec = schmidt(psi)
-    return PureNrbResult(entropy_from_eigenvalues(dec.coefficients), dec)
+    entropy and is attained by measuring the Schmidt bases on both sides. The
+    value takes one SVD; the rest of the result is built when read (see
+    PureNrbResult)."""
+    return PureNrbResult(entanglement_entropy(psi), psi)
 
 
 # ---------------------------------------------------------------------------

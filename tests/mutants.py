@@ -128,6 +128,26 @@ MUTANTS = (
            ("tests/test_states.py::test_psd_tolerance",)),
     Mutant("reality-tol-loose", REALISM, "REALITY_TOL = 1e-10", "REALITY_TOL = 1e-6",
            ("tests/test_realism.py::test_reality_tolerance",)),
+    # the literal tolerances of SchmidtDecomposition, NrbResult and
+    # RealityComponents, each loosened to 1e-6, which the rest of Tier-1 lets through
+    Mutant("schmidt-min-tol-loose", NONLOCALITY, "if not xi.min() >= -1e-10:",
+           "if not xi.min() >= -1e-6:",
+           ("tests/test_nonlocality.py::test_schmidt_coefficient_minimum_tolerance",)),
+    Mutant("schmidt-sum-tol-loose", NONLOCALITY, "if not abs(xi.sum() - 1.0) <= 1e-10:",
+           "if not abs(xi.sum() - 1.0) <= 1e-6:",
+           ("tests/test_nonlocality.py::test_schmidt_coefficient_sum_tolerance",)),
+    Mutant("schmidt-orth-tol-loose", NONLOCALITY, "np.eye(u.shape[1]))) <= 1e-10:",
+           "np.eye(u.shape[1]))) <= 1e-6:",
+           ("tests/test_nonlocality.py::test_schmidt_orthonormality_tolerance",)),
+    Mutant("nrb-value-tol-loose", NONLOCALITY, "if not self.value >= -1e-12:",
+           "if not self.value >= -1e-6:",
+           ("tests/test_nonlocality.py::test_nrb_value_tolerance",)),
+    Mutant("nrb-eta-tol-loose", NONLOCALITY, "if not -1e-12 <= self.eta <= 1 + 1e-12:",
+           "if not -1e-6 <= self.eta <= 1 + 1e-6:",
+           ("tests/test_nonlocality.py::test_nrb_eta_tolerance",)),
+    Mutant("reality-weights-tol-loose", REALISM, "if not abs(w.sum() - 1.0) <= 1e-12:",
+           "if not abs(w.sum() - 1.0) <= 1e-6:",
+           ("tests/test_realism.py::test_reality_weights_tolerance",)),
     # HERM_TOL loosened 100 times, which every other test lets through
     Mutant("herm-tol-loose", LINALG, "HERM_TOL = 1e-10", "HERM_TOL = 1e-8",
            ("tests/test_states.py::test_herm_tolerance",)),
@@ -153,6 +173,10 @@ MUTANTS = (
     # a negative sweep seed
     Mutant("sweep-seed", CLI, '    check_int("seed", args.seed, 0)\n', "",
            ("tests/test_cli.py::test_vol_negative_seed", FUZZ)),
+    # nrb_pure builds and validates the Schmidt decomposition for its value
+    Mutant("eager-schmidt", NONLOCALITY, "return PureNrbResult(entanglement_entropy(psi), psi)",
+           "return PureNrbResult(entropy_from_eigenvalues(schmidt(psi).coefficients), psi)",
+           ("tests/test_nonlocality.py::test_nrb_pure_value_takes_one_svd_and_no_decomposition",)),
     # a pure state takes the bottom singular pair of T, not the top one
     Mutant("pure-pair", NONLOCALITY, "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),

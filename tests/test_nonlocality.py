@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbnl.linalg import partial_trace, tensor, von_neumann_entropy
+from rbnl.linalg import entropy_from_eigenvalues, partial_trace, tensor, von_neumann_entropy
 from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, OptimizerConfig,
                               SchmidtDecomposition, _nrb_search,
                               entanglement_entropy, nrb_pure, nrb_two_qubit,
@@ -14,6 +14,7 @@ from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
                          bloch_pvm, fano_form, qutrit_family, random_density,
                          random_pure, singlet, werner)
 from test_search import haar_unitary
+from test_states import assert_tolerance
 
 LN2 = np.log(2.0)
 
@@ -121,6 +122,57 @@ def test_nrb_pure_value_via_dephasing_route():
                              LocalPVM(res.pvm_b, "B"), rho)
         assert abs(di - res.value) < 1e-10
         assert abs(res.value - entanglement_entropy(psi)) < 1e-12
+
+
+def counted_schmidt(monkeypatch):
+    """Count the calls of np.linalg.svd and the SchmidtDecompositions built."""
+    counts = {"svd": 0, "decomposition": 0}
+    svd, post_init = np.linalg.svd, SchmidtDecomposition.__post_init__
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(SchmidtDecomposition, "__post_init__",
+                        counted("decomposition", post_init))
+    return counts
+
+
+def test_nrb_pure_value_takes_one_svd_and_no_decomposition(monkeypatch):
+    counts = counted_schmidt(monkeypatch)
+    for psi in (random_pure(3, 3, seed=30), singlet(), product_state(2, 3)):
+        counts.update(svd=0, decomposition=0)
+        res = nrb_pure(psi)
+        assert counts == {"svd": 1, "decomposition": 0}
+        assert res.state is psi
+
+
+def test_nrb_pure_decomposition_is_built_when_read(monkeypatch):
+    rng = np.random.default_rng(31)
+    states = [random_pure(d_a, d_b, seed=rng)
+              for d_a, d_b in [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3)]]
+    for psi in states + degenerate_states():
+        res = nrb_pure(psi)
+        want = schmidt(psi)
+        counts = counted_schmidt(monkeypatch)
+        dec = res.decomposition
+        assert counts == {"svd": 1, "decomposition": 1}
+        for name in ("coefficients", "basis_a", "basis_b"):
+            got, ref = getattr(dec, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for name, basis in (("pvm_a", want.basis_a), ("pvm_b", want.basis_b)):
+            pvm = getattr(res, name)
+            cols = basis.T
+            ref = cols[:, :, None] * cols.conj()[:, None, :]
+            assert pvm.projectors.tobytes() == ref.tobytes()
+        assert counts == {"svd": 3, "decomposition": 3}
+        monkeypatch.undo()
+        # the value keeps its bits against both routes to the coefficients
+        assert res.value == entanglement_entropy(psi)
+        assert res.value == entropy_from_eigenvalues(res.decomposition.coefficients)
 
 
 def test_nrb_two_qubit_matches_closed_form():
@@ -507,6 +559,46 @@ def test_nrb_result_invariants():
     with pytest.raises(ValueError):
         NrbResult(np.nan, BlochVector(np.array([0.0, 0.0, 1.0])),
                   BlochVector(np.array([0.0, 0.0, 1.0])), 1.0)
+
+
+# the literal tolerances of SchmidtDecomposition and NrbResult, from both
+# sides (see assert_tolerance in test_states.py)
+def test_schmidt_coefficient_minimum_tolerance():  # xi.min() >= -1e-10
+    eye = np.eye(2, dtype=complex)
+    assert_tolerance(lambda off: SchmidtDecomposition(np.array([1.0 + off, -off]), eye, eye),
+                     1e-10, "negative coefficient", signs=(1.0,))
+
+
+def test_schmidt_coefficient_sum_tolerance():  # |sum xi - 1| <= 1e-10
+    eye = np.eye(2, dtype=complex)
+    assert_tolerance(lambda off: SchmidtDecomposition(np.array([0.5 + off, 0.5]), eye, eye),
+                     1e-10, "coefficients sum to")
+
+
+def test_schmidt_orthonormality_tolerance():  # max |U^H U - I| <= 1e-10, both bases
+    # U = [[1, off], [0, 1]]: U^H U - I = [[0, off], [off, off^2]]
+    eye, xi = np.eye(2, dtype=complex), np.array([0.5, 0.5])
+
+    def skewed(off):
+        return np.array([[1.0, off], [0.0, 1.0]], dtype=complex)
+
+    assert_tolerance(lambda off: SchmidtDecomposition(xi, skewed(off), eye), 1e-10,
+                     "basis not orthonormal")
+    assert_tolerance(lambda off: SchmidtDecomposition(xi, eye, skewed(off)), 1e-10,
+                     "basis not orthonormal")
+
+
+def test_nrb_value_tolerance():  # value >= -1e-12
+    z = BlochVector(np.array([0.0, 0.0, 1.0]))
+    assert_tolerance(lambda off: NrbResult(-off, z, z, 1.0), 1e-12, "negative value",
+                     signs=(1.0,))
+
+
+def test_nrb_eta_tolerance():  # -1e-12 <= eta <= 1 + 1e-12
+    z = BlochVector(np.array([0.0, 0.0, 1.0]))
+    for edge, sign in ((0.0, -1.0), (1.0, 1.0)):
+        assert_tolerance(lambda off: NrbResult(0.5, z, z, edge + off), 1e-12,
+                         r"outside \[0, 1\]", signs=(sign,))
 
 
 def test_closed_form_anchors():

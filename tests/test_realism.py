@@ -7,6 +7,7 @@ from rbnl.realism import (LocalPVM, RealityComponents, dephase,
                           delta_irreality, irreality, is_reality_state,
                           make_reality_state)
 from rbnl.states import PVM, DensityMatrix, random_density, werner
+from test_states import assert_tolerance
 
 
 def random_basis_pvm(rng, d):
@@ -265,6 +266,13 @@ def test_reality_components_validation():
     for w in ((np.nan, 1.0), (np.nan, np.nan), (1.0, np.nan)):
         with pytest.raises(ValueError):
             RealityComponents(w, (rho_a, rho_a), (rho_a, rho_a))
+
+
+def test_reality_weights_tolerance():  # |sum w - 1| <= 1e-12, see assert_tolerance
+    rho_a = np.eye(2) / 2
+    assert_tolerance(lambda off: RealityComponents((0.5 + off, 0.5), (rho_a, rho_a),
+                                                   (rho_a, rho_a)),
+                     1e-12, "weights sum to")
 
 
 def test_reality_state_fixed_point():
