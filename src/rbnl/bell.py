@@ -44,7 +44,6 @@ from .states import DensityMatrix, fano_form
 
 MC_CHUNK = 1 << 16  # samples per chunk, one stream each; read at call time
 MAX_WORKERS = 64  # threads of one Monte Carlo estimate
-MC_METHODS = ("angles", "xyz")
 _MC_BLOCK = 1 << 13  # rows counted at once within a chunk
 # half-width of the band around 2/mu whose samples the float64 kernel
 # recounts; read at call time. A float32 cosine erred by at most 2.6e-7 over
@@ -56,8 +55,9 @@ MARGIN = 1e-4
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings: n samples, drawn in chunks of MC_CHUNK from
-    streams seeded by seed. n must be an integer >= 1 and seed an integer
-    >= 0 (Python or numpy integers; bool is rejected)."""
+    streams seeded by seed and counted by the method named, a key of
+    _COUNTERS. n must be an integer >= 1 and seed an integer >= 0 (Python or
+    numpy integers; bool is rejected)."""
 
     n: int
     seed: int = 0
@@ -66,8 +66,8 @@ class McConfig:
     def __post_init__(self):
         for name, minimum in (("n", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
-        if self.method not in MC_METHODS:
-            raise ValueError(f"method must be one of {MC_METHODS}, got {self.method!r}")
+        if self.method not in _COUNTERS:
+            raise ValueError(f"method must be one of {tuple(_COUNTERS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)

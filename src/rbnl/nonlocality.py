@@ -11,7 +11,7 @@ import numpy as np
 
 from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, SearchDiagnostics, _top, refine_starts, sphere_grid
+from .search import OptimizerConfig, SearchDiagnostics, _top, refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, _freeze, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
@@ -385,14 +385,15 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     """The search route of nrb_two_qubit, for any two-qubit state: the best
     cfg.restarts pairs of sphere_grid by their drop, ranked as on the whole
-    _pair_table (see _grid_candidates), then refine_starts with
-    _drop_objective. The value never falls below that of the best grid pair."""
+    _pair_table (see _grid_candidates), decoded from their flat indices
+    i n + j and refined with _drop_objective. The value never falls below
+    that of the best grid pair."""
     a, b, t = fano_form(rho)
     s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     keep, drop = _grid_candidates(_table_parts(a, b, t, dirs), s_rho, cfg.restarts)
-    starts = keep[_top(drop, cfg.restarts)]
-    return _result(*refine_starts(starts, dirs, _drop_objective(a, b, t, s_rho), cfg))
+    iu, iv = np.divmod(keep[_top(drop, cfg.restarts)], len(dirs))
+    return _result(*refine(_drop_objective(a, b, t, s_rho), dirs[iu], dirs[iv], cfg))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

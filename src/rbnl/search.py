@@ -1,11 +1,10 @@
 """Grid-then-refine maximization over pairs of qubit observables, S^2 x S^2.
 
-The caller ranks the pairs of directions of sphere_grid, and refine_starts
-(or grid_refine, from a whole table of scores) takes its best cfg.restarts
-pairs; refine polishes them together, as one batch, by a
-Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony and
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5), with the
-Riemannian Hessian of _evaluate.
+The caller ranks the pairs of directions of sphere_grid and hands its best
+cfg.restarts pairs to refine, which polishes them together, as one batch, by
+a Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony
+and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5), with
+the Riemannian Hessian of _evaluate, and returns the best pair.
 """
 from __future__ import annotations
 
@@ -138,14 +137,15 @@ def refine(objective, u, v, cfg: OptimizerConfig):
       multiplies lambda by LM_UP. So a row whose steps fall below float
       resolution, as at a non-smooth maximum, stops past LM_MAX.
 
-    Returns the final u, v and values, no value below its start, and the
-    start values, the iterations and the number of converged restarts
-    (those that passed the decrement test, not the cap or LM_MAX).
+    Returns (value, u, v, diagnostics): the best final value, never below
+    the best start value, its pair, and the SearchDiagnostics of the run,
+    whose converged restarts are those that passed the decrement test, not
+    the cap or LM_MAX.
     """
     x = np.stack([u, v], axis=1).astype(float, copy=False)
     m = len(x)
     f, tangent, hess = _evaluate(objective, x)
-    start = f.copy()
+    grid_best = float(f.max())
     lam = np.full(m, LM_START)
     for iterations in range(cfg.refine_iterations + 1):
         w, q = np.linalg.eigh(-hess)
@@ -165,7 +165,10 @@ def refine(objective, u, v, cfg: OptimizerConfig):
             np.copyto(old, new, where=up[:, None, None])
         np.copyto(f, f1, where=up)
         lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
-    return x[:, 0], x[:, 1], f, (start, iterations, int(np.count_nonzero(converged)))
+    k = int(np.argmax(f))
+    diagnostics = SearchDiagnostics(grid_best, float(f[k]), iterations + 1, iterations,
+                                    int(np.count_nonzero(converged)), k)
+    return float(f[k]), x[k, 0], x[k, 1], diagnostics
 
 
 def _top(flat, k):
@@ -176,22 +179,3 @@ def _top(flat, k):
     cand = np.flatnonzero(flat >= np.partition(flat, i)[i])
     return cand[np.argsort(-flat[cand], kind="stable")[:k]]
 
-
-def grid_refine(table, dirs, objective, cfg: OptimizerConfig):
-    """Maximize over S^2 x S^2: rank the grid pair table (table[i, j] scores
-    dirs[i], dirs[j]) and refine its best cfg.restarts pairs (see
-    refine_starts)."""
-    return refine_starts(_top(table.ravel(), cfg.restarts), dirs, objective, cfg)
-
-
-def refine_starts(starts, dirs, objective, cfg: OptimizerConfig):
-    """Refine the grid pairs at the flat indices starts, best first (i n + j
-    for dirs[i], dirs[j]), and return (value, u, v, diagnostics). The
-    ranking only picks the starts; values come from the objective, and the
-    result is never below its value at the top-ranked grid pair."""
-    iu, iv = np.divmod(starts, len(dirs))
-    u, v, f, (start, iterations, converged) = refine(objective, dirs[iu], dirs[iv], cfg)
-    k = int(np.argmax(f))
-    diagnostics = SearchDiagnostics(float(start.max()), float(f[k]), iterations + 1,
-                                    iterations, converged, k)
-    return float(f[k]), u[k], v[k], diagnostics

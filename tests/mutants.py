@@ -184,6 +184,10 @@ MUTANTS = (
     Mutant("refine-accept-any", SEARCH, "up = active & (f1 > f)", "up = active",
            ("tests/test_search.py::test_diagnostics_describe_the_search",
             "tests/test_search.py::test_search_path_is_pinned")),
+    # refine records the value it returns as the best start value
+    Mutant("grid-best-refined", SEARCH, "SearchDiagnostics(grid_best,",
+           "SearchDiagnostics(float(f[k]),",
+           ("tests/test_search.py::test_refine_writes_its_run_record",)),
     # refine takes a step that leaves the value unchanged, so the damping of a
     # search at a non-smooth maximum never passes LM_MAX
     Mutant("refine-accept-ties", SEARCH, "up = active & (f1 > f)", "up = active & (f1 >= f)",

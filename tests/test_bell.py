@@ -9,7 +9,7 @@ from rbnl.bell import (_MC_BLOCK, MAX_WORKERS, MC_CHUNK, McConfig, McEstimate,
                        _mc_chunk_count, correlation_matrix, nmax_numeric, nmax_werner,
                        nvol_mc, nvol_quadrature, nvol_werner_analytic)
 from rbnl.linalg import EIG_CLIP, tensor
-from rbnl.search import OptimizerConfig, grid_refine, sphere_grid
+from rbnl.search import OptimizerConfig, _top, refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
 
 SQRT2 = math.sqrt(2.0)
@@ -93,13 +93,15 @@ def chsh_objective(t):
 def chsh_search(rho):
     """The best CHSH value by search, a route independent of the closed
     form: chsh_objective scored on every pair of the default grid, the best
-    pairs refined by rbnl.search."""
+    pairs, at the flat indices i n + j of dirs[i], dirs[j], refined by
+    rbnl.search."""
     cfg = OptimizerConfig()
     objective = chsh_objective(correlation_matrix(rho))
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     n = len(dirs)
-    table = objective(np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1)))[0].reshape(n, n)
-    return grid_refine(table, dirs, objective, cfg)[0]
+    table = objective(np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1)))[0]
+    iu, iv = np.divmod(_top(table, cfg.restarts), n)
+    return refine(objective, dirs[iu], dirs[iv], cfg)[0]
 
 
 def test_correlator_singlet():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import rbnl
+from rbnl import bell
 from rbnl.bell import MAX_WORKERS, McEstimate
-from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, main
+from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, _build_parser, main
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
@@ -327,6 +329,15 @@ def test_vol_zero_region(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["fraction"] == 0.0 and rep["z_score"] == 0.0
+
+
+def test_vol_method_choices_are_the_counters():
+    # the parser spells the methods out, as it imports no numpy; they must
+    # stay the counters that McConfig accepts
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["vol"]._actions if a.dest == "method")
+    assert tuple(method.choices) == tuple(bell._COUNTERS)
 
 
 def test_vol_degenerate_z_score_is_null(capsys):

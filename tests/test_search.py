@@ -23,7 +23,7 @@ from rbnl.nonlocality import (TABLE_MARGIN, _drop_objective, _grid_candidates, _
                               _pair_table, _planes, _table_parts, entanglement_entropy,
                               nrb_two_qubit)
 from rbnl.realism import LocalPVM, delta_irreality
-from rbnl.search import OptimizerConfig, _evaluate, _top, sphere_grid
+from rbnl.search import OptimizerConfig, _evaluate, _top, refine, sphere_grid
 from rbnl.states import (PAULIS, BlochVector, DensityMatrix, bloch_pvm, fano_form,
                          random_density, random_pure, werner)
 from test_bell import chsh_objective
@@ -457,6 +457,34 @@ def test_one_objective_call_per_iteration(rank, monkeypatch):
         diag = fn(random_density(2, 2, rank=rank, seed=rng), OptimizerConfig()).diagnostics
         assert len(calls) == diag.evaluations == diag.iterations + 1
         assert calls == [OptimizerConfig().restarts] * len(calls)  # every row, every call
+
+
+def test_refine_writes_its_run_record():
+    # refine alone, from random start pairs, with an objective that records
+    # every call: grid_best is the best value of the first call, bit for bit,
+    # and the pair returned is the one row best_restart reached, at a call
+    # that scored it at the value returned
+    cfg = OptimizerConfig()
+    rng = np.random.default_rng(430)
+    for rank in (2, 3, 4):
+        rho = random_density(2, 2, rank=rank, seed=rng)
+        objective = _drop_objective(*fano_form(rho), rho.entropy())
+        calls = []
+
+        def counted(u, v):
+            out = objective(u, v)
+            calls.append((u.copy(), v.copy(), out[0].copy()))
+            return out
+
+        starts = rng.standard_normal((2, cfg.restarts, 3))
+        starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+        value, u, v, diag = refine(counted, *starts, cfg)
+        assert diag.grid_best == calls[0][2].max()
+        assert diag.refined_best == value > diag.grid_best
+        assert diag.evaluations == len(calls) == diag.iterations + 1
+        hits = [(row, f[row]) for cu, cv, f in calls for row in range(cfg.restarts)
+                if np.array_equal(cu[row], u) and np.array_equal(cv[row], v)]
+        assert hits and all(hit == (diag.best_restart, value) for hit in hits)
 
 
 def test_search_path_is_pinned():
