@@ -11,7 +11,7 @@ import numpy as np
 
 from .closed_forms import check_mu, nrb_werner_closed_form  # noqa: F401  (re-exported)
 from .linalg import EIG_CLIP, entropy_from_eigenvalues
-from .search import OptimizerConfig, SearchDiagnostics, _top, refine, sphere_grid
+from .search import OptimizerConfig, SearchDiagnostics, refine, sphere_grid
 from .states import PVM, BlochVector, DensityMatrix, PureState, _freeze, fano_form
 
 PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
@@ -19,7 +19,7 @@ PURITY_CUTOFF = 1e-10  # Tr rho^2 > 1 - PURITY_CUTOFF counts as a pure state
 # closed form holds at a = b = 0 only, and rounding in the Fano form of an
 # exactly zero-marginal state stays near 1e-16
 MARGINAL_CUTOFF = 1e-12
-TABLE_MARGIN = 1e-4  # the float32 screen of the pair table: see _grid_candidates
+TABLE_MARGIN = 1e-4  # the float32 screen of the pair table: see _grid_top
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,24 +223,25 @@ def _planes(corr, row, col, one_u, one_v):
 
 def _pair_table(a, b, t, dirs):
     """The float64 table of _planes on every pair (dirs[i], dirs[j]), (n, n):
-    the reference that _grid_candidates reproduces on the pairs it keeps."""
+    the drop plus the constant S(rho), so it ranks the pairs as the drop
+    does. _grid_top reproduces that ranking."""
     return _planes(*_table_parts(a, b, t, dirs))
 
 
-def _grid_candidates(parts, s_rho, k):
-    """The flat indices i n + j of the grid pairs that may rank among the k
-    best, ascending, and their drops, equal bit for bit to those of
-    _pair_table less s_rho: so _top of the drops picks the k pairs that _top
-    of the whole float64 table picks, ties included.
+def _grid_top(parts, k):
+    """The grid indices (i, j) of the k best pairs of the table of parts (see
+    _table_parts), best first: i n + j equals
+    np.argsort(-_pair_table(...).ravel(), kind="stable")[:k], the ranking of
+    the whole float64 table, ties to the lower index included.
 
     Every pair is first scored by _planes in float32 (Shewchuk, Discrete
     Comput. Geom. 18, 305, 1997), and the pairs within TABLE_MARGIN of the
     k-th best float32 score are recounted by _planes in float64, with the
-    operations of the float64 table. A float32 probability errs by at most
-    about 2e-7, so a score by at most about 2e-5 (|x ln x - y ln y| <= 3.3e-6
-    for |x - y| <= 2e-7, over four planes, plus the rounding of the sums);
-    measured, below 1e-6. As 2e-5 < TABLE_MARGIN / 2, every pair of the
-    float64 top k is kept."""
+    operations of the float64 table, so bit for bit, and ranked. A float32
+    probability errs by at most about 2e-7, so a score by at most about 2e-5
+    (|x ln x - y ln y| <= 3.3e-6 for |x - y| <= 2e-7, over four planes, plus
+    the rounding of the sums); measured, below 1e-6. As 2e-5 <
+    TABLE_MARGIN / 2, every pair of the float64 top k is kept."""
     corr, row, col, one_u, one_v = parts
     n = len(col)
     screen = _planes(*(x.astype(np.float32) for x in parts)).ravel()
@@ -248,8 +249,8 @@ def _grid_candidates(parts, s_rho, k):
     keep = np.flatnonzero(screen >= np.partition(screen, kth)[kth] - TABLE_MARGIN)
     i, j = np.divmod(keep, n)
     drop = _planes(corr.ravel()[keep], row[i, 0], col[j], one_u[i, 0], one_v[j])
-    drop -= s_rho
-    return keep, drop
+    best = np.argsort(-drop, kind="stable")[:k]
+    return i[best], j[best]
 
 
 def _drop_value(fano, s_rho, u, v):
@@ -385,15 +386,12 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     """The search route of nrb_two_qubit, for any two-qubit state: the best
     cfg.restarts pairs of sphere_grid by their drop, ranked as on the whole
-    _pair_table (see _grid_candidates), decoded from their flat indices
-    i n + j and refined with _drop_objective. The value never falls below
-    that of the best grid pair."""
+    _pair_table (see _grid_top), refined with _drop_objective. The value
+    never falls below that of the best grid pair."""
     a, b, t = fano_form(rho)
-    s_rho = rho.entropy()
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
-    keep, drop = _grid_candidates(_table_parts(a, b, t, dirs), s_rho, cfg.restarts)
-    iu, iv = np.divmod(keep[_top(drop, cfg.restarts)], len(dirs))
-    return _result(*refine(_drop_objective(a, b, t, s_rho), dirs[iu], dirs[iv], cfg))
+    iu, iv = _grid_top(_table_parts(a, b, t, dirs), cfg.restarts)
+    return _result(*refine(_drop_objective(a, b, t, rho.entropy()), dirs[iu], dirs[iv], cfg))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

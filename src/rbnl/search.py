@@ -142,7 +142,7 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     whose converged restarts are those that passed the decrement test, not
     the cap or LM_MAX.
     """
-    x = np.stack([u, v], axis=1).astype(float, copy=False)
+    x = np.stack([u, v], axis=1)
     m = len(x)
     f, tangent, hess = _evaluate(objective, x)
     grid_best = float(f.max())
@@ -164,18 +164,12 @@ def refine(objective, u, v, cfg: OptimizerConfig):
         for old, new in ((x, x1), (tangent, tangent1), (hess, hess1)):
             np.copyto(old, new, where=up[:, None, None])
         np.copyto(f, f1, where=up)
+        # a stopped row keeps its lambda: grown by LM_UP at each iteration, it
+        # would overflow after about 345 (1e-3 * 8^345 > 1.8e308), within
+        # reach of refine_iterations = 2000, and warn (an error in the tests)
         lam *= np.where(up, LM_DOWN, np.where(active, LM_UP, 1.0))
     k = int(np.argmax(f))
     diagnostics = SearchDiagnostics(grid_best, float(f[k]), iterations + 1, iterations,
                                     int(np.count_nonzero(converged)), k)
     return float(f[k]), x[k, 0], x[k, 1], diagnostics
-
-
-def _top(flat, k):
-    """The first k of np.argsort(-flat, kind="stable"): the k largest
-    entries, ties to the lower index, without sorting the whole table. flat
-    holds no NaN; k >= flat.size keeps every entry."""
-    i = max(flat.size - k, 0)
-    cand = np.flatnonzero(flat >= np.partition(flat, i)[i])
-    return cand[np.argsort(-flat[cand], kind="stable")[:k]]
 

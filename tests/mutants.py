@@ -116,6 +116,9 @@ MUTANTS = (
     Mutant("density-trace", STATES, "if not abs(tr - 1.0) <= TRACE_TOL:", "if False:",
            (DENSITY,)),
     Mutant("density-psd", STATES, "if ev[0] < -PSD_TOL:", "if False:", (DENSITY,)),
+    # BlochVector accepts a unit vector of 4 components
+    Mutant("bloch-shape-unchecked", STATES, "if c.shape != (3,):", "if False:",
+           ("tests/test_states.py::test_bloch_vector_rejects_four_components",)),
     # each validation tolerance loosened 1e4 times: an input off by twice the
     # old tolerance passes
     Mutant("trace-tol-loose", STATES, "TRACE_TOL = 1e-10", "TRACE_TOL = 1e-6",
@@ -162,6 +165,19 @@ MUTANTS = (
     # at or above the k-th, so a tie that float32 splits loses a start
     Mutant("table-margin-zero", NONLOCALITY, "TABLE_MARGIN = 1e-4", "TABLE_MARGIN = 0.0",
            ("tests/test_search.py::test_screened_ranking_equals_full_table_ranking",)),
+    # the float32 screen keeps every pair, so the float64 recount scores the
+    # whole table: the same starts, at the cost the screen was there to save
+    Mutant("screen-off", NONLOCALITY, "kth = max(n * n - k, 0)", "kth = 0",
+           ("tests/test_search.py::test_screen_recounts_few_pairs",)),
+    # a -0.0 in argmax_u reaches the printed argmax
+    Mutant("argmax-u-negzero", NONLOCALITY, "u = u / np.linalg.norm(u) + 0.0",
+           "u = u / np.linalg.norm(u)",
+           ("tests/test_nonlocality.py::test_result_argmax_has_no_negative_zero",)),
+    # the Schmidt coefficients of a vector within NORM_TOL of unit norm sum to
+    # 1 +- 2 NORM_TOL, which SchmidtDecomposition rejects
+    Mutant("schmidt-unnormalized", NONLOCALITY, "return xi / xi.sum(), u, vh.T",
+           "return xi, u, vh.T",
+           ("tests/test_nonlocality.py::test_schmidt_of_a_state_off_unit_norm",)),
     # a searched N_rb below 1e-6 is reported as 0, so near-product states
     # read as null
     Mutant("nrb-small-to-zero", NONLOCALITY, "NrbResult(max(value, 0.0)",

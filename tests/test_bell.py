@@ -9,7 +9,7 @@ from rbnl.bell import (_MC_BLOCK, MAX_WORKERS, MC_CHUNK, McConfig, McEstimate,
                        _mc_chunk_count, correlation_matrix, nmax_numeric, nmax_werner,
                        nvol_mc, nvol_quadrature, nvol_werner_analytic)
 from rbnl.linalg import EIG_CLIP, tensor
-from rbnl.search import OptimizerConfig, _top, refine, sphere_grid
+from rbnl.search import OptimizerConfig, refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
 
 SQRT2 = math.sqrt(2.0)
@@ -100,7 +100,7 @@ def chsh_search(rho):
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     n = len(dirs)
     table = objective(np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1)))[0]
-    iu, iv = np.divmod(_top(table, cfg.restarts), n)
+    iu, iv = np.divmod(np.argsort(-table, kind="stable")[:cfg.restarts], n)
     return refine(objective, dirs[iu], dirs[iv], cfg)[0]
 
 

@@ -76,6 +76,11 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, (2, 2), "C")
 
 
+def test_partial_trace_rejects_a_shape_other_than_dims():
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) inconsistent with dims \(2, 3\)"):
+        partial_trace(np.eye(4) / 4, (2, 3), "A")
+
+
 @pytest.mark.parametrize("dims", [(2.9, 1), (2.0, 1), (True, 2), (2, False),
                                   (2, 1, 1), [1, 1, 2], (2,), 2, None,
                                   (0, 0), (0, 2), (-1, -1)])

@@ -5,7 +5,7 @@ import pytest
 
 from rbnl.linalg import entropy_from_eigenvalues, partial_trace, tensor, von_neumann_entropy
 from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, OptimizerConfig,
-                              SchmidtDecomposition, _nrb_search,
+                              SchmidtDecomposition, _nrb_search, _result,
                               entanglement_entropy, nrb_pure, nrb_two_qubit,
                               nrb_werner_closed_form, pure_state, schmidt,
                               werner_dephased_spectra)
@@ -107,6 +107,17 @@ def test_entanglement_entropy_equals_marginal_entropy():
         mat = psi.vector.reshape(2, 3)
         rho_b = mat.conj().T @ mat
         assert abs(entanglement_entropy(psi) - von_neumann_entropy(rho_b)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1 + 0.9e-10, 1 - 0.9e-10])
+def test_schmidt_of_a_state_off_unit_norm(scale):
+    # PureState keeps a vector up to NORM_TOL = 1e-10 off unit norm, as it
+    # came; the squared singular values then sum to 1 +- 1.8e-10, which
+    # SchmidtDecomposition rejects, so _schmidt_svd divides by their sum
+    exact = random_pure(2, 3, seed=27)
+    psi = PureState(exact.vector * scale, (2, 3))
+    assert abs(schmidt(psi).coefficients.sum() - 1.0) < 1e-14
+    assert abs(entanglement_entropy(psi) - entanglement_entropy(exact)) <= 1e-15
 
 
 def test_nrb_pure_value_via_dephasing_route():
@@ -559,6 +570,14 @@ def test_nrb_result_invariants():
     with pytest.raises(ValueError):
         NrbResult(np.nan, BlochVector(np.array([0.0, 0.0, 1.0])),
                   BlochVector(np.array([0.0, 0.0, 1.0])), 1.0)
+
+
+def test_result_argmax_has_no_negative_zero():
+    # a -0.0 in an argmax would print as "-0.0" in rbnl state; LAPACK can
+    # return one on either side (Werner's right singular vector has them)
+    res = _result(0.5, np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, 1.0]))
+    for argmax in (res.argmax_u, res.argmax_v):
+        assert not np.signbit(argmax.components).any()
 
 
 # the literal tolerances of SchmidtDecomposition and NrbResult, from both

@@ -119,6 +119,11 @@ def test_pure_state_norm_check():
         PureState(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2))
 
 
+def test_pure_state_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="inconsistent with vector length 3"):
+        PureState(np.ones(3) / np.sqrt(3), (2, 2))
+
+
 def test_pure_state_density():
     psi = singlet()
     rho = psi.density()
@@ -255,6 +260,12 @@ def test_bloch_vector():
         op = BlochVector(n).dot_sigma()
         ev = np.sort(np.linalg.eigvalsh(op))
         assert np.allclose(ev, [-1.0, 1.0], atol=1e-12)
+
+
+def test_bloch_vector_rejects_four_components():
+    # a unit vector, so only the shape check can reject it
+    with pytest.raises(ValueError, match="exactly 3 components"):
+        BlochVector(np.array([0.0, 0.0, 0.0, 1.0]))
 
 
 # Each validation tolerance, from both sides: an input off by twice the
