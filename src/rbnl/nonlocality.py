@@ -229,8 +229,8 @@ def _pair_table(a, b, t, dirs):
 
 
 def _grid_top(parts, k):
-    """The grid indices (i, j) of the k best pairs of the table of parts (see
-    _table_parts), best first: i n + j equals
+    """The grid indices of the k best pairs of the table of parts (see
+    _table_parts), best first, as rows (i, j) of a (k, 2) array: i n + j equals
     np.argsort(-_pair_table(...).ravel(), kind="stable")[:k], the ranking of
     the whole float64 table, ties to the lower index included.
 
@@ -250,26 +250,26 @@ def _grid_top(parts, k):
     i, j = np.divmod(keep, n)
     drop = _planes(corr.ravel()[keep], row[i, 0], col[j], one_u[i, 0], one_v[j])
     best = np.argsort(-drop, kind="stable")[:k]
-    return i[best], j[best]
+    return np.stack([i[best], j[best]], axis=1)
 
 
-def _drop_value(fano, s_rho, u, v):
-    """The drop at the rows of u and v, (m,), from the features F (m, 8) of
+def _drop_value(fano, s_rho, x):
+    """The drop at the pairs x (m, 2, 3), (m,), from the features F (m, 8) of
     EIGEN, L = F @ EIGEN and one log: the value part of _drop_objective,
     read alone by the closed-form routes. fano holds the state's constants
-    (see _fano_constants); both sites take one product with diag(T, T^T).
-    Also returns the pieces the derivatives reuse: (T^T u, T v) (m, 2, 3),
-    w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed [row, site, s], then the
-    clipped L, its log and the signs of the terms."""
+    (see _fano_constants); both sites take one product, of x.reshape(m, 6)
+    with diag(T, T^T). Also returns the pieces the derivatives reuse:
+    (T^T u, T v) (m, 2, 3), w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed
+    [row, site, s], then the clipped L, its log and the signs of the terms."""
     a, b, linear, ab = fano
-    m = len(u)
-    xt = (np.concatenate([u, v], axis=1) @ linear).reshape(m, 2, 3)
+    m = len(x)
+    xt = (x.reshape(m, 6) @ linear).reshape(m, 2, 3)
     w = ab + SIGNS * xt[:, :, None]
     r = np.sqrt((w * w).sum(axis=3))
     feat = np.empty((m, 8))
     feat[:, 0] = 1.0
-    feat[:, 1], feat[:, 2] = u @ a, v @ b
-    feat[:, 3] = (u * xt[:, 1]).sum(axis=1)
+    feat[:, 1], feat[:, 2] = x[:, 0] @ a, x[:, 1] @ b
+    feat[:, 3] = (x[:, 0] * xt[:, 1]).sum(axis=1)
     feat[:, 4:] = r.reshape(m, 4)
     big = feat @ EIGEN
     clipped = np.maximum(big, EIG_CLIP)
@@ -280,8 +280,8 @@ def _drop_value(fano, s_rho, u, v):
 
 def _drop_objective(a, b, t, s_rho):
     """The irreality drop S(Phi_u rho) + S(Phi_v rho) - S(Phi_u Phi_v rho) -
-    S(rho) as a batched function of (u, v), with its Euclidean gradients in
-    u and v and its 6 x 6 Euclidean Hessian in (u, v).
+    S(rho) as an objective of refine (see there): a batched function of the
+    pairs x (m, 2, 3), with its Euclidean gradient and 6 x 6 Hessian.
 
     The 12 eigenvalues L = F @ EIGEN of the three dephased states take one
     log. With eta = -x ln x and c = +-1 the sign of each term in the drop,
@@ -312,9 +312,9 @@ def _drop_objective(a, b, t, s_rho):
     blocks[1:3, :3, :3], blocks[3:, 3:, 3:] = t @ t.T, t.T @ t
     blocks = blocks.reshape(5, 36)
 
-    def objective(u, v):
-        m = len(u)
-        f, (xt, w, r, clipped, log, sign) = _drop_value(fano, s_rho, u, v)
+    def objective(x):
+        m = len(x)
+        f, (xt, w, r, clipped, log, sign) = _drop_value(fano, s_rho, x)
         e = ((1.0 + log) * sign) @ EIGEN.T  # c eta'(L) @ EIGEN^T
         rc = np.maximum(r, EIG_CLIP)[..., None]
         grad = template.repeat(m, axis=0)
@@ -325,8 +325,7 @@ def _drop_objective(a, b, t, s_rho):
         weight = np.concatenate([sign / clipped, -curv], axis=1)
         h = (jac * weight[..., None]).transpose(0, 2, 1) @ jac
         h += (np.concatenate([e[:, 3:4], curv], axis=1) @ blocks).reshape(m, 6, 6)
-        g = (e[:, None] @ grad)[:, 0]
-        return f, g[:, :3], g[:, 3:], h
+        return f, (e[:, None] @ grad).reshape(m, 2, 3), h
 
     return objective
 
@@ -379,7 +378,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     left, _, right = np.linalg.svd(t)
     k = 0 if pure else -1
     u, v = left[:, k], right[k]
-    value, _ = _drop_value(_fano_constants(a, b, t), rho.entropy(), u[None], v[None])
+    value, _ = _drop_value(_fano_constants(a, b, t), rho.entropy(), np.stack([u, v])[None])
     return _result(float(value[0]), u, v)
 
 
@@ -390,8 +389,8 @@ def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     never falls below that of the best grid pair."""
     a, b, t = fano_form(rho)
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
-    iu, iv = _grid_top(_table_parts(a, b, t, dirs), cfg.restarts)
-    return _result(*refine(_drop_objective(a, b, t, rho.entropy()), dirs[iu], dirs[iv], cfg))
+    top = _grid_top(_table_parts(a, b, t, dirs), cfg.restarts)
+    return _result(*refine(_drop_objective(a, b, t, rho.entropy()), dirs[top], cfg))
 
 
 def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):

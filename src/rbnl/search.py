@@ -4,7 +4,8 @@ The caller ranks the pairs of directions of sphere_grid and hands its best
 cfg.restarts pairs to refine, which polishes them together, as one batch, by
 a Levenberg-Marquardt damped Newton iteration on S^2 x S^2 (Absil, Mahony
 and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, 5.5), with
-the Riemannian Hessian of _evaluate, and returns the best pair.
+the Riemannian Hessian of _evaluate, and returns the best pair. The pairs
+of a batch are one array (m, 2, 3) of rows (u, v), from starts to objective.
 """
 from __future__ import annotations
 
@@ -76,15 +77,13 @@ def sphere_grid(theta_points: int, phi_points: int) -> np.ndarray:
 
 def _evaluate(objective, x):
     """The objective at the rows of x (m, 2, 3): values (m,), the tangent
-    gradients P g (m, 2, 3) and the Riemannian Hessian
-    P H P - diag((u.g_u) I, (v.g_v) I) P (m, 6, 6), with the tangent
-    projector P = diag(I - u u^T, I - v v^T), g the Euclidean gradients and
-    H the Euclidean Hessian. No tangent basis is needed: the normals (u, 0)
-    and (0, v) are eigenvectors of that Hessian with eigenvalue 0, and P g
-    has no part along them."""
-    f, gu, gv, h = objective(x[:, 0], x[:, 1])
-    g = np.empty_like(x)
-    g[:, 0], g[:, 1] = gu, gv
+    gradients P g (m, 2, 3), projected in place in the objective's g, and
+    the Riemannian Hessian P H P - diag((u.g_u) I, (v.g_v) I) P (m, 6, 6),
+    with the tangent projector P = diag(I - u u^T, I - v v^T), g the
+    Euclidean gradient and H the Euclidean Hessian. No tangent basis is
+    needed: the normals (u, 0) and (0, v) are eigenvectors of that Hessian
+    with eigenvalue 0, and P g has no part along them."""
+    f, g, h = objective(x)
     normal = (x * g).sum(axis=2)
     g -= normal[..., None] * x
     p = EYE6 - BLOCKS * x.reshape(-1, 6, 1) * x.reshape(-1, 1, 6)
@@ -113,16 +112,17 @@ class SearchDiagnostics:
     best_restart: int
 
 
-def refine(objective, u, v, cfg: OptimizerConfig):
-    """Damped Newton ascent from every start pair (rows of u and v) at once.
+def refine(objective, x, cfg: OptimizerConfig):
+    """Damped Newton ascent from every start pair, the unit rows (u, v) of x
+    (m, 2, 3), at once, on a C-ordered float64 copy: x keeps its bits.
 
-    objective(u, v) takes (m, 3) unit vectors and returns the values (m,),
-    the Euclidean gradients (m, 3) with respect to u and v, and the
-    Euclidean Hessian (m, 6, 6) with respect to (u, v). It is called once at
-    the starts and once per iteration, at the trial points of every row.
-    Each row carries its point, value, tangent gradient P g and Riemannian
-    Hessian (see _evaluate), and its damping lambda, from LM_START. With
-    (w, Q) the eigenpairs of minus that Hessian and c = Q^T P g:
+    objective(x) returns the values (m,), the Euclidean gradient (m, 2, 3)
+    in the layout of x and the Euclidean Hessian (m, 6, 6) in the order of
+    x.reshape(m, 6). It is called once at the starts and once per iteration,
+    at the trial points of every row. Each row carries its point, value,
+    tangent gradient P g and Riemannian Hessian (see _evaluate), and its
+    damping lambda, from LM_START. With (w, Q) the eigenpairs of minus that
+    Hessian and c = Q^T P g:
 
     - stop: a row has converged once its Newton decrement
       sum_i c_i^2 / (2 |w_i|), summed over w_i != 0 (Boyd and Vandenberghe,
@@ -142,7 +142,7 @@ def refine(objective, u, v, cfg: OptimizerConfig):
     whose converged restarts are those that passed the decrement test, not
     the cap or LM_MAX.
     """
-    x = np.stack([u, v], axis=1)
+    x = np.array(x, dtype=float, order="C")
     m = len(x)
     f, tangent, hess = _evaluate(objective, x)
     grid_best = float(f.max())

@@ -160,7 +160,8 @@ MUTANTS = (
            ("tests/test_realism.py::test_dephase_equals_kron_sandwich",)),
     # states with 1 - purity from 1e-8 to 1e-6 take the top singular pair of T
     Mutant("purity-cutoff-loose", NONLOCALITY, "PURITY_CUTOFF = 1e-10", "PURITY_CUTOFF = 1e-6",
-           ("tests/test_nonlocality.py::test_structured_noise_outside_the_purity_cutoff_is_searched",)),
+           ("tests/test_golden.py::test_nrb_two_qubit_matches_the_golden_corpus",
+            "tests/test_nonlocality.py::test_structured_noise_outside_the_purity_cutoff_is_searched")),
     # the float32 screen of the pair table recounts only the pairs it ranks
     # at or above the k-th, so a tie that float32 splits loses a start
     Mutant("table-margin-zero", NONLOCALITY, "TABLE_MARGIN = 1e-4", "TABLE_MARGIN = 0.0",
@@ -200,6 +201,10 @@ MUTANTS = (
     Mutant("refine-accept-any", SEARCH, "up = active & (f1 > f)", "up = active",
            ("tests/test_search.py::test_diagnostics_describe_the_search",
             "tests/test_search.py::test_search_path_is_pinned")),
+    # refine steps the caller's start array, not a copy of it
+    Mutant("refine-in-place", SEARCH, 'x = np.array(x, dtype=float, order="C")',
+           "x = np.asarray(x, dtype=float)",
+           ("tests/test_search.py::test_refine_leaves_its_starts_unchanged",)),
     # refine records the value it returns as the best start value
     Mutant("grid-best-refined", SEARCH, "SearchDiagnostics(grid_best,",
            "SearchDiagnostics(float(f[k]),",
@@ -210,7 +215,8 @@ MUTANTS = (
            ("tests/test_search.py::test_exactly_pure_searches_end_before_the_cap",)),
     # refine stops once the Newton decrement is below 1e-6, short of a flat ridge's top
     Mutant("pred-tol-loose", SEARCH, "PRED_TOL = 1e-12", "PRED_TOL = 1e-6",
-           ("tests/test_search.py::test_search_reaches_the_top_of_a_flat_ridge",)),
+           ("tests/test_golden.py::test_nrb_two_qubit_matches_the_golden_corpus",
+            "tests/test_search.py::test_search_reaches_the_top_of_a_flat_ridge")),
     # no restart ever converges, so a stationary start still takes steps
     Mutant("refine-never-finishes", SEARCH,
            "converged = (coef * coef / np.where(w == 0, np.inf, w)).sum(axis=1) < 2 * PRED_TOL",

@@ -65,9 +65,9 @@ def unit(rng):
 
 def chsh_objective(t):
     """For fixed v1, v2 the best u's are analytic:
-    max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. Batched over rows of
-    (v1, v2), with the gradients in v1 and v2 and the 6 x 6 Hessian in
-    (v1, v2)."""
+    max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. An objective of refine:
+    batched over the pairs x = (v1, v2) (m, 2, 3), with the gradient
+    (m, 2, 3) and the 6 x 6 Hessian in the order of x.reshape(m, 6)."""
 
     def norm_derivatives(w):
         # d|T w|/dw = T^T y^ and d2|T w|/dw2 = T^T (I - y^ y^T) T / |y| for
@@ -79,29 +79,30 @@ def chsh_objective(t):
         hess = (t.T @ t - ty[:, :, None] * ty[:, None, :]) / rc[:, :, None]
         return r, ty, hess
 
-    def objective(v1, v2):
+    def objective(x):
+        v1, v2 = x[:, 0], x[:, 1]
         rp, g_plus, h_plus = norm_derivatives(v1 + v2)
         rm, g_minus, h_minus = norm_derivatives(v1 - v2)
         same, cross = h_plus + h_minus, h_plus - h_minus
         hess = np.concatenate([np.concatenate([same, cross], axis=2),
                                np.concatenate([cross, same], axis=2)], axis=1)
-        return rp + rm, g_plus + g_minus, g_plus - g_minus, hess
+        return rp + rm, np.stack([g_plus + g_minus, g_plus - g_minus], axis=1), hess
 
     return objective
 
 
 def chsh_search(rho):
     """The best CHSH value by search, a route independent of the closed
-    form: chsh_objective scored on every pair of the default grid, the best
-    pairs, at the flat indices i n + j of dirs[i], dirs[j], refined by
-    rbnl.search."""
+    form: chsh_objective scored on every pair of the default grid, the pair
+    (dirs[i], dirs[j]) at the flat index i n + j, and the best pairs refined
+    by rbnl.search."""
     cfg = OptimizerConfig()
     objective = chsh_objective(correlation_matrix(rho))
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     n = len(dirs)
-    table = objective(np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1)))[0]
-    iu, iv = np.divmod(np.argsort(-table, kind="stable")[:cfg.restarts], n)
-    return refine(objective, dirs[iu], dirs[iv], cfg)[0]
+    pairs = np.stack([np.repeat(dirs, n, axis=0), np.tile(dirs, (n, 1))], axis=1)
+    table = objective(pairs)[0]
+    return refine(objective, pairs[np.argsort(-table, kind="stable")[:cfg.restarts]], cfg)[0]
 
 
 def test_correlator_singlet():

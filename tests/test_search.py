@@ -82,7 +82,7 @@ def test_fano_objective_equals_dephasing_route(rank):
     for _ in range(20):
         rho = random_density(2, 2, rank=rank, seed=rng)
         u, v = unit(rng), unit(rng)
-        value = drop_objective(rho)(u[None], v[None])[0][0]
+        value = drop_objective(rho)(np.stack([u, v])[None])[0][0]
         assert abs(value - drop_route(rho, u, v)) < 1e-12
 
 
@@ -117,9 +117,9 @@ def chart_point(objective, u, v, eu, ev, z):
     eu^T (I - x x^T) g / |y| on each sphere."""
     ys = u + eu @ z[:2], v + ev @ z[2:]
     xs = [y / np.linalg.norm(y) for y in ys]
-    f, gu, gv, _ = objective(xs[0][None], xs[1][None])
-    grad = [e.T @ (g[0] - (x @ g[0]) * x) / np.linalg.norm(y)
-            for e, x, y, g in zip((eu, ev), xs, ys, (gu, gv))]
+    f, g, _ = objective(np.stack(xs)[None])
+    grad = [e.T @ (gx - (x @ gx) * x) / np.linalg.norm(y)
+            for e, x, y, gx in zip((eu, ev), xs, ys, g[0])]
     return f[0], np.concatenate(grad)
 
 
@@ -130,8 +130,8 @@ def chart_errors(objective, u, v):
     along the chart axes."""
     eu, ev = tangent_basis(u[None])[0], tangent_basis(v[None])[0]
     grad = chart_point(objective, u, v, eu, ev, np.zeros(4))[1]
-    _, gu, gv, h = objective(u[None], v[None])
-    hess = chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0]
+    _, g, h = objective(np.stack([u, v])[None])
+    hess = chart_hessian(u[None], v[None], eu[None], ev[None], g[:, 0], g[:, 1], h)[0]
     fd_grad, fd_hess = [], []
     for e in np.eye(4):
         lo, hi = (chart_point(objective, u, v, eu, ev, x * 1e-6 * e)[0] for x in (-1, 1))
@@ -171,8 +171,8 @@ def test_analytic_chart_hessian_matches_finite_differences(kind):
 
 def riemannian_gradient(objective, x):
     """(I - u u^T) g_u and (I - v v^T) g_v at x = (u, v), shape (6,)."""
-    _, gu, gv, _ = objective(x[:1], x[1:])
-    return np.concatenate([g[0] - (y @ g[0]) * y for y, g in zip(x, (gu, gv))])
+    _, g, _ = objective(x[None])
+    return np.concatenate([gy - (y @ gy) * y for y, gy in zip(x, g[0])])
 
 
 def projected_hessian_errors(objective, u, v):
@@ -182,7 +182,7 @@ def projected_hessian_errors(objective, u, v):
     tangent space at (u, v), and (b) the chart Hessian lifted by the tangent
     bases, E H_chart E^T."""
     x = np.stack([u, v])
-    _, gu, gv, h = objective(u[None], v[None])
+    _, g, h = objective(x[None])
     hess = _evaluate(objective, x[None])[2][0]
     eu, ev = tangent_basis(u[None])[0], tangent_basis(v[None])[0]
     e = np.zeros((6, 4))
@@ -194,7 +194,7 @@ def projected_hessian_errors(objective, u, v):
         for y in (x + (e @ z).reshape(2, 3), x - (e @ z).reshape(2, 3)):
             ends.append(riemannian_gradient(objective, y / np.linalg.norm(y, axis=1, keepdims=True)))
         fd.append(proj @ (ends[0] - ends[1]) / 2e-5)
-    lifted = e @ chart_hessian(u[None], v[None], eu[None], ev[None], gu, gv, h)[0] @ e.T
+    lifted = e @ chart_hessian(u[None], v[None], eu[None], ev[None], g[:, 0], g[:, 1], h)[0] @ e.T
     return (float(np.max(np.abs(hess @ e - np.array(fd).T))),
             float(np.max(np.abs(hess - lifted)) / (1.0 + np.max(np.abs(lifted)))))
 
@@ -339,7 +339,7 @@ def test_screened_ranking_equals_full_table_ranking():
         for rho in screen_corpus():
             a, b, t = fano_form(rho)
             table = _pair_table(a, b, t, dirs).ravel()
-            i, j = _grid_top(_table_parts(a, b, t, dirs), k)
+            i, j = _grid_top(_table_parts(a, b, t, dirs), k).T
             assert np.array_equal(i * len(dirs) + j, np.argsort(-table, kind="stable")[:k])
 
 
@@ -452,9 +452,9 @@ def test_one_objective_call_per_iteration(rank, monkeypatch):
     def counting(*args):
         objective = _drop_objective(*args)
 
-        def counted(u, v):
-            calls.append(len(u))
-            return objective(u, v)
+        def counted(x):
+            calls.append(len(x))
+            return objective(x)
 
         return counted
 
@@ -482,20 +482,37 @@ def test_refine_writes_its_run_record():
         objective = _drop_objective(*fano_form(rho), rho.entropy())
         calls = []
 
-        def counted(u, v):
-            out = objective(u, v)
-            calls.append((u.copy(), v.copy(), out[0].copy()))
+        def counted(x):
+            out = objective(x)
+            calls.append((x.copy(), out[0].copy()))
             return out
 
         starts = rng.standard_normal((2, cfg.restarts, 3))
         starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-        value, u, v, diag = refine(counted, *starts, cfg)
-        assert diag.grid_best == calls[0][2].max()
+        value, u, v, diag = refine(counted, starts.swapaxes(0, 1), cfg)
+        assert diag.grid_best == calls[0][1].max()
         assert diag.refined_best == value > diag.grid_best
         assert diag.evaluations == len(calls) == diag.iterations + 1
-        hits = [(row, f[row]) for cu, cv, f in calls for row in range(cfg.restarts)
-                if np.array_equal(cu[row], u) and np.array_equal(cv[row], v)]
+        hits = [(row, f[row]) for cx, f in calls for row in range(cfg.restarts)
+                if np.array_equal(cx[row, 0], u) and np.array_equal(cx[row, 1], v)]
         assert hits and all(hit == (diag.best_restart, value) for hit in hits)
+
+
+def test_refine_leaves_its_starts_unchanged():
+    # refine steps its own copy of the starts: a C-ordered float64 array and
+    # a strided view of a (2, m, 3) array keep every bit through a run whose
+    # best row took steps
+    cfg = OptimizerConfig()
+    rng = np.random.default_rng(435)
+    rho = random_density(2, 2, rank=3, seed=rng)
+    objective = _drop_objective(*fano_form(rho), rho.entropy())
+    base = rng.standard_normal((2, cfg.restarts, 3))
+    base /= np.linalg.norm(base, axis=2, keepdims=True)
+    for starts in (np.ascontiguousarray(base.swapaxes(0, 1)), base.swapaxes(0, 1)):
+        before = starts.copy()
+        value, _, _, diag = refine(objective, starts, cfg)
+        assert value > diag.grid_best
+        assert starts.tobytes() == before.tobytes()
 
 
 def test_search_path_is_pinned():
