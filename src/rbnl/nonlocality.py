@@ -147,7 +147,9 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
 # the outcome probabilities (1 + s a.u + q b.v + s q u^T T v) / 4, q = +-1.
 # So all 12 are affine in eight features of (u, v), F = (1, a.u, b.v,
 # u^T T v, |w_A+|, |w_A-|, |w_B+|, |w_B-|): they are F @ EIGEN, four per
-# state in the sign order (+, +), (+, -), (-, +), (-, -) of (s, q).
+# state in the sign order (+, +), (+, -), (-, +), (-, -) of (s, q). EIGEN is
+# the one statement of these spectra: the grid table, the closed-form routes
+# and the objective all read them through _drop_value.
 EIGEN = np.array([
     # Phi_u rho        Phi_v rho          Phi_u Phi_v rho
     [1, 1, 1, 1,       1, 1, 1, 1,        1, 1, 1, 1],      # 1
@@ -190,18 +192,15 @@ def _table_parts(a, b, t, dirs):
     """The float64 arguments of _planes on every pair (dirs[i], dirs[j]) of
     dirs (n, 3): corr = u^T T v / 4 (n, n), one product of the rows T^T u
     with dirs; a.u / 4 (n, 1) and b.v / 4 (n,); and -S(Phi_u rho) (n, 1) and
-    -S(Phi_v rho) (n,) at u = v = dirs[i], from w_s, |w_s| and the four
-    eigenvalues of each site, with the directions last so that each
-    operation runs along them."""
-    n = len(dirs)
-    tu = dirs @ t  # the rows T^T u
-    au, bv = dirs @ a, dirs @ b
-    xt = np.concatenate([tu, dirs @ t.T], axis=1).T
-    w = np.concatenate([b, a])[:, None] + SIGNS[..., None] * xt  # (s, 6, n)
-    r = np.sqrt((w * w).reshape(2, 2, 3, n).sum(axis=2))  # (s, site, n)
-    mid = 1.0 + SIGNS[..., None] * np.stack([au, bv])
-    one = _plogp(np.stack([mid + r, mid - r], axis=1).reshape(4, 2, n) / 4).sum(axis=0)
-    return (tu @ dirs.T) / 4, au[:, None] / 4, bv / 4, one[0, :, None], one[1]
+    -S(Phi_v rho) (n,) at u = v = dirs[i]. T^T u and both site entropies
+    come from one call of _drop_value on the pairs (dirs[i], dirs[i]): the
+    sums of its first two groups of four terms -L ln L are S(Phi_u rho) and
+    S(Phi_v rho), so the table reads the spectra of EIGEN, as the
+    closed-form routes and the objective do."""
+    pairs = np.stack([dirs, dirs], axis=1)
+    _, (xt, _, _, clipped, log, sign) = _drop_value(_fano_constants(a, b, t), 0.0, pairs)
+    one = (clipped * log * sign)[:, :8].reshape(len(dirs), 2, 4).sum(axis=2)
+    return (xt[:, 0] / 4) @ dirs.T, (dirs @ a)[:, None] / 4, dirs @ b / 4, -one[:, :1], -one[:, 1]
 
 
 def _planes(corr, row, col, one_u, one_v):
@@ -256,7 +255,8 @@ def _grid_top(parts, k):
 def _drop_value(fano, s_rho, x):
     """The drop at the pairs x (m, 2, 3), (m,), from the features F (m, 8) of
     EIGEN, L = F @ EIGEN and one log: the value part of _drop_objective,
-    read alone by the closed-form routes. fano holds the state's constants
+    read alone by the closed-form routes, and the site entropies and T^T u
+    of the grid table (see _table_parts). fano holds the state's constants
     (see _fano_constants); both sites take one product, of x.reshape(m, 6)
     with diag(T, T^T). Also returns the pieces the derivatives reuse:
     (T^T u, T v) (m, 2, 3), w_s (m, 2, 2, 3) and |w_s| (m, 2, 2), indexed

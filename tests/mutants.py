@@ -194,6 +194,14 @@ MUTANTS = (
     Mutant("eager-schmidt", NONLOCALITY, "return PureNrbResult(entanglement_entropy(psi), psi)",
            "return PureNrbResult(entropy_from_eigenvalues(schmidt(psi).coefficients), psi)",
            ("tests/test_nonlocality.py::test_nrb_pure_value_takes_one_svd_and_no_decomposition",)),
+    # the grid table gives each site the other site's entropy
+    Mutant("table-sites-swapped", NONLOCALITY, "-one[:, :1], -one[:, 1]",
+           "-one[:, 1:], -one[:, 0]",
+           ("tests/test_search.py::test_pair_table_equals_dephasing_route",)),
+    # a module of the package imports a third-party package other than numpy
+    Mutant("third-party-import", BELL, "import numpy as np\n",
+           "import numpy as np\nimport pytest\n",
+           ("tests/test_cli.py::test_numpy_is_the_only_third_party_import",)),
     # a pure state takes the bottom singular pair of T, not the top one
     Mutant("pure-pair", NONLOCALITY, "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),

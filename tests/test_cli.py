@@ -565,13 +565,18 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, rbnl, rbnl.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def test_numpy_is_the_only_third_party_import():
+    # every submodule imported, the new top-level modules outside the
+    # standard library are numpy and rbnl: an import of scipy, or of any
+    # other package, in any module fails here
+    code = ("import sys; before = set(sys.modules); import rbnl\n"
+            "for name in rbnl._SUBMODULES: getattr(rbnl, name)\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - sys.stdlib_module_names))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['numpy', 'rbnl']"
 
 
 @pytest.mark.parametrize("t_max, steps", [(5.0, 101), (3.0, 7), (7.3, 999),
