@@ -24,7 +24,6 @@ that use them, and those commands exit 2 with one line when numpy is missing.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -33,8 +32,8 @@ from collections import namedtuple
 from datetime import datetime, timezone
 
 from . import __version__
-from .closed_forms import (check_int, linspace, nmax_werner, nrb_werner_closed_form,
-                           nvol_werner_analytic)
+from .closed_forms import (_write_atomic, check_int, linspace, nmax_werner,
+                           nrb_werner_closed_form, nvol_werner_analytic)
 
 MAX_STEPS = 10**7  # rows of a sweep or decay CSV; more is rejected before any work
 MAX_SAMPLES = 10**9  # vol --samples, sweep steps x samples; about 3 min of one-thread angles
@@ -62,19 +61,6 @@ def sweep_rows(mu_values) -> list:
         mx = nmax_werner(mu)
         rows.append(SweepRow(mu, rb, vol, mx, rb / rb1, vol / vol1, mx / max1))
     return rows
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temp file next to path, then rename it onto path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 def _csv(header: str, rows) -> str:

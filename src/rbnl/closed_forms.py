@@ -1,16 +1,19 @@
 """Werner-family closed forms of the three quantifiers, the one check of
-mu (check_mu) and of a count (check_int), and linspace.
+mu (check_mu) and of a count (check_int), linspace, and _write_atomic, the
+one writer of every file rbnl writes (CLI outputs and save_state).
 
-It imports only `math` and `numbers`: `rbnl sweep` and `rbnl decay`, which
-need nothing else, start without numpy, and the CLI checks its counts with
-the check_int of the numpy-backed modules. `rbnl.nonlocality` re-exports
-nrb_werner_closed_form and `rbnl.bell` nmax_werner and nvol_werner_analytic,
-next to their numeric routes.
+It imports only `math`, `numbers`, `os` and `contextlib`: `rbnl sweep` and
+`rbnl decay`, which need nothing else, start without numpy, and the CLI checks
+its counts with the check_int of the numpy-backed modules.
+`rbnl.nonlocality` re-exports nrb_werner_closed_form and `rbnl.bell`
+nmax_werner and nvol_werner_analytic, next to their numeric routes.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
 
 SQRT2 = math.sqrt(2)
 
@@ -97,3 +100,16 @@ def linspace(start: float, stop: float, num: int) -> list:
         points = [i * step + start for i in range(div)]
     points.append(float(stop))
     return points
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temp file next to path, then rename it onto path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

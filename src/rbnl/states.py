@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import check_int, check_mu
+from .closed_forms import _write_atomic, check_int, check_mu
 from .linalg import HERM_TOL, PSD_TOL, check_dims, check_hermitian, entropy_from_eigenvalues
 
 TRACE_TOL = 1e-10
@@ -283,5 +283,4 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(rho))
+    _write_atomic(path, state_to_json(rho))

@@ -119,6 +119,11 @@ MUTANTS = (
     # BlochVector accepts a unit vector of 4 components
     Mutant("bloch-shape-unchecked", STATES, "if c.shape != (3,):", "if False:",
            ("tests/test_states.py::test_bloch_vector_rejects_four_components",)),
+    # save_state opens its target before it serializes, so a failed call
+    # empties the file it was to replace
+    Mutant("save-state-opens-first", STATES, "_write_atomic(path, state_to_json(rho))",
+           'open(path, "w", encoding="utf-8").write(state_to_json(rho))',
+           ("tests/test_states.py::test_failed_save_leaves_the_file_intact",)),
     # each validation tolerance loosened 1e4 times: an input off by twice the
     # old tolerance passes
     Mutant("trace-tol-loose", STATES, "TRACE_TOL = 1e-10", "TRACE_TOL = 1e-6",

@@ -456,10 +456,15 @@ def test_drop_is_a_mutual_information_difference():
         a = LocalPVM(bloch_pvm(unit(rng)), "A")
         b = LocalPVM(bloch_pvm(unit(rng)), "B")
         rho_a, rho_b = dephase(rho, a), dephase(rho, b)
-        identity = (mutual_information(rho.matrix) - mutual_information(rho_a.matrix)
+        mi = mutual_information(rho.matrix)
+        identity = (mi - mutual_information(rho_a.matrix)
                     - mutual_information(rho_b.matrix)
                     + mutual_information(dephase(rho_a, b).matrix))
-        assert abs(delta_irreality(a, b, rho) - identity) < 1e-12
+        drop = delta_irreality(a, b, rho)
+        assert abs(drop - identity) < 1e-12
+        # the one-sided data-processing bounds
+        assert drop <= mi - mutual_information(rho_b.matrix) + 1e-12
+        assert drop <= mi - mutual_information(rho_a.matrix) + 1e-12
 
 
 def test_nrb_vanishes_on_product_states():
@@ -547,11 +552,18 @@ def test_no_local_ascent_beats_nrb_pure_in_d3():
 
 
 def test_nrb_at_most_mutual_information():
-    # data processing: N_rb <= I(rho) - I(Phi_v rho) <= I(rho)
+    # data processing: N_rb <= I(rho) - I(Phi_v rho) <= I(rho), and the same
+    # with Phi_u, checked at the search's own pair
     rng = np.random.default_rng(27)
     for k in range(12):
         rho = random_density(2, 2, rank=(k % 3) + 2, seed=rng)
-        assert nrb_two_qubit(rho).value <= mutual_information(rho.matrix) + 1e-12
+        res = nrb_two_qubit(rho)
+        mi = mutual_information(rho.matrix)
+        a = LocalPVM(bloch_pvm(res.argmax_u), "A")
+        b = LocalPVM(bloch_pvm(res.argmax_v), "B")
+        assert res.value <= mi - mutual_information(dephase(rho, b).matrix) + 1e-12
+        assert res.value <= mi - mutual_information(dephase(rho, a).matrix) + 1e-12
+        assert res.value <= mi + 1e-12
 
 
 def test_classically_correlated_state_has_ln2():

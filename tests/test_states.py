@@ -439,3 +439,15 @@ def test_save_load_file(tmp_path):
     back = load_state(path)
     assert np.allclose(back.matrix, rho.matrix, atol=0.0)
     assert back.dims == rho.dims
+
+
+def test_failed_save_leaves_the_file_intact(tmp_path):
+    # a PureState has no .matrix, so serializing it fails; the file written
+    # before keeps its bytes and no temp file is left beside it
+    path = tmp_path / "state.json"
+    save_state(werner(0.5), path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        save_state(random_pure(2, 2, seed=1), path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
