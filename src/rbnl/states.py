@@ -233,7 +233,11 @@ def random_pure(d_a: int, d_b: int, seed) -> PureState:
 
 
 def random_density(d_a: int, d_b: int, rank: int, seed) -> DensityMatrix:
-    """Random mixture of `rank` rotation-invariant pure states, rank in [1, d_a d_b]."""
+    """Random mixture of `rank` rotation-invariant pure states, rank in [1, d_a d_b].
+    Deterministic per seed only on one numpy build and SIMD path: the np.outer
+    of complex vectors rounds by the SIMD level, and moved entries by up to
+    1.1e-16 at numpy's X86_V2 baseline. A check that pins bits or counts
+    reads stored matrices instead."""
     d_a, d_b = check_dims((d_a, d_b))
     n = d_a * d_b
     rank = check_int("rank", rank, 1, n)

@@ -13,8 +13,9 @@ is read and left unchanged, and a seeded set for the closed-form routes and
 their edges: random pure states, Werner states, rotated Bell-diagonal
 states, one near-product state, and two near-pure states, one inside
 PURITY_CUTOFF and one outside it. Every input is a pure function of the
-pool file and SEED, so rerunning reproduces the file unless the code
-changes what nrb_two_qubit returns. Regenerating it is a change to a check:
+pool file and SEED (drawn with unit and haar_unitary of tests/corpora.py),
+so rerunning reproduces the file unless the code changes what
+nrb_two_qubit returns. Regenerating it is a change to a check:
 say which entries moved and why.
 """
 from __future__ import annotations
@@ -28,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rbnl import (PAULIS, DensityMatrix, OptimizerConfig, nrb_two_qubit,  # noqa: E402
                   random_pure, werner)
+from corpora import haar_unitary, unit  # noqa: E402
 
 SEED = 32
 POOL = ROOT / "bench" / "data" / "reference_states.json"
@@ -45,16 +47,6 @@ CONFIGS = {
 def pool_matrices():
     states = json.loads(POOL.read_text(encoding="utf-8"))["states"]
     return [np.array(s["re"]) + 1j * np.array(s["im"]) for s in states]
-
-
-def unit(rng):
-    x = rng.standard_normal(3)
-    return x / np.linalg.norm(x)
-
-
-def haar_unitary(rng):
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def bell_diagonal(c, rng):

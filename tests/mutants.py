@@ -240,6 +240,10 @@ MUTANTS = (
            "p @ h @ p - normal.repeat(3, axis=1)[:, :, None] * p", "p @ h @ p",
            ("tests/test_search.py::test_projected_hessian_matches_finite_differences",
             "tests/test_search.py::test_search_path_is_pinned")),
+    # a test file takes a helper from another test file, not from corpora.py
+    Mutant("test-imports-test", "tests/test_search.py", "from corpora import (chsh_objective,",
+           "from test_bell import chsh_objective\nfrom corpora import (chsh_objective,",
+           ("tests/test_package.py::test_no_test_module_imports_another",)),
 )
 
 

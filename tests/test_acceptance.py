@@ -19,8 +19,9 @@ from rbnl.nonlocality import (OptimizerConfig, _nrb_search, entanglement_entropy
 from rbnl.realism import (LocalPVM, RealityComponents, dephase,
                           delta_irreality, irreality, is_reality_state,
                           make_reality_state)
-from rbnl.states import (PVM, BlochVector, bloch_pvm, qutrit_family,
-                         random_density, random_pure, werner)
+from rbnl.states import (BlochVector, bloch_pvm, qutrit_family, random_density, random_pure,
+                         werner)
+from corpora import DIMS, random_basis_pvm, unit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,17 +29,6 @@ SQRT2 = math.sqrt(2.0)
 def report(num: int, label: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {num} ({label}): {'PASS' if ok else 'FAIL'}  [{detail}]")
     assert ok, f"criterion {num} ({label}) failed: {detail}"
-
-
-def random_unit(rng):
-    n = rng.normal(size=3)
-    return BlochVector(n / np.linalg.norm(n))
-
-
-def random_basis_pvm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(g)
-    return PVM(tuple(np.outer(q[:, k], q[:, k].conj()) for k in range(d)))
 
 
 def test_criterion_1_pure_state_value_equals_entanglement():
@@ -99,7 +89,7 @@ def test_criterion_4_werner_dephased_spectra():
     worst = 0.0
     for _ in range(20):
         mu = float(rng.random())
-        u, v = random_unit(rng), random_unit(rng)
+        u, v = BlochVector(unit(rng)), BlochVector(unit(rng))
         rho = werner(mu)
         da = dephase(rho, LocalPVM(bloch_pvm(u), "A"))
         db = dephase(rho, LocalPVM(bloch_pvm(v), "B"))
@@ -159,12 +149,11 @@ def test_criterion_6_violation_volume_triple_agreement():
 
 def test_criterion_7_property_suites():
     rng = np.random.default_rng(707)
-    dims_cycle = [(2, 2), (2, 3), (3, 2), (3, 3)]
     n_draws = 1000
     worst = {"irr": 0.0, "di": 0.0, "routes": 0.0, "sym": 0.0,
              "idem": 0.0, "comm": 0.0, "klein": 0.0}
     for k in range(n_draws):
-        dims = dims_cycle[k % 4]
+        dims = DIMS[k % 4]
         rho = random_density(*dims, rank=(k % (dims[0] * dims[1])) + 1, seed=rng)
         ma = LocalPVM(random_basis_pvm(rng, dims[0]), "A")
         mb = LocalPVM(random_basis_pvm(rng, dims[1]), "B")
@@ -190,7 +179,7 @@ def test_criterion_7_property_suites():
     fixed_ok = True
     irr_fixed_worst = 0.0
     for k in range(n_draws):
-        dims = dims_cycle[k % 4]
+        dims = DIMS[k % 4]
         m = random_basis_pvm(rng, dims[0])
         w = rng.random(3)
         w /= w.sum()

@@ -8,9 +8,10 @@ from rbnl import bell
 from rbnl.bell import (_MC_BLOCK, MAX_WORKERS, MC_CHUNK, McConfig, McEstimate,
                        _mc_chunk_count, correlation_matrix, nmax_numeric, nmax_werner,
                        nvol_mc, nvol_quadrature, nvol_werner_analytic)
-from rbnl.linalg import EIG_CLIP, tensor
+from rbnl.linalg import tensor
 from rbnl.search import OptimizerConfig, refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
+from corpora import chsh_objective, unit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,39 +59,6 @@ def bfrak(p):
     return abs(p.x * math.sqrt(p.z) + p.y * math.sqrt(1.0 - p.z))
 
 
-def unit(rng):
-    n = rng.normal(size=3)
-    return BlochVector(n / np.linalg.norm(n))
-
-
-def chsh_objective(t):
-    """For fixed v1, v2 the best u's are analytic:
-    max_u1,u2 B = |T(v1 + v2)| + |T(v1 - v2)|. An objective of refine:
-    batched over the pairs x = (v1, v2) (m, 2, 3), with the gradient
-    (m, 2, 3) and the 6 x 6 Hessian in the order of x.reshape(m, 6)."""
-
-    def norm_derivatives(w):
-        # d|T w|/dw = T^T y^ and d2|T w|/dw2 = T^T (I - y^ y^T) T / |y| for
-        # y = T w; where |y| = 0 (a kink), 0 is a valid subgradient
-        y = w @ t.T
-        r = np.linalg.norm(y, axis=1)
-        rc = np.maximum(r, EIG_CLIP)[:, None]
-        ty = (y / rc) @ t
-        hess = (t.T @ t - ty[:, :, None] * ty[:, None, :]) / rc[:, :, None]
-        return r, ty, hess
-
-    def objective(x):
-        v1, v2 = x[:, 0], x[:, 1]
-        rp, g_plus, h_plus = norm_derivatives(v1 + v2)
-        rm, g_minus, h_minus = norm_derivatives(v1 - v2)
-        same, cross = h_plus + h_minus, h_plus - h_minus
-        hess = np.concatenate([np.concatenate([same, cross], axis=2),
-                               np.concatenate([cross, same], axis=2)], axis=1)
-        return rp + rm, np.stack([g_plus + g_minus, g_plus - g_minus], axis=1), hess
-
-    return objective
-
-
 def chsh_search(rho):
     """The best CHSH value by search, a route independent of the closed
     form: chsh_objective scored on every pair of the default grid, the pair
@@ -110,7 +78,7 @@ def test_correlator_singlet():
     rng = np.random.default_rng(30)
     rho = singlet().density()
     for _ in range(25):
-        u, v = unit(rng), unit(rng)
+        u, v = BlochVector(unit(rng)), BlochVector(unit(rng))
         c = correlator(rho, u, v)
         assert abs(c - (-(u.components @ v.components))) < 1e-12
 
@@ -120,7 +88,7 @@ def test_correlator_is_the_correlation_matrix_form():
     rng = np.random.default_rng(35)
     for k in range(20):
         rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
-        u, v = unit(rng), unit(rng)
+        u, v = BlochVector(unit(rng)), BlochVector(unit(rng))
         t = correlation_matrix(rho)
         assert abs(correlator(rho, u, v) - u.components @ t @ v.components) < 1e-12
 
@@ -151,7 +119,7 @@ def test_chsh_never_exceeds_quantum_bound():
     rng = np.random.default_rng(32)
     for k in range(1000):
         rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
-        s = ChshSettings(unit(rng), unit(rng), unit(rng), unit(rng))
+        s = ChshSettings(*(BlochVector(unit(rng)) for _ in range(4)))
         assert abs(chsh_value(rho, s)) <= 2 * SQRT2 + 1e-10
 
 

@@ -18,7 +18,7 @@ from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, _build_pars
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
-from test_nonlocality import rotated_bell_diagonal, zero_marginal_closed_form
+from corpora import rotated_bell_diagonal, zero_marginal_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

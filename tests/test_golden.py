@@ -5,16 +5,11 @@ and every count of the diagnostics match exactly: they come from the routing
 tests and the pinned search path. The floats match within GOLDEN_TOL, as
 BLAS on another host may move their last bits, and each argmax up to its
 sign, as u and -u are one observable."""
-import json
-from pathlib import Path
-
 import numpy as np
 
 from rbnl.nonlocality import nrb_two_qubit
-from rbnl.search import OptimizerConfig
-from rbnl.states import DensityMatrix
+from corpora import golden_corpus
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_nrb.json"
 GOLDEN_TOL = 1e-12
 
 
@@ -37,13 +32,11 @@ def moved_fields(res, want):
 
 
 def test_nrb_two_qubit_matches_the_golden_corpus():
-    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    configs = {label: OptimizerConfig(**kw) for label, kw in doc["configs"].items()}
+    configs, states = golden_corpus()
     moved = []
-    for state in doc["states"]:
-        rho = DensityMatrix(np.array(state["re"]) + 1j * np.array(state["im"]), (2, 2))
-        for label, want in state["results"].items():
+    for name, rho, results in states:
+        for label, want in results.items():
             fields = moved_fields(nrb_two_qubit(rho, configs[label]), want)
-            moved += [f"{state['name']} {label}: {', '.join(fields)}"] if fields else []
-    assert len(doc["states"]) == 132
+            moved += [f"{name} {label}: {', '.join(fields)}"] if fields else []
+    assert len(states) == 132
     assert not moved, moved

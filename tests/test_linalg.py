@@ -7,20 +7,7 @@ import pytest
 
 from rbnl.linalg import (EIG_CLIP, PSD_TOL, check_hermitian, entropy_from_eigenvalues,
                          partial_trace, tensor, von_neumann_entropy)
-
-
-def oracle_entropy(vals) -> float:
-    """The numpy formula that entropy_from_eigenvalues replaced, kept as its
-    oracle: the same rules and messages, but no ln n clamp."""
-    v = np.asarray(vals, dtype=float)
-    lo = float(v.min()) if v.size else 0.0
-    if not lo >= -PSD_TOL:  # NaN fails too
-        raise ValueError(f"minimum eigenvalue {lo:.3e} is not >= -{PSD_TOL:.0e}: not a state")
-    v = v[v > EIG_CLIP]
-    s = float(-np.sum(v * np.log(v)))
-    if s == -np.inf:
-        raise ValueError("infinite eigenvalue: not a state")
-    return s if s > 0.0 else 0.0
+from corpora import oracle_entropy
 
 
 def random_hermitian(rng, d):

@@ -10,28 +10,13 @@ from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, Optimiz
                               nrb_werner_closed_form, pure_state, schmidt,
                               werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
-from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState,
-                         bloch_pvm, fano_form, qutrit_family, random_density,
-                         random_pure, singlet, werner)
-from test_search import haar_unitary
-from test_states import assert_tolerance
+from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState, bloch_pvm, fano_form,
+                         random_density, random_pure, singlet, werner)
+from corpora import (assert_tolerance, degenerate_states, drop_route, haar_unitary,
+                     near_pure_mixture, product_state, rotated_bell_diagonal, unit,
+                     zero_marginal_closed_form)
 
 LN2 = np.log(2.0)
-
-
-def product_state(d_a, d_b):
-    """A non-canonical product state: both factors are random unit vectors."""
-    rng = np.random.default_rng(d_a * 10 + d_b)
-    a = random_pure(d_a, 1, seed=rng).vector
-    b = random_pure(1, d_b, seed=rng).vector
-    return PureState(np.kron(a, b), (d_a, d_b))
-
-
-def degenerate_states():
-    """Schmidt spectra with ties and zero slots: equal coefficients, a
-    vanishing middle coefficient, and products in both unequal shapes."""
-    return [singlet(), qutrit_family(1.0), qutrit_family(0.0),
-            product_state(2, 3), product_state(3, 2)]
 
 
 def test_optimizer_config_validation():
@@ -60,7 +45,7 @@ def test_schmidt_reconstructs_state():
     rng = np.random.default_rng(20)
     states = [random_pure(d_a, d_b, seed=rng)
               for d_a, d_b in [(2, 2), (2, 3), (3, 2), (3, 3)] for _ in range(10)]
-    for psi in states + degenerate_states():
+    for psi in [*states, *degenerate_states()]:
         d_a, d_b = psi.dims
         dec = schmidt(psi)
         coeffs = dec.coefficients
@@ -77,7 +62,7 @@ def test_schmidt_reconstructs_state():
 
 
 def test_schmidt_bases_orthonormal():
-    for psi in [random_pure(3, 2, seed=77)] + degenerate_states():
+    for psi in [random_pure(3, 2, seed=77), *degenerate_states()]:
         dec = schmidt(psi)
         for basis, d in zip((dec.basis_a, dec.basis_b), psi.dims):
             assert basis.shape == (d, d)
@@ -126,7 +111,7 @@ def test_nrb_pure_value_via_dephasing_route():
     rng = np.random.default_rng(22)
     states = [random_pure(d_a, d_b, seed=rng)
               for d_a, d_b in [(2, 2), (3, 3)] for _ in range(5)]
-    for psi in states + degenerate_states():
+    for psi in [*states, *degenerate_states()]:
         res = nrb_pure(psi)
         rho = psi.density()
         di = delta_irreality(LocalPVM(res.pvm_a, "A"),
@@ -165,7 +150,7 @@ def test_nrb_pure_decomposition_is_built_when_read(monkeypatch):
     rng = np.random.default_rng(31)
     states = [random_pure(d_a, d_b, seed=rng)
               for d_a, d_b in [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3)]]
-    for psi in states + degenerate_states():
+    for psi in [*states, *degenerate_states()]:
         res = nrb_pure(psi)
         want = schmidt(psi)
         counts = counted_schmidt(monkeypatch)
@@ -193,33 +178,10 @@ def test_nrb_two_qubit_matches_closed_form():
         assert res.eta > 1.0 - 1e-6
 
 
-def rotated_bell_diagonal(rng, floor=0.0):
-    """A mixture of the four Bell states, weights at least floor / 4, under
-    a random local unitary: a = b = 0 and T = R_A diag(c) R_B^T, the
-    9-parameter family of two-qubit states with maximally mixed marginals.
-    Positive by construction."""
-    s = 1 / math.sqrt(2)
-    bells = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]])
-    p = (1 - floor) * rng.dirichlet(np.ones(4)) + floor / 4
-    m = (bells.T * p) @ bells
-    lu = np.kron(haar_unitary(rng), haar_unitary(rng))
-    return DensityMatrix(lu @ m @ lu.conj().T, (2, 2))
-
-
-def zero_marginal_closed_form(rho, pick=min):
-    """ln 2 + h((1 + t_min)/2) - S(rho) from the singular values of T, in nats;
-    pick=max puts t_max in place of t_min."""
-    t = pick(np.linalg.svd(fano_form(rho)[2], compute_uv=False))
-    p = np.array([(1 + t) / 2, (1 - t) / 2])
-    p = p[p > 0]
-    return LN2 - float((p * np.log(p)).sum()) - von_neumann_entropy(rho.matrix)
-
-
 def svd_pair_drop(rho):
     """The drop, through 4x4 dephasings, at the singular vectors of t_min."""
     left, _, right = np.linalg.svd(fano_form(rho)[2])
-    return delta_irreality(LocalPVM(bloch_pvm(BlochVector(left[:, -1])), "A"),
-                           LocalPVM(bloch_pvm(BlochVector(right[-1])), "B"), rho)
+    return drop_route(rho, left[:, -1], right[-1])
 
 
 def test_zero_marginal_closed_form_is_the_search_maximum():
@@ -233,8 +195,7 @@ def test_zero_marginal_closed_form_is_the_search_maximum():
         res = nrb_two_qubit(rho)
         assert res.diagnostics is None
         assert abs(res.value - want) < 1e-12
-        di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
-                             LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
+        di = drop_route(rho, res.argmax_u.components, res.argmax_v.components)
         assert abs(di - res.value) < 1e-12
 
 
@@ -257,7 +218,7 @@ def test_marginal_cutoff_dispatch(side):
               np.diag([1.0, -1.0])]
     for _ in range(6):
         rho = rotated_bell_diagonal(rng, floor=0.1)
-        direction = np.asarray(unit(rng).components)
+        direction = unit(rng)
         local = sum(c * p for c, p in zip(direction, paulis))
         op = np.kron(local, np.eye(2)) if side == 0 else np.kron(np.eye(2), local)
         for norm in (0.5 * MARGINAL_CUTOFF, 1e-6):
@@ -324,8 +285,7 @@ def test_pure_states_take_the_schmidt_pair():
         res = nrb_two_qubit(rho)
         assert res.diagnostics is None  # no search ran
         assert abs(res.value - entanglement_entropy(psi)) < 1e-12
-        di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
-                             LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
+        di = drop_route(rho, res.argmax_u.components, res.argmax_v.components)
         assert abs(di - res.value) < 1e-12
         dec = schmidt(psi)
         if dec.coefficients[0] - dec.coefficients[1] >= 0.1:
@@ -380,8 +340,7 @@ def test_structured_noise_outside_the_purity_cutoff_is_searched():
     rng = np.random.default_rng(9)
     for eps in (1e-8, 1e-6, 1e-5, 1e-4, 6e-4):
         for rank in (1, 2, 3, 4):
-            m = (1 - eps) * random_pure(2, 2, seed=rng).density().matrix
-            rho = DensityMatrix(m + eps * random_density(2, 2, rank=rank, seed=rng).matrix, (2, 2))
+            rho = near_pure_mixture(rng, eps, rank)
             assert 5e-9 < 1 - rho.purity() < 2e-3
             res = nrb_two_qubit(rho)
             assert res.diagnostics is not None
@@ -418,14 +377,8 @@ def test_nrb_two_qubit_argmax_attains_value():
     # optimizer output must be reproducible through the generic route
     rho = random_density(2, 2, rank=3, seed=6)
     res = nrb_two_qubit(rho)
-    di = delta_irreality(LocalPVM(bloch_pvm(res.argmax_u), "A"),
-                         LocalPVM(bloch_pvm(res.argmax_v), "B"), rho)
+    di = drop_route(rho, res.argmax_u.components, res.argmax_v.components)
     assert abs(di - res.value) < 1e-9
-
-
-def unit(rng):
-    n = rng.normal(size=3)
-    return BlochVector(n / np.linalg.norm(n))
 
 
 def test_trivial_observable_drops_nothing():
@@ -435,7 +388,7 @@ def test_trivial_observable_drops_nothing():
     trivial = PVM((np.eye(2),))
     for k in range(8):
         rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
-        sharp = bloch_pvm(unit(rng))
+        sharp = bloch_pvm(BlochVector(unit(rng)))
         for a, b in ((trivial, sharp), (sharp, trivial), (trivial, trivial)):
             assert abs(delta_irreality(LocalPVM(a, "A"), LocalPVM(b, "B"), rho)) < 1e-12
 
@@ -453,8 +406,8 @@ def test_drop_is_a_mutual_information_difference():
     rng = np.random.default_rng(25)
     for k in range(40):
         rho = random_density(2, 2, rank=(k % 4) + 1, seed=rng)
-        a = LocalPVM(bloch_pvm(unit(rng)), "A")
-        b = LocalPVM(bloch_pvm(unit(rng)), "B")
+        a = LocalPVM(bloch_pvm(BlochVector(unit(rng))), "A")
+        b = LocalPVM(bloch_pvm(BlochVector(unit(rng))), "B")
         rho_a, rho_b = dephase(rho, a), dephase(rho, b)
         mi = mutual_information(rho.matrix)
         identity = (mi - mutual_information(rho_a.matrix)
@@ -593,7 +546,7 @@ def test_result_argmax_has_no_negative_zero():
 
 
 # the literal tolerances of SchmidtDecomposition and NrbResult, from both
-# sides (see assert_tolerance in test_states.py)
+# sides (see assert_tolerance in corpora.py)
 def test_schmidt_coefficient_minimum_tolerance():  # xi.min() >= -1e-10
     eye = np.eye(2, dtype=complex)
     assert_tolerance(lambda off: SchmidtDecomposition(np.array([1.0 + off, -off]), eye, eye),

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,3 +107,17 @@ def test_array_types_compare_and_hash_by_identity(name):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+def test_no_test_module_imports_another():
+    # every shared helper and corpus lives in tests/corpora.py, so a test
+    # file imports no other one and each corpus has one home
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in [*sorted(tests.glob("*.py")), tests / "data" / "make_golden.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, found

@@ -7,13 +7,7 @@ from rbnl.realism import (LocalPVM, RealityComponents, dephase,
                           delta_irreality, irreality, is_reality_state,
                           make_reality_state)
 from rbnl.states import PVM, DensityMatrix, random_density, werner
-from test_states import assert_tolerance
-
-
-def random_basis_pvm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(g)
-    return PVM(tuple(np.outer(q[:, k], q[:, k].conj()) for k in range(d)))
+from corpora import DIMS, assert_tolerance, random_basis_pvm
 
 
 def random_local(rng, dims, site):
@@ -21,7 +15,6 @@ def random_local(rng, dims, site):
     return LocalPVM(random_basis_pvm(rng, d), site)
 
 
-DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 SITES = ("A", "B")
 
 

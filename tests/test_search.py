@@ -1,5 +1,6 @@
 """The two-qubit search (rbnl.search) and the objectives it maximizes, the
-Fano-form irreality drop and the CHSH objective of the test_bell oracle:
+Fano-form irreality drop and the CHSH objective of the Bell oracle
+(corpora.chsh_objective):
 second routes for the objectives, their gradients and Hessians, the
 projected Hessian of the refinement, the grid of distinct observables, the
 float32 screen that ranks the grid pairs as the float64 table does, the
@@ -7,7 +8,6 @@ search diagnostics, the stop rule against a stronger search on nearly flat
 maxima, the acceptance rule at the non-smooth maxima of pure states, and
 metamorphic checks of the searched values. Seeded, so
 deterministic."""
-import functools
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,29 +22,12 @@ import rbnl.search
 from rbnl.nonlocality import (TABLE_MARGIN, _drop_objective, _grid_top, _nrb_search,
                               _pair_table, _planes, _table_parts, entanglement_entropy,
                               nrb_two_qubit)
-from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import OptimizerConfig, _evaluate, refine, sphere_grid
-from rbnl.states import (PAULIS, BlochVector, DensityMatrix, bloch_pvm, fano_form,
-                         random_density, random_pure, werner)
-from test_bell import chsh_objective
+from rbnl.states import DensityMatrix, fano_form, random_density, random_pure, werner
+from corpora import (chsh_objective, drop_route, haar_unitary, near_degenerate, pool_states,
+                     screen_corpus, search_states, unit)
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
-
-
-def unit(rng):
-    x = rng.standard_normal(3)
-    return x / np.linalg.norm(x)
-
-
-def haar_unitary(rng):
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def drop_route(rho, u, v):
-    """The irreality drop through 4x4 dephasings and eigenvalues."""
-    return delta_irreality(LocalPVM(bloch_pvm(BlochVector(u)), "A"),
-                           LocalPVM(bloch_pvm(BlochVector(v)), "B"), rho)
 
 
 def drop_objective(rho):
@@ -139,14 +122,6 @@ def chart_errors(objective, u, v):
         lo, hi = (chart_point(objective, u, v, eu, ev, x * 1e-5 * e)[1] for x in (-1, 1))
         fd_hess.append((hi - lo) / 2e-5)
     return float(np.max(np.abs(grad - fd_grad))), float(np.max(np.abs(hess - fd_hess)))
-
-
-def search_states(kind):
-    """Ten random states of rank 1-4, or four Werner states."""
-    if kind == "werner":
-        return [werner(mu) for mu in (0.1, 0.5, 0.9, 1.0)]
-    rng = np.random.default_rng(320 + kind)
-    return [random_density(2, 2, rank=kind, seed=rng) for _ in range(10)]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -277,53 +252,6 @@ def test_start_pairs_are_distinct_observables(rank):
         same_u = np.abs(dirs[iu] @ dirs[iu].T) > 1.0 - 1e-9
         same_v = np.abs(dirs[iv] @ dirs[iv].T) > 1.0 - 1e-9
         assert np.array_equal(same_u & same_v, np.eye(cfg.restarts, dtype=bool))
-
-
-def pool_states():
-    """The 120 states of the mixed-search pool, built as
-    bench/make_references.py builds them (seed 20171, 40 each of rank 2-4)."""
-    rng = np.random.default_rng(20171)
-    states = []
-    for rank in (2, 3, 4):
-        for _ in range(40):
-            w = rng.random(rank)
-            w /= w.sum()
-            m = np.zeros((4, 4), dtype=complex)
-            for k in range(rank):
-                x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                x /= np.linalg.norm(x)
-                m += w[k] * np.outer(x, x.conj())
-            states.append(DensityMatrix((m + m.conj().T) / 2, (2, 2)))
-    return states
-
-
-def symmetric_states(rng, count):
-    """Bell-diagonal states with equal z-marginals, (I + m (sz (x) I + I (x)
-    sz) + sum_i t_i s_i (x) s_i) / 4: their tables hold many exact ties."""
-    basis = np.stack([np.eye(2), *PAULIS])
-    states = []
-    while len(states) < count:
-        r = np.diag([1.0, *rng.uniform(-1.0, 1.0, 3)])
-        r[3, 0] = r[0, 3] = rng.uniform(0.0, 0.5)
-        m = np.einsum("ij,iab,jcd->acbd", r, basis, basis).reshape(4, 4) / 4
-        if np.linalg.eigvalsh(m)[0] > 0:
-            states.append(DensityMatrix(m, (2, 2)))
-    return states
-
-
-@functools.lru_cache(maxsize=1)
-def screen_corpus():
-    """The pool, 300 random states of rank 1-4, near-pure states
-    (1 - eps)|psi><psi| + eps sigma and 30 symmetric_states."""
-    rng = np.random.default_rng(470)
-    states = pool_states()
-    states += [random_density(2, 2, rank=1 + i % 4, seed=rng) for i in range(300)]
-    for eps in (1e-9, 1e-6, 1e-3):
-        for rank in (1, 2, 3, 4):
-            m = (1 - eps) * random_pure(2, 2, seed=rng).density().matrix
-            m += eps * random_density(2, 2, rank=rank, seed=rng).matrix
-            states.append(DensityMatrix(m, (2, 2)))
-    return states + symmetric_states(rng, 30)
 
 
 # (grid, k): the default, two small grids, and k >= n^2 (7 directions, 49 pairs)
@@ -528,27 +456,6 @@ def test_search_path_is_pinned():
             diag = nrb_two_qubit(random_density(2, 2, rank=rank, seed=rng)).diagnostics
             got.append((diag.iterations, diag.evaluations))
     assert got == want
-
-
-def near_degenerate(rng):
-    """A positive definite two-qubit state with T = diag(t, t +- gap, c),
-    |t| in [0.1, 0.7], gap log-uniform in [1e-6, 1e-1], c in [-0.6, 0.6],
-    and marginals of norm log-uniform in [1e-4, 1e-1], under Haar local
-    unitaries: two nearly equal singular values of T leave a nearly flat
-    ridge of maxima."""
-    basis = np.stack([np.eye(2), *PAULIS])
-    while True:
-        t = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.7)
-        gap = 10 ** rng.uniform(-6, -1)
-        r = np.diag([1.0, t, t + rng.choice([-1.0, 1.0]) * gap, rng.uniform(-0.6, 0.6)])
-        r[1:, 0] = 10 ** rng.uniform(-4, -1) * unit(rng)
-        r[0, 1:] = 10 ** rng.uniform(-4, -1) * unit(rng)
-        m = np.einsum("ij,iab,jcd->acbd", r, basis, basis).reshape(4, 4) / 4
-        if np.linalg.eigvalsh(m)[0] > 0:
-            break
-    lu = np.kron(haar_unitary(rng), haar_unitary(rng))
-    m = lu @ m @ lu.conj().T
-    return DensityMatrix((m + m.conj().T) / 2, (2, 2))
 
 
 def test_search_reaches_the_top_of_a_flat_ridge(monkeypatch):

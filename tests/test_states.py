@@ -10,7 +10,7 @@ from rbnl.states import (PAULIS, BlochVector, DensityMatrix, PureState, PVM,
                          bloch_pvm, load_state, qutrit_family, random_density,
                          random_pure, save_state, singlet, state_from_json,
                          state_to_json, werner)
-from test_linalg import oracle_entropy
+from corpora import DIMS, assert_tolerance, oracle_entropy
 
 
 def test_density_matrix_validation():
@@ -75,9 +75,6 @@ def test_density_matrix_is_immutable():
     rho = werner(0.3)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
-
-
-DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def test_kept_spectrum_is_read_only_and_is_eigvalsh():
@@ -268,17 +265,10 @@ def test_bloch_vector_rejects_four_components():
         BlochVector(np.array([0.0, 0.0, 0.0, 1.0]))
 
 
-# Each validation tolerance, from both sides: an input off by twice the
-# tolerance is rejected with its message, and one off by half of it is
-# accepted. The tolerances are written out, not imported, so that a test
-# fails when one of them moves.
-def assert_tolerance(build, tol, match, signs=(1.0, -1.0)):
-    for sign in signs:
-        build(sign * tol / 2)
-        with pytest.raises(ValueError, match=match):
-            build(sign * 2 * tol)
-
-
+# Each validation tolerance, from both sides (assert_tolerance): an input
+# off by twice the tolerance is rejected with its message, and one off by
+# half of it is accepted. The tolerances are written out, not imported, so
+# that a test fails when one of them moves.
 def test_trace_tolerance():  # TRACE_TOL
     assert_tolerance(lambda off: DensityMatrix(np.diag([0.25 + off, 0.25, 0.25, 0.25]), (2, 2)),
                      1e-10, "trace is")
