@@ -1,7 +1,11 @@
 """Command line front end.
 
 Subcommands, each dispatched by the parser to its cmd_* function, which
-takes the parsed namespace (seed resolved, raw arguments as argv):
+takes the parsed namespace (seed resolved, raw arguments as argv), checks,
+reads and computes, and returns (text, files): its stdout text and a
+{path: text} dict of the CSVs it produces. main is the one writer: it adds
+the manifest, commits the files in one _write_atomic call, then writes the
+text to stdout.
   sweep   closed-form quantifier curves over a noise range, CSV output
   state   one state from a JSON file, reported as JSON on stdout
   vol     Monte Carlo violation fraction vs the closed form, JSON on stdout
@@ -13,9 +17,9 @@ the ranges of its counts with check_int, so an out-of-range count exits 1 with
 one line, before any file is read or written and before any sample is drawn.
 Every CSV gets a .manifest.json sibling recording the invocation. CSVs are
 bit-identical across runs for identical flags and seed: comma separated,
-LF line endings, 12 significant digits. Every output file is written to a
-temp file in its directory and renamed into place, so a failed run leaves no
-partial file behind.
+LF line endings, 12 significant digits. A run's files are committed
+together (see _write_atomic), so a run that fails while writing them leaves
+every target as it was.
 
 `sweep` and `decay` need only the closed forms of rbnl.closed_forms and the
 standard library; the numpy-backed modules are imported inside the commands
@@ -50,16 +54,12 @@ def _fmt(x: float) -> str:
 def sweep_rows(mu_values) -> list:
     # each quantifier normalized by its value at mu = 1: ln 2, (pi - 3)/2 and
     # sqrt(2) - 1, none of them zero
-    rb1 = nrb_werner_closed_form(1.0)
-    vol1 = nvol_werner_analytic(1.0)
-    max1 = nmax_werner(1.0)
+    quantifiers = (nrb_werner_closed_form, nvol_werner_analytic, nmax_werner)
+    one = [f(1.0) for f in quantifiers]
     rows = []
-    for mu in mu_values:
-        mu = float(mu)
-        rb = nrb_werner_closed_form(mu)
-        vol = nvol_werner_analytic(mu)
-        mx = nmax_werner(mu)
-        rows.append(SweepRow(mu, rb, vol, mx, rb / rb1, vol / vol1, mx / max1))
+    for mu in map(float, mu_values):
+        q = [f(mu) for f in quantifiers]
+        rows.append(SweepRow(mu, *q, *(x / x1 for x, x1 in zip(q, one))))
     return rows
 
 
@@ -67,18 +67,18 @@ def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(_fmt(x) for x in r) + "\n" for r in rows)
 
 
-def _write_manifest(out_path: str, argv, seed, samples) -> None:
+def _manifest(args) -> str:
     doc = {
-        "command": "rbnl " + " ".join(str(a) for a in argv),
-        "seed": seed,
-        "samples": samples,
+        "command": "rbnl " + " ".join(str(a) for a in args.argv),
+        "seed": getattr(args, "seed", None),
+        "samples": getattr(args, "samples", None) or None,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_atomic(out_path + ".manifest.json", json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, dict]:
     check_int("seed", args.seed, 0)
     if not (0.0 <= args.mu_start < args.mu_end <= 1.0):
         raise ValueError(
@@ -89,23 +89,21 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"steps x samples must be <= {MAX_SAMPLES}, "
                          f"got {args.steps} x {args.samples}")
     rows = sweep_rows(linspace(args.mu_start, args.mu_end, args.steps))
-    outputs = {args.out: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
+    files = {args.out: _csv("mu,n_rb,n_vol,n_max,norm_rb,norm_vol,norm_max", rows)}
     if args.samples > 0:
         from .bell import McConfig, nvol_mc
 
         # companion file: the fixed main header has no room for MC columns
         ests = [nvol_mc(r.mu, McConfig(n=args.samples, seed=args.seed)) for r in rows]
-        outputs[args.out + ".mc.csv"] = _csv(
+        files[args.out + ".mc.csv"] = _csv(
             "mu,mc_fraction,mc_std_error",
             ((r.mu, e.fraction, e.std_error) for r, e in zip(rows, ests)))
-    for path, text in outputs.items():
-        _write_atomic(path, text)
-    _write_manifest(args.out, args.argv, args.seed, args.samples or None)
-    return 0
+    return "", files
 
 
-def cmd_state(args) -> int:
-    """Report N_rb of the state in args.state_file as JSON on stdout.
+def cmd_state(args) -> tuple[str, dict]:
+    """The report of N_rb of the state in args.state_file, as JSON text for
+    stdout, with no files.
 
     nonlocality.pure_state picks the method: nrb_pure for a pure input of
     any dims ("schmidt"), else nrb_two_qubit ("optimizer"), whose Fano form
@@ -129,11 +127,10 @@ def cmd_state(args) -> int:
         report.update(n_rb=res.value, argmax_u=res.argmax_u.components.tolist(),
                       argmax_v=res.argmax_v.components.tolist(), eta=res.eta,
                       method="optimizer")
-    print(json.dumps(report, indent=2))
-    return 0
+    return json.dumps(report, indent=2) + "\n", {}
 
 
-def cmd_vol(args) -> int:
+def cmd_vol(args) -> tuple[str, dict]:
     from .bell import McConfig, nvol_mc
 
     check_int("samples", args.samples, 1, MAX_SAMPLES)
@@ -146,21 +143,18 @@ def cmd_vol(args) -> int:
         z = 0.0 if est.fraction == analytic else None  # JSON has no infinity
     report = {"fraction": est.fraction, "std_error": est.std_error, "analytic": analytic,
               "z_score": z}
-    print(json.dumps(report, indent=2))
-    return 0
+    return json.dumps(report, indent=2) + "\n", {}
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> tuple[str, dict]:
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
     check_int("steps", args.steps, 2, MAX_STEPS)
     ts = linspace(0.0, args.t_max, args.steps)
     rows = sweep_rows([math.exp(-t) for t in ts])
-    _write_atomic(args.out, _csv("t,mu,norm_rb,norm_vol,norm_max",
-                                 ((t, r.mu, r.norm_rb, r.norm_vol, r.norm_max)
-                                  for t, r in zip(ts, rows))))
-    _write_manifest(args.out, args.argv, None, None)
-    return 0
+    return "", {args.out: _csv("t,mu,norm_rb,norm_vol,norm_max",
+                               ((t, r.mu, r.norm_rb, r.norm_vol, r.norm_max)
+                                for t, r in zip(ts, rows)))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,7 +212,12 @@ def main(argv=None) -> int:
             print(f"rbnl: RNL_SEED must be an integer, got {env!r}", file=sys.stderr)
             return 2
     try:
-        return args.run(args)
+        text, files = args.run(args)
+        if files:  # the manifest is renamed last, after the CSVs it records
+            files[args.out + ".manifest.json"] = _manifest(args)
+        _write_atomic(files)
+        sys.stdout.write(text)
+        return 0
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise

@@ -102,14 +102,22 @@ def linspace(start: float, stop: float, num: int) -> list:
     return points
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temp file next to path, then rename it onto path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _write_atomic(files: dict) -> None:
+    """Commit the {path: text} files together: write each text to a temp file
+    next to its path, and only once all are written rename each onto its path,
+    in the dict's order. On any failure remove the temps and re-raise: a failed
+    write (a name too long, a full disk, an unwritable directory) leaves every
+    target as it was; a failed rename (a directory at a later path) leaves the
+    earlier renames done."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, tmp in temps.items():
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(files[path])
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise

@@ -287,4 +287,4 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    _write_atomic(path, state_to_json(rho))
+    _write_atomic({path: state_to_json(rho)})

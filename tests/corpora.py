@@ -9,13 +9,17 @@ deterministic per seed only on one numpy build and SIMD path. So the pool
 is read from tests/data/golden_nrb.json.
 """
 import functools
+import io
 import json
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rbnl.cli import main
 from rbnl.linalg import EIG_CLIP, PSD_TOL, von_neumann_entropy
 from rbnl.realism import LocalPVM, delta_irreality
 from rbnl.search import OptimizerConfig
@@ -23,6 +27,7 @@ from rbnl.states import (PAULIS, PVM, BlochVector, DensityMatrix, PureState, blo
                          qutrit_family, random_density, random_pure, singlet, werner)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_nrb.json"
+GOLDEN_CLI = GOLDEN.with_name("golden_cli.json")
 DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))  # the bipartite shapes of the any-dims checks
 
 
@@ -154,6 +159,42 @@ def golden_corpus():
     states = tuple((s["name"], DensityMatrix(np.array(s["re"]) + 1j * np.array(s["im"]), (2, 2)),
                     s["results"]) for s in doc["states"])
     return configs, states
+
+
+@functools.lru_cache(maxsize=1)
+def golden_cli():
+    """The CLI half of the parity corpus, tests/data/golden_cli.json, written
+    by tests/data/make_golden.py: the input states by name, each taken from
+    golden_nrb.json or stored in golden_cli.json with its dims, and the
+    recorded runs in the form of run_cli, whose state runs read <name>.json."""
+    doc = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    stored = {name: DensityMatrix(np.array(s["re"]) + 1j * np.array(s["im"]), tuple(s["dims"]))
+              for name, s in doc["stored"].items()}
+    known = {name: rho for name, rho, _ in golden_corpus()[1]} | stored
+    return tuple((name, known[name]) for name in doc["states"]), tuple(doc["runs"])
+
+
+def run_cli(argv, cwd):
+    """rbnl.cli.main(argv) in process, with cwd as the working directory, as
+    one entry of golden_cli.json: the argv, exit code, stdout, the number of
+    stderr lines and the texts of the files new in cwd, each manifest as its
+    JSON value without the run-specific command and timestamp."""
+    before, home = set(os.listdir(cwd)), os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(home)
+    files = {}
+    for name in sorted(set(os.listdir(cwd)) - before):
+        text = Path(cwd, name).read_text(encoding="utf-8")
+        if name.endswith(".manifest.json"):
+            text = {k: v for k, v in json.loads(text).items() if k not in ("command", "timestamp")}
+        files[name] = text
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue(),
+            "stderr_lines": len(err.getvalue().splitlines()), "files": files}
 
 
 @functools.lru_cache(maxsize=1)

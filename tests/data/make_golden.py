@@ -1,7 +1,11 @@
-"""Regenerate tests/data/golden_nrb.json, the parity corpus of nrb_two_qubit:
-the value, argmaxes, eta and diagnostics of each state at two search
-configurations, stored as JSON values so that a failing check names the state
-that moved (tests/test_golden.py reads it).
+"""Regenerate the parity corpus that tests/test_golden.py reads, stored as
+JSON values so that a failing check names the state or run that moved:
+tests/data/golden_nrb.json, the value, argmaxes, eta and diagnostics of
+nrb_two_qubit on each state at two search configurations, and
+tests/data/golden_cli.json, the exit code, stdout, stderr line count and
+written files of rbnl runs: `state` on named state files at two search
+configurations, `vol` for both methods at 1 and 2 workers, a seeded `sweep`
+with its Monte Carlo companion, and a `decay`.
 
 Run from the repository root:
 
@@ -14,9 +18,11 @@ their edges: random pure states, Werner states, rotated Bell-diagonal
 states, one near-product state, and two near-pure states, one inside
 PURITY_CUTOFF and one outside it. Every input is a pure function of the
 pool file and SEED (drawn with unit and haar_unitary of tests/corpora.py),
-so rerunning reproduces the file unless the code changes what
-nrb_two_qubit returns. Regenerating it is a change to a check:
-say which entries moved and why.
+so rerunning reproduces the files unless the code changes what
+nrb_two_qubit or the CLI returns. The `state` runs read CLI_STATES of those
+states and two more stored as bits in golden_cli.json: a pure 3 x 3 state
+and I/6 on dims (2, 3), which `state` rejects. Regenerating a file is a
+change to a check: say which entries moved and why.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ import dataclasses
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +39,8 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rbnl import (PAULIS, DensityMatrix, OptimizerConfig, nrb_two_qubit,  # noqa: E402
-                  random_pure, werner)
-from corpora import haar_unitary, unit  # noqa: E402
+                  qutrit_family, random_pure, save_state, werner)
+from corpora import GOLDEN_CLI, haar_unitary, run_cli, unit  # noqa: E402
 
 SEED = 32
 POOL = ROOT / "bench" / "data" / "reference_states.json"
@@ -42,6 +49,10 @@ CONFIGS = {
     "default": OptimizerConfig(),
     "small": OptimizerConfig(theta_points=7, phi_points=9, restarts=3, refine_iterations=4),
 }
+# the pool holds 40 states each of rank 2, 3 and 4: two of each
+CLI_STATES = ("pure-0", "werner-0.5", "werner-0.9", "bell-diagonal-0", "near-product",
+              "near-pure-1e-12", "near-pure-1e-08", "pool-0", "pool-1", "pool-40", "pool-41",
+              "pool-80", "pool-81")
 
 
 def pool_matrices():
@@ -94,6 +105,37 @@ def record(rho, cfg):
     }
 
 
+def write_lines(path, head, key, items):
+    """Write head with the list items under key, one item a line, so that a
+    diff of the file names the items that moved."""
+    lines = ",\n".join(json.dumps(x) for x in items)
+    path.write_text(json.dumps(head)[:-1] + f', "{key}": [\n' + lines + "\n]}\n",
+                    encoding="utf-8")
+    print(f"wrote {len(items)} {key} to {path.relative_to(ROOT)}")
+
+
+def cli_runs(named):
+    """The stored inputs of golden_cli.json and its runs, each run made in
+    process in a temporary directory that holds <name>.json of every input."""
+    stored = {"qutrit-1": (qutrit_family(1.0).density().matrix, (3, 3)),
+              "maximally-mixed-2x3": (np.eye(6) / 6, (2, 3))}
+    states = {name: DensityMatrix(named[name], (2, 2)) for name in CLI_STATES}
+    states |= {name: DensityMatrix(m, dims) for name, (m, dims) in stored.items()}
+    argvs = [["state", f"{name}.json", *flags]
+             for flags in ([], ["--grid", "5", "--restarts", "3"]) for name in states]
+    argvs += [["vol", "--mu", "0.9", "--samples", "200000", "--seed", "7", "--method", method,
+               "--workers", workers] for method in ("angles", "xyz") for workers in ("1", "2")]
+    argvs += [["sweep", "--steps", "11", "--samples", "2000", "--seed", "5", "--out", "sweep.csv"],
+              ["decay", "--steps", "11", "--t-max", "3", "--out", "decay.csv"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rho in states.items():
+            save_state(rho, Path(tmp, f"{name}.json"))
+        runs = [run_cli(argv, tmp) for argv in argvs]
+    stored = {name: {"dims": list(dims), "re": m.real.tolist(), "im": m.imag.tolist()}
+              for name, (m, dims) in stored.items()}
+    return {"states": list(states), "stored": stored}, runs
+
+
 def main():
     named = [(f"pool-{k}", m) for k, m in enumerate(pool_matrices())] + seeded_matrices()
     states = []
@@ -101,12 +143,12 @@ def main():
         rho = DensityMatrix(m, (2, 2))
         states.append({"name": name, "re": m.real.tolist(), "im": m.imag.tolist(),
                        "results": {label: record(rho, cfg) for label, cfg in CONFIGS.items()}})
-    head = json.dumps({"command": "python3 tests/data/make_golden.py", "seed": SEED,
-                       "configs": {k: dataclasses.asdict(c) for k, c in CONFIGS.items()}})
-    # one state a line, so that a diff of the file names the states that moved
-    lines = ",\n".join(json.dumps(s) for s in states)
-    OUT.write_text(head[:-1] + ', "states": [\n' + lines + "\n]}\n", encoding="utf-8")
-    print(f"wrote {len(states)} states to {OUT.relative_to(ROOT)}")
+    command = "python3 tests/data/make_golden.py"
+    write_lines(OUT, {"command": command, "seed": SEED,
+                      "configs": {k: dataclasses.asdict(c) for k, c in CONFIGS.items()}},
+                "states", states)
+    inputs, runs = cli_runs(dict(named))
+    write_lines(GOLDEN_CLI, {"command": command, **inputs}, "runs", runs)
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ SEARCH_FLAGS = "tests/test_cli.py::test_state_rejects_bad_search_flags"
 VOL_WORKERS = "tests/test_cli.py::test_vol_rejects_bad_workers"
 SAMPLES = "tests/test_cli.py::test_samples_over_cap_rejected_before_any_draw"
 DENSITY = "tests/test_states.py::test_density_matrix_validation"
+GOLDEN_CLI = "tests/test_golden.py::test_cli_matches_the_golden_corpus"
 
 MUTANTS = (
     # the filtered Monte Carlo counter recounts nothing
@@ -121,9 +122,24 @@ MUTANTS = (
            ("tests/test_states.py::test_bloch_vector_rejects_four_components",)),
     # save_state opens its target before it serializes, so a failed call
     # empties the file it was to replace
-    Mutant("save-state-opens-first", STATES, "_write_atomic(path, state_to_json(rho))",
+    Mutant("save-state-opens-first", STATES, "_write_atomic({path: state_to_json(rho)})",
            'open(path, "w", encoding="utf-8").write(state_to_json(rho))',
            ("tests/test_states.py::test_failed_save_leaves_the_file_intact",)),
+    # the writer renames each temp as soon as it is written, so a run that
+    # fails on a later file has already replaced an earlier one
+    Mutant("write-renames-each", CLOSED,
+           "fh.write(files[path])\n        for path, tmp in temps.items():\n            os.replace",
+           "fh.write(files[path])\n            os.replace",
+           ("tests/test_cli.py::test_failed_run_commits_no_file",)),
+    # the CLI parity corpus: state prints another method name, and the
+    # .mc.csv swaps its two estimate columns
+    Mutant("state-method-renamed", CLI, 'method="optimizer"', 'method="search"', (GOLDEN_CLI,)),
+    Mutant("mc-columns-swapped", CLI, "(r.mu, e.fraction, e.std_error)",
+           "(r.mu, e.std_error, e.fraction)", (GOLDEN_CLI,)),
+    # a command writes its own report besides returning it
+    Mutant("vol-prints", CLI, '"z_score": z}\n',
+           '"z_score": z}\n    print(json.dumps(report, indent=2))\n',
+           ("tests/test_cli.py::test_only_main_writes", GOLDEN_CLI)),
     # each validation tolerance loosened 1e4 times: an input off by twice the
     # old tolerance passes
     Mutant("trace-tol-loose", STATES, "TRACE_TOL = 1e-10", "TRACE_TOL = 1e-6",

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import rbnl
-from rbnl import bell
+from rbnl import bell, cli
 from rbnl.bell import MAX_WORKERS, McEstimate
 from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, _build_parser, main
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
@@ -88,6 +89,36 @@ def test_failed_write_leaves_no_file(tmp_path, capsys):
     assert "i/o error" in err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
+
+
+def test_failed_run_commits_no_file(tmp_path, capsys):
+    # the manifest's name, 14 characters longer than the CSV's, is one over
+    # the limit: every temp is written before any rename, so the failed run
+    # leaves the CSV it was to replace as it was, and no temp file
+    if "PC_NAME_MAX" not in getattr(os, "pathconf_names", {}):
+        pytest.skip("PC_NAME_MAX is unavailable")
+    out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 17) + ".csv")
+    out.write_text("old\n")
+    code, _, err = run(["decay", "--steps", "3", "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "i/o error" in err
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_only_main_writes():
+    # each cmd_* returns its stdout text and files, and main alone writes
+    # them: one _write_atomic call, then stdout
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found, commits = [], 0
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            name = ast.unparse(call.func)
+            if name in ("print", "sys.stdout.write", "open", "_write_atomic") and fn.name != "main":
+                found.append(f"{fn.name}:{call.lineno} {name}")
+            commits += fn.name == "main" and name == "_write_atomic"
+    assert not found, found
+    assert commits == 1
 
 
 def test_sweep_bad_range(tmp_path, capsys):

@@ -1,26 +1,40 @@
-"""The parity corpus tests/data/golden_nrb.json, written by
-tests/data/make_golden.py: nrb_two_qubit must give each state's recorded
+"""The parity corpus, written by tests/data/make_golden.py.
+
+tests/data/golden_nrb.json: nrb_two_qubit must give each state's recorded
 result at both search configurations. The route (diagnostics None or not)
 and every count of the diagnostics match exactly: they come from the routing
 tests and the pinned search path. The floats match within GOLDEN_TOL, as
 BLAS on another host may move their last bits, and each argmax up to its
-sign, as u and -u are one observable."""
+sign, as u and -u are one observable.
+
+tests/data/golden_cli.json: each recorded rbnl run, replayed through
+rbnl.cli.main, gives the same exit code, stderr line count and files, and
+the same stdout; a `state` report matches in its keys and method, and in its
+floats as above."""
+import json
+
 import numpy as np
 
 from rbnl.nonlocality import nrb_two_qubit
-from corpora import golden_corpus
+from rbnl.states import save_state
+from corpora import golden_cli, golden_corpus, run_cli
 
 GOLDEN_TOL = 1e-12
 
 
+def close(x, y, signed=True):
+    """x and y are both None, or within GOLDEN_TOL (up to sign unless signed)."""
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return min(np.abs(x - y).max(), np.inf if signed else np.abs(x + y).max()) <= GOLDEN_TOL
+
+
 def moved_fields(res, want):
     """The fields of res that differ from the recorded result want."""
-    moved = [name for name in ("value", "eta")
-             if not abs(getattr(res, name) - want[name]) <= GOLDEN_TOL]
-    for name in ("argmax_u", "argmax_v"):
-        x, y = getattr(res, name).components, np.array(want[name])
-        if not min(np.abs(x - y).max(), np.abs(x + y).max()) <= GOLDEN_TOL:
-            moved.append(name)
+    moved = [name for name in ("value", "eta") if not close(getattr(res, name), want[name])]
+    moved += [name for name in ("argmax_u", "argmax_v")
+              if not close(getattr(res, name).components, want[name], signed=False)]
     diag, want_diag = res.diagnostics, want["diagnostics"]
     if (diag is None) != (want_diag is None):
         return moved + ["route"]
@@ -39,4 +53,30 @@ def test_nrb_two_qubit_matches_the_golden_corpus():
             fields = moved_fields(nrb_two_qubit(rho, configs[label]), want)
             moved += [f"{name} {label}: {', '.join(fields)}"] if fields else []
     assert len(states) == 132
+    assert not moved, moved
+
+
+def moved_run_fields(got, want):
+    """The fields of the run got that differ from the recorded run want."""
+    moved = [name for name in ("code", "stderr_lines", "files") if got[name] != want[name]]
+    if moved or want["argv"][0] != "state" or not want["stdout"]:
+        return moved + (["stdout"] if got["stdout"] != want["stdout"] else [])
+    rep, want_rep = json.loads(got["stdout"]), json.loads(want["stdout"])
+    if list(rep) != list(want_rep):
+        return moved + ["keys"]
+    moved += ["method"] if rep["method"] != want_rep["method"] else []
+    moved += [name for name in ("n_rb", "eta") if not close(rep[name], want_rep[name])]
+    return moved + [name for name in ("argmax_u", "argmax_v")
+                    if not close(rep[name], want_rep[name], signed=False)]
+
+
+def test_cli_matches_the_golden_corpus(tmp_path):
+    states, runs = golden_cli()
+    for name, rho in states:
+        save_state(rho, tmp_path / f"{name}.json")
+    moved = []
+    for want in runs:
+        fields = moved_run_fields(run_cli(want["argv"], tmp_path), want)
+        moved += [f"{' '.join(want['argv'])}: {', '.join(fields)}"] if fields else []
+    assert len(runs) == 36
     assert not moved, moved
