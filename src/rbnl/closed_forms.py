@@ -103,12 +103,16 @@ def linspace(start: float, stop: float, num: int) -> list:
 
 
 def _write_atomic(files: dict) -> None:
-    """Commit the {path: text} files together: write each text to a temp file
-    next to its path, and only once all are written rename each onto its path,
-    in the dict's order. On any failure remove the temps and re-raise: a failed
-    write (a name too long, a full disk, an unwritable directory) leaves every
-    target as it was; a failed rename (a directory at a later path) leaves the
-    earlier renames done."""
+    """Commit the {path: text} files together, or leave every target as it
+    was. A directory at any path raises IsADirectoryError before anything is
+    written. Then each text goes to a temp file next to its path, and only
+    once all are written is each temp renamed onto its path, in the dict's
+    order. On any failure the temps are removed and the error re-raised, so
+    a failed write (a name too long, a full disk, an unwritable directory)
+    comes before the first rename."""
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"Is a directory: {os.fspath(path)!r}")
     temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     try:
         for path, tmp in temps.items():

@@ -220,18 +220,13 @@ def _planes(corr, row, col, one_u, one_v):
     return total
 
 
-def _pair_table(a, b, t, dirs):
-    """The float64 table of _planes on every pair (dirs[i], dirs[j]), (n, n):
-    the drop plus the constant S(rho), so it ranks the pairs as the drop
-    does. _grid_top reproduces that ranking."""
-    return _planes(*_table_parts(a, b, t, dirs))
-
-
 def _grid_top(parts, k):
     """The grid indices of the k best pairs of the table of parts (see
     _table_parts), best first, as rows (i, j) of a (k, 2) array: i n + j equals
-    np.argsort(-_pair_table(...).ravel(), kind="stable")[:k], the ranking of
-    the whole float64 table, ties to the lower index included.
+    np.argsort(-_planes(*parts).ravel(), kind="stable")[:k], the ranking of
+    the whole float64 table, ties to the lower index included. That table,
+    (n, n), is the drop plus the constant S(rho), so it ranks the pairs as
+    the drop does.
 
     Every pair is first scored by _planes in float32 (Shewchuk, Discrete
     Comput. Geom. 18, 305, 1997), and the pairs within TABLE_MARGIN of the
@@ -385,8 +380,9 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:
     """The search route of nrb_two_qubit, for any two-qubit state: the best
     cfg.restarts pairs of sphere_grid by their drop, ranked as on the whole
-    _pair_table (see _grid_top), refined with _drop_objective. The value
-    never falls below that of the best grid pair."""
+    float64 table _planes(*_table_parts(...)) (see _grid_top), refined with
+    _drop_objective. The value never falls below that of the best grid
+    pair."""
     a, b, t = fano_form(rho)
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     top = _grid_top(_table_parts(a, b, t, dirs), cfg.restarts)
@@ -402,7 +398,4 @@ def werner_dephased_spectra(mu: float, u: BlochVector, v: BlochVector):
     """
     check_mu(mu)
     eta = min(abs(float(u.components @ v.components)), 1.0)
-    one_side = np.array([(1 + mu) / 4, (1 + mu) / 4, (1 - mu) / 4, (1 - mu) / 4])
-    both = np.array([(1 + mu * eta) / 4, (1 + mu * eta) / 4,
-                     (1 - mu * eta) / 4, (1 - mu * eta) / 4])
-    return one_side, one_side.copy(), both
+    return tuple(np.repeat([(1 + x) / 4, (1 - x) / 4], 2) for x in (mu, mu, mu * eta))

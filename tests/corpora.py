@@ -13,12 +13,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbnl
 from rbnl.cli import main
 from rbnl.linalg import EIG_CLIP, PSD_TOL, von_neumann_entropy
 from rbnl.realism import LocalPVM, delta_irreality
@@ -174,27 +177,45 @@ def golden_cli():
     return tuple((name, known[name]) for name in doc["states"]), tuple(doc["runs"])
 
 
-def run_cli(argv, cwd):
-    """rbnl.cli.main(argv) in process, with cwd as the working directory, as
-    one entry of golden_cli.json: the argv, exit code, stdout, the number of
-    stderr lines and the texts of the files new in cwd, each manifest as its
-    JSON value without the run-specific command and timestamp."""
-    before, home = set(os.listdir(cwd)), os.getcwd()
-    out, err = io.StringIO(), io.StringIO()
-    os.chdir(cwd)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        os.chdir(home)
+def child_env():
+    """Environment for a child process that imports the same `rbnl` package
+    as this test process, whether it came from an install or from `src/`."""
+    env = dict(os.environ)
+    pkg_root = str(Path(rbnl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(argv, cwd, cold=False):
+    """One rbnl run with cwd as the working directory, as one entry of
+    golden_cli.json: the argv, exit code, stdout, the number of stderr lines
+    and the texts of the files new in cwd, each manifest as its JSON value
+    without the run-specific command and timestamp. The run is
+    rbnl.cli.main(argv) in process, or with cold, `python -m rbnl *argv` in a
+    child process (see child_env)."""
+    before = set(os.listdir(cwd))
+    if cold:
+        proc = subprocess.run([sys.executable, "-m", "rbnl", *argv], cwd=cwd,
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        home, out, err = os.getcwd(), io.StringIO(), io.StringIO()
+        os.chdir(cwd)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+        finally:
+            os.chdir(home)
+        out, err = out.getvalue(), err.getvalue()
     files = {}
     for name in sorted(set(os.listdir(cwd)) - before):
         text = Path(cwd, name).read_text(encoding="utf-8")
         if name.endswith(".manifest.json"):
             text = {k: v for k, v in json.loads(text).items() if k not in ("command", "timestamp")}
         files[name] = text
-    return {"argv": list(argv), "code": code, "stdout": out.getvalue(),
-            "stderr_lines": len(err.getvalue().splitlines()), "files": files}
+    return {"argv": list(argv), "code": code, "stdout": out,
+            "stderr_lines": len(err.splitlines()), "files": files}
 
 
 @functools.lru_cache(maxsize=1)

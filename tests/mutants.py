@@ -131,6 +131,15 @@ MUTANTS = (
            "fh.write(files[path])\n        for path, tmp in temps.items():\n            os.replace",
            "fh.write(files[path])\n            os.replace",
            ("tests/test_cli.py::test_failed_run_commits_no_file",)),
+    # the writer no longer refuses a directory at a path up front, so the
+    # rename onto it fails after the earlier renames are done
+    Mutant("write-dir-unchecked", CLOSED,
+           "        if os.path.isdir(path):\n            raise IsADirectoryError",
+           "        if False:\n            raise IsADirectoryError",
+           ("tests/test_cli.py::test_directory_at_a_companion_path_commits_no_file",)),
+    # `python -m rbnl` drops main's exit code, so a rejected input exits 0
+    Mutant("main-exit-dropped", "src/rbnl/__main__.py", "sys.exit(main())", "main()",
+           ("tests/test_golden.py::test_cold_runs_match_the_golden_corpus",)),
     # the CLI parity corpus: state prints another method name, and the
     # .mc.csv swaps its two estimate columns
     Mutant("state-method-renamed", CLI, 'method="optimizer"', 'method="search"', (GOLDEN_CLI,)),

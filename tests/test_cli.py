@@ -19,7 +19,7 @@ from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, _build_pars
 from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
-from corpora import rotated_bell_diagonal, zero_marginal_closed_form
+from corpora import child_env, rotated_bell_diagonal, zero_marginal_closed_form
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.csv"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -81,7 +81,7 @@ def test_sweep_samples_must_be_non_negative(tmp_path, capsys):
 
 
 def test_failed_write_leaves_no_file(tmp_path, capsys):
-    # the output path is a directory: the rename onto it fails
+    # the output path is a directory: the writer refuses it before any temp
     target = tmp_path / "taken"
     target.mkdir()
     code, _, err = run(["sweep", "--steps", "5", "--out", str(target)], capsys)
@@ -104,6 +104,25 @@ def test_failed_run_commits_no_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "i/o error" in err
     assert out.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("argv, companion", [
+    (["sweep", "--steps", "3", "--samples", "10"], ".mc.csv"),
+    (["sweep", "--steps", "3", "--samples", "10"], ".manifest.json"),
+    (["decay", "--steps", "3"], ".manifest.json")], ids=["sweep-mc", "sweep-manifest", "decay"])
+def test_directory_at_a_companion_path_commits_no_file(tmp_path, capsys, argv, companion):
+    # a directory where a companion file goes fails the run before any temp
+    # is written, so the CSV it was to replace is left as it was
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    (tmp_path / f"out.csv{companion}").mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "i/o error" in err
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_only_main_writes():
@@ -542,16 +561,6 @@ def test_decay_non_finite_tmax(tmp_path, t_max):
     assert proc.stderr.startswith("rbnl: ") and "t-max" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
-
-
-def child_env():
-    """Environment for a child process that imports the same `rbnl` package
-    as this test process, whether it came from an install or from `src/`."""
-    env = dict(os.environ)
-    pkg_root = str(Path(rbnl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-    return env
 
 
 def run_console_script(*args):

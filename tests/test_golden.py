@@ -10,7 +10,8 @@ sign, as u and -u are one observable.
 tests/data/golden_cli.json: each recorded rbnl run, replayed through
 rbnl.cli.main, gives the same exit code, stderr line count and files, and
 the same stdout; a `state` report matches in its keys and method, and in its
-floats as above."""
+floats as above. One run of each command, and the rejected state, is also
+replayed cold, through `python -m rbnl` in a child process."""
 import json
 
 import numpy as np
@@ -70,13 +71,36 @@ def moved_run_fields(got, want):
                     if not close(rep[name], want_rep[name], signed=False)]
 
 
-def test_cli_matches_the_golden_corpus(tmp_path):
-    states, runs = golden_cli()
-    for name, rho in states:
-        save_state(rho, tmp_path / f"{name}.json")
+def replay(runs, cwd, cold=False):
+    """Each recorded run of runs that moved, replayed by run_cli in cwd after
+    every input state of the corpus is saved there, with its moved fields."""
+    for name, rho in golden_cli()[0]:
+        save_state(rho, cwd / f"{name}.json")
     moved = []
     for want in runs:
-        fields = moved_run_fields(run_cli(want["argv"], tmp_path), want)
+        fields = moved_run_fields(run_cli(want["argv"], cwd, cold), want)
         moved += [f"{' '.join(want['argv'])}: {', '.join(fields)}"] if fields else []
+    return moved
+
+
+def test_cli_matches_the_golden_corpus(tmp_path):
+    runs = golden_cli()[1]
+    moved = replay(runs, tmp_path)
     assert len(runs) == 36
+    assert not moved, moved
+
+
+# one run of each command, and the rejected state, through `python -m rbnl`
+COLD = ("state pool-0.json", "state maximally-mixed-2x3.json",
+        "vol --mu 0.9 --samples 200000 --seed 7 --method angles --workers 2",
+        "sweep --steps 11 --samples 2000 --seed 5 --out sweep.csv",
+        "decay --steps 11 --t-max 3 --out decay.csv")
+
+
+def test_cold_runs_match_the_golden_corpus(tmp_path):
+    # the entry point as a user starts it: its exit code, the real streams
+    # and a fresh import of the package
+    runs = [want for want in golden_cli()[1] if " ".join(want["argv"]) in COLD]
+    moved = replay(runs, tmp_path, cold=True)
+    assert len(runs) == len(COLD)
     assert not moved, moved

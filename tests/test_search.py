@@ -20,8 +20,7 @@ from rbnl.linalg import entropy_from_eigenvalues
 import rbnl.nonlocality
 import rbnl.search
 from rbnl.nonlocality import (TABLE_MARGIN, _drop_objective, _grid_top, _nrb_search,
-                              _pair_table, _planes, _table_parts, entanglement_entropy,
-                              nrb_two_qubit)
+                              _planes, _table_parts, entanglement_entropy, nrb_two_qubit)
 from rbnl.search import OptimizerConfig, _evaluate, refine, sphere_grid
 from rbnl.states import DensityMatrix, fano_form, random_density, random_pure, werner
 from corpora import (chsh_objective, drop_route, haar_unitary, near_degenerate, pool_states,
@@ -222,8 +221,8 @@ def test_pair_table_maximum_equals_full_grid_maximum(rank):
         cfg = OptimizerConfig(theta_points=grid[0], phi_points=grid[1])
         for _ in range(3):
             parts = fano_form(random_density(2, 2, rank=rank, seed=rng))
-            quotient = _pair_table(*parts, sphere_grid(*grid)).max()
-            assert abs(quotient - _pair_table(*parts, full_grid(cfg)).max()) < 1e-12
+            quotient = _planes(*_table_parts(*parts, sphere_grid(*grid))).max()
+            assert abs(quotient - _planes(*_table_parts(*parts, full_grid(cfg))).max()) < 1e-12
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4, "near-pure"])
@@ -235,7 +234,7 @@ def test_pair_table_equals_dephasing_route(kind):
     else:
         rho = random_density(2, 2, rank=kind, seed=np.random.default_rng(375 + kind))
     dirs = sphere_grid(4, 6)
-    table = _pair_table(*fano_form(rho), dirs)
+    table = _planes(*_table_parts(*fano_form(rho), dirs))
     s_rho = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     for i, j in itertools.product(range(len(dirs)), repeat=2):
         assert abs(table[i, j] - s_rho - drop_route(rho, dirs[i], dirs[j])) < 1e-13
@@ -247,7 +246,7 @@ def test_start_pairs_are_distinct_observables(rank):
     dirs = sphere_grid(cfg.theta_points, cfg.phi_points)
     rng = np.random.default_rng(380 + rank)
     for rho in [random_density(2, 2, rank=rank, seed=rng) for _ in range(3)] + [werner(0.7)]:
-        flat = _pair_table(*fano_form(rho), dirs).ravel()
+        flat = _planes(*_table_parts(*fano_form(rho), dirs)).ravel()
         iu, iv = np.divmod(np.argsort(-flat, kind="stable")[:cfg.restarts], len(dirs))
         same_u = np.abs(dirs[iu] @ dirs[iu].T) > 1.0 - 1e-9
         same_v = np.abs(dirs[iv] @ dirs[iv].T) > 1.0 - 1e-9
@@ -265,9 +264,9 @@ def test_screened_ranking_equals_full_table_ranking():
     for grid, k in SCREENS:
         dirs = sphere_grid(*grid)
         for rho in screen_corpus():
-            a, b, t = fano_form(rho)
-            table = _pair_table(a, b, t, dirs).ravel()
-            i, j = _grid_top(_table_parts(a, b, t, dirs), k).T
+            parts = _table_parts(*fano_form(rho), dirs)
+            table = _planes(*parts).ravel()
+            i, j = _grid_top(parts, k).T
             assert np.array_equal(i * len(dirs) + j, np.argsort(-table, kind="stable")[:k])
 
 
