@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # home module -> the public names it defines; __all__ and the lazy lookup
 # both come from this table
 _EXPORTS = {
-    "linalg": ("tensor", "partial_trace", "entropy_from_eigenvalues", "von_neumann_entropy"),
+    "linalg": ("partial_trace", "entropy_from_eigenvalues", "von_neumann_entropy"),
     "states": ("PAULIS", "DensityMatrix", "PureState", "PVM", "BlochVector",
                "singlet", "werner", "bloch_pvm", "qutrit_family",
                "random_pure", "random_density",

@@ -229,7 +229,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"rbnl: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

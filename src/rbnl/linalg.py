@@ -19,15 +19,6 @@ PSD_TOL = 1e-10
 EIG_CLIP = 1e-12
 
 
-def tensor(a, b, *rest):
-    """Kronecker product. The first factor indexes the slow (left) block:
-    entry ((i*db + k), (j*db + l)) = a[i,j] * b[k,l]."""
-    out = np.kron(np.asarray(a), np.asarray(b))
-    for m in rest:
-        out = np.kron(out, np.asarray(m))
-    return out
-
-
 def check_dims(dims) -> tuple[int, int]:
     """dims as two Python ints >= 1 (see check_int); bools and floats such as
     1.7 are rejected."""

@@ -65,25 +65,20 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PureNrbResult:
-    """N_rb of a pure state, its entanglement entropy, and the state. The
-    Schmidt decomposition and pvm_a and pvm_b, the attaining observables
-    (projectors onto the Schmidt bases), are built from the state when read,
-    anew at each read."""
+    """N_rb of a pure state, its entanglement entropy, and the state.
+    pvm_a and pvm_b, the attaining observables (projectors onto the Schmidt
+    bases), are built from schmidt(state) when read, anew at each read."""
 
     value: float
     state: PureState
 
     @property
-    def decomposition(self) -> SchmidtDecomposition:
-        return schmidt(self.state)
-
-    @property
     def pvm_a(self) -> PVM:
-        return _basis_pvm(self.decomposition.basis_a)
+        return _basis_pvm(schmidt(self.state).basis_a)
 
     @property
     def pvm_b(self) -> PVM:
-        return _basis_pvm(self.decomposition.basis_b)
+        return _basis_pvm(schmidt(self.state).basis_b)
 
 
 def _schmidt_svd(psi: PureState):

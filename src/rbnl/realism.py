@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import entropy_from_eigenvalues, tensor
+from .linalg import entropy_from_eigenvalues
 from .states import PVM, DensityMatrix, _freeze
 
 SITES = ("A", "B")
@@ -146,7 +146,7 @@ def make_reality_state(c: RealityComponents, a_pvm: PVM) -> DensityMatrix:
     d_a = a_pvm.dim
     if c.states_a[0].shape != (d_a, d_a):  # one shape for all, see RealityComponents
         raise ValueError("component dimension does not match the PVM")
-    total = sum(w * tensor(_dephased(sa, (d_a, 1), LocalPVM(a_pvm, "A")), sb)
+    total = sum(w * np.kron(_dephased(sa, (d_a, 1), LocalPVM(a_pvm, "A")), sb)
                 for w, sa, sb in zip(c.weights, c.states_a, c.states_b))
     return DensityMatrix(total, (d_a, c.states_b[0].shape[0]))
 

@@ -6,13 +6,12 @@ copy of the tree, and the tests it names must then fail within its budget.
 
 A mutant gives a file, an exact text that occurs in it once, its
 replacement, the pytest ids to run, of which one must fail, and a budget in
-seconds. For each
-mutant the runner copies src, tests, demos and pyproject.toml to a temporary
-directory, applies the mutant there and runs the named tests in a pytest
-subprocess (stopping at the first failure) under the budget. It prints each
-mutant as killed (a test failed), survived (the tests passed), timed out, or
-error (the text was not found once, or pytest could not run the tests), with
-its wall time, and exits 1 unless every mutant was killed.
+seconds. For each mutant the runner copies src, tests, demos, pyproject.toml
+and README.md to a temporary directory, applies the mutant there and runs the
+named tests in a pytest subprocess (stopping at the first failure) under the
+budget. It prints each mutant as killed (a test failed), survived (the tests
+passed), timed out, or error (the text was not found once, or pytest could not
+run the tests), with its wall time, and exits 1 unless every mutant was killed.
 
 The budgets hold because a test that sends a count over a cap patches the
 work behind that cap to fail (see guard_caps in test_cli_fuzz.py), so a
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "demos", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "pyproject.toml", "README.md")
 
 
 class Mutant(NamedTuple):
@@ -269,6 +268,10 @@ MUTANTS = (
     Mutant("test-imports-test", "tests/test_search.py", "from corpora import (chsh_objective,",
            "from test_bell import chsh_objective\nfrom corpora import (chsh_objective,",
            ("tests/test_package.py::test_no_test_module_imports_another",)),
+    # a README example reads an attribute that its result does not have
+    Mutant("readme-example-broken", "README.md", "print(res.diagnostics)",
+           "print(res.diagnostic)",
+           ("tests/test_demos.py::test_readme_python_examples_run_cleanly",)),
 )
 
 

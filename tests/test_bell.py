@@ -8,7 +8,6 @@ from rbnl import bell
 from rbnl.bell import (_MC_BLOCK, MAX_WORKERS, MC_CHUNK, McConfig, McEstimate,
                        _mc_chunk_count, correlation_matrix, nmax_numeric, nmax_werner,
                        nvol_mc, nvol_quadrature, nvol_werner_analytic)
-from rbnl.linalg import tensor
 from rbnl.search import OptimizerConfig, refine, sphere_grid
 from rbnl.states import BlochVector, random_density, singlet, werner
 from corpora import chsh_objective, unit
@@ -44,7 +43,7 @@ class ReducedPoint:
 
 def correlator(rho, u, v):
     """Tr[rho (u.sigma (x) v.sigma)]."""
-    return float(np.real(np.trace(rho.matrix @ tensor(u.dot_sigma(), v.dot_sigma()))))
+    return float(np.real(np.trace(rho.matrix @ np.kron(u.dot_sigma(), v.dot_sigma()))))
 
 
 def chsh_value(rho, s):

@@ -555,7 +555,7 @@ def test_decay_non_finite_tmax(tmp_path, t_max):
     proc = subprocess.run(
         [sys.executable, "-m", "rbnl", "decay", "--t-max", t_max,
          "--out", str(tmp_path / "d.csv")], capture_output=True, text=True,
-        env=child_env())
+        env=child_env(), timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("rbnl: ") and "t-max" in proc.stderr
@@ -581,7 +581,7 @@ def run_console_script(*args):
         cmd = [sys.executable, "-c",
                f"import sys; from {module} import {func}; sys.exit({func}())"]
     return subprocess.run([*cmd, *args], capture_output=True, text=True,
-                          env=child_env())
+                          env=child_env(), timeout=60)
 
 
 def test_console_script(tmp_path):
@@ -595,7 +595,7 @@ def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rbnl", "vol", "--mu", "0.75",
          "--samples", "20000"], capture_output=True, text=True,
-        env=child_env())
+        env=child_env(), timeout=60)
     assert proc.returncode == 0
     assert "fraction" in proc.stdout
 
@@ -614,7 +614,7 @@ def test_numpy_is_the_only_third_party_import():
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
             "print(sorted(new - sys.stdlib_module_names))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=child_env())
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['numpy', 'rbnl']"
 
@@ -661,7 +661,7 @@ def cold_modules(*args):
             "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
             "             ('numpy', 'dataclasses', 'concurrent')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=child_env())
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -671,7 +671,7 @@ def test_import_loads_no_numpy():
     code = ("import sys, rbnl; print('numpy' in sys.modules); "
             "print([getattr(rbnl, m).__name__ for m in rbnl._SUBMODULES])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=child_env())
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded, names = proc.stdout.splitlines()
     assert loaded == "False"
@@ -695,7 +695,7 @@ def run_without_numpy(*args):
             "from rbnl.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=child_env())
+                          text=True, env=child_env(), timeout=60)
 
 
 def test_commands_needing_numpy_exit_2_without_it(tmp_path):

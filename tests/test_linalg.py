@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rbnl.linalg import (EIG_CLIP, PSD_TOL, check_hermitian, entropy_from_eigenvalues,
-                         partial_trace, tensor, von_neumann_entropy)
+                         partial_trace, von_neumann_entropy)
 from corpora import oracle_entropy
 
 
@@ -22,20 +22,13 @@ def random_state(rng, d):
 
 
 def test_tensor_ordering():
-    # first factor is the slow index: basis order |00>, |01>, |10>, |11>
+    # np.kron's first factor is the slow index: the basis order |00>, |01>,
+    # |10>, |11> that states.py fixes
     a = np.array([[1.0, 0.0], [0.0, 0.0]])  # |0><0|
     b = np.array([[0.0, 0.0], [0.0, 1.0]])  # |1><1|
-    t = tensor(a, b)
+    t = np.kron(a, b)
     assert t.shape == (4, 4)
     assert t[1, 1] == 1.0 and np.count_nonzero(t) == 1
-
-
-def test_tensor_variadic():
-    rng = np.random.default_rng(0)
-    x, y, z = (random_hermitian(rng, 2) for _ in range(3))
-    lhs = tensor(x, y, z)
-    rhs = np.kron(np.kron(x, y), z)
-    assert np.allclose(lhs, rhs, atol=0.0)
 
 
 def test_partial_trace_product_state():
@@ -43,7 +36,7 @@ def test_partial_trace_product_state():
     for d_a, d_b in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         ra = random_state(rng, d_a)
         rb = random_state(rng, d_b)
-        rho = tensor(ra, rb)
+        rho = np.kron(ra, rb)
         assert np.allclose(partial_trace(rho, (d_a, d_b), "A"), ra, atol=1e-13)
         assert np.allclose(partial_trace(rho, (d_a, d_b), "B"), rb, atol=1e-13)
 

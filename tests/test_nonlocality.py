@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbnl.linalg import entropy_from_eigenvalues, partial_trace, tensor, von_neumann_entropy
+from rbnl.linalg import entropy_from_eigenvalues, partial_trace, von_neumann_entropy
 from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, OptimizerConfig,
                               SchmidtDecomposition, _nrb_search, _result,
                               entanglement_entropy, nrb_pure, nrb_two_qubit,
@@ -53,7 +53,7 @@ def test_schmidt_reconstructs_state():
         assert abs(coeffs.sum() - 1.0) < 1e-10
         rebuilt = np.zeros(d_a * d_b, dtype=complex)
         for i in range(min(d_a, d_b)):
-            rebuilt += np.sqrt(coeffs[i]) * tensor(
+            rebuilt += np.sqrt(coeffs[i]) * np.kron(
                 dec.basis_a[:, i].reshape(-1, 1),
                 dec.basis_b[:, i].reshape(-1, 1)).ravel()
         # equality up to a global phase
@@ -147,6 +147,7 @@ def test_nrb_pure_value_takes_one_svd_and_no_decomposition(monkeypatch):
 
 
 def test_nrb_pure_decomposition_is_built_when_read(monkeypatch):
+    # pvm_a and pvm_b each build schmidt(state) when read, anew at each read
     rng = np.random.default_rng(31)
     states = [random_pure(d_a, d_b, seed=rng)
               for d_a, d_b in [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3)]]
@@ -154,21 +155,16 @@ def test_nrb_pure_decomposition_is_built_when_read(monkeypatch):
         res = nrb_pure(psi)
         want = schmidt(psi)
         counts = counted_schmidt(monkeypatch)
-        dec = res.decomposition
-        assert counts == {"svd": 1, "decomposition": 1}
-        for name in ("coefficients", "basis_a", "basis_b"):
-            got, ref = getattr(dec, name), getattr(want, name)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         for name, basis in (("pvm_a", want.basis_a), ("pvm_b", want.basis_b)):
             pvm = getattr(res, name)
             cols = basis.T
             ref = cols[:, :, None] * cols.conj()[:, None, :]
             assert pvm.projectors.tobytes() == ref.tobytes()
-        assert counts == {"svd": 3, "decomposition": 3}
+        assert counts == {"svd": 2, "decomposition": 2}
         monkeypatch.undo()
         # the value keeps its bits against both routes to the coefficients
         assert res.value == entanglement_entropy(psi)
-        assert res.value == entropy_from_eigenvalues(res.decomposition.coefficients)
+        assert res.value == entropy_from_eigenvalues(schmidt(res.state).coefficients)
 
 
 def test_nrb_two_qubit_matches_closed_form():
@@ -260,7 +256,7 @@ def test_closed_form_routes_take_the_value_alone(monkeypatch):
 def test_nrb_two_qubit_product_state_is_zero():
     rho = random_density(2, 1, rank=2, seed=3)
     sigma = random_density(2, 1, rank=2, seed=4)
-    prod = DensityMatrix(tensor(rho.matrix, sigma.matrix), (2, 2))
+    prod = DensityMatrix(np.kron(rho.matrix, sigma.matrix), (2, 2))
     res = nrb_two_qubit(prod)
     assert 0.0 <= res.value < 1e-8
 
@@ -425,7 +421,7 @@ def test_nrb_vanishes_on_product_states():
     for k in range(6):
         rho_a = random_density(2, 1, rank=(k % 2) + 1, seed=rng)
         rho_b = random_density(1, 2, rank=(k // 2) % 2 + 1, seed=rng)
-        prod = DensityMatrix(tensor(rho_a.matrix, rho_b.matrix), (2, 2))
+        prod = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix), (2, 2))
         assert nrb_two_qubit(prod).value < 1e-12
 
 
@@ -437,8 +433,8 @@ def test_nrb_of_near_product_states_is_positive_and_vanishes():
     # claims no "if and only if" with test_nrb_vanishes_on_product_states
     rng = np.random.default_rng(3)
     for k in range(6):
-        prod = tensor(random_density(2, 1, rank=2, seed=rng).matrix,
-                      random_density(1, 2, rank=2, seed=rng).matrix)
+        prod = np.kron(random_density(2, 1, rank=2, seed=rng).matrix,
+                       random_density(1, 2, rank=2, seed=rng).matrix)
         sigma = random_density(2, 2, rank=k % 4 + 1, seed=rng).matrix
         values = [nrb_two_qubit(DensityMatrix((1 - eps) * prod + eps * sigma, (2, 2))).value
                   for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
