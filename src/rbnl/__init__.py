@@ -29,7 +29,7 @@ _EXPORTS = {
                 "delta_irreality", "make_reality_state", "is_reality_state"),
     "search": ("OptimizerConfig", "SearchDiagnostics"),
     "nonlocality": ("NrbResult", "PureNrbResult", "SchmidtDecomposition",
-                    "schmidt", "entanglement_entropy", "nrb_pure", "nrb_two_qubit",
+                    "schmidt", "entanglement_entropy", "nrb", "nrb_pure", "nrb_two_qubit",
                     "werner_dephased_spectra"),
     "bell": ("McConfig", "McEstimate", "correlation_matrix", "nmax_numeric",
              "nvol_quadrature", "nvol_mc"),

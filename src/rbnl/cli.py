@@ -103,30 +103,22 @@ def cmd_sweep(args) -> tuple[str, dict]:
 
 def cmd_state(args) -> tuple[str, dict]:
     """The report of N_rb of the state in args.state_file, as JSON text for
-    stdout, with no files.
-
-    nonlocality.pure_state picks the method: nrb_pure for a pure input of
-    any dims ("schmidt"), else nrb_two_qubit ("optimizer"), whose Fano form
-    rejects dims other than (2, 2). --grid and --restarts make its
-    OptimizerConfig.
+    stdout, with no files. nonlocality.nrb picks the route, and the method
+    names it: "schmidt" with null argmaxes for the route "pure", else
+    "optimizer". --grid and --restarts make the OptimizerConfig of a search.
     """
     check_int("grid", args.grid, 1, MAX_GRID)
     check_int("restarts", args.restarts, 1, MAX_RESTARTS)
-    from .nonlocality import nrb_pure, nrb_two_qubit, pure_state
+    from .nonlocality import nrb
     from .search import OptimizerConfig
     from .states import load_state
 
-    rho = load_state(args.state_file)
-    psi = pure_state(rho)
-    report = dict.fromkeys(("n_rb", "argmax_u", "argmax_v", "eta", "method"))
-    if psi is not None:
-        report.update(n_rb=nrb_pure(psi).value, method="schmidt")
-    else:
-        res = nrb_two_qubit(rho, OptimizerConfig(theta_points=args.grid, phi_points=2 * args.grid,
-                                                 restarts=args.restarts))
-        report.update(n_rb=res.value, argmax_u=res.argmax_u.components.tolist(),
-                      argmax_v=res.argmax_v.components.tolist(), eta=res.eta,
-                      method="optimizer")
+    cfg = OptimizerConfig(theta_points=args.grid, phi_points=2 * args.grid, restarts=args.restarts)
+    res = nrb(load_state(args.state_file), cfg)
+    report = dict(n_rb=res.value, argmax_u=None, argmax_v=None, eta=None, method="schmidt")
+    if res.route != "pure":
+        report.update(argmax_u=res.argmax_u.components.tolist(),
+                      argmax_v=res.argmax_v.components.tolist(), eta=res.eta, method="optimizer")
     return json.dumps(report, indent=2) + "\n", {}
 
 

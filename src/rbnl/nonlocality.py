@@ -1,7 +1,7 @@
 """The state-level quantifier: the maximal drop of irreality over pairs of
-local observables. nrb_pure gives it for pure states of any dimensions, and
-nrb_two_qubit for every two-qubit state, by the routes its docstring sets
-out.
+local observables. nrb, the one entry point, picks the route once: nrb_pure
+for pure states of any dims, nrb_two_qubit for every other two-qubit state,
+by the routes its docstring sets out.
 """
 from __future__ import annotations
 
@@ -24,11 +24,14 @@ TABLE_MARGIN = 1e-4  # the float32 screen of the pair table: see _grid_top
 
 @dataclass(frozen=True, eq=False)
 class NrbResult:
+    """N_rb of a two-qubit state, an attaining pair, and the route that gave it."""
+
     value: float
     argmax_u: BlochVector
     argmax_v: BlochVector
     eta: float  # |u . v| at the argmax
     diagnostics: SearchDiagnostics | None = None  # None unless from a search
+    route: str = "search"  # or "pure" or "zero-marginal": see nrb_two_qubit
 
     def __post_init__(self):
         if not self.value >= -1e-12:  # NaN fails too
@@ -65,12 +68,13 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PureNrbResult:
-    """N_rb of a pure state, its entanglement entropy, and the state.
-    pvm_a and pvm_b, the attaining observables (projectors onto the Schmidt
-    bases), are built from schmidt(state) when read, anew at each read."""
+    """N_rb of a pure state, its entanglement entropy, and the state, by the
+    route "pure". pvm_a and pvm_b, the attaining observables (projectors onto
+    the Schmidt bases), are built from schmidt(state) when read, anew at each read."""
 
     value: float
     state: PureState
+    route = "pure"  # a class constant, not a field
 
     @property
     def pvm_a(self) -> PVM:
@@ -113,16 +117,8 @@ def _basis_pvm(basis: np.ndarray) -> PVM:
 
 def _is_pure(rho: DensityMatrix) -> bool:
     """Tr rho^2 > 1 - PURITY_CUTOFF: the one purity test, which sends a
-    state to the Schmidt route in nrb_two_qubit and, through pure_state, in
-    rbnl state."""
+    state to the Schmidt route in nrb and in nrb_two_qubit."""
     return rho.purity() > 1.0 - PURITY_CUTOFF
-
-
-def pure_state(rho: DensityMatrix) -> PureState | None:
-    """The top eigenvector of rho when _is_pure(rho), else None."""
-    if _is_pure(rho):
-        return PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims)
-    return None
 
 
 def nrb_pure(psi: PureState) -> PureNrbResult:
@@ -131,6 +127,18 @@ def nrb_pure(psi: PureState) -> PureNrbResult:
     value takes one SVD; the rest of the result is built when read (see
     PureNrbResult)."""
     return PureNrbResult(entanglement_entropy(psi), psi)
+
+
+def nrb(state: PureState | DensityMatrix, cfg=OptimizerConfig()) -> NrbResult | PureNrbResult:
+    """N_rb of any state by the one route that fits it: a PureState, or a
+    DensityMatrix that passes _is_pure (by its top eigenvector), takes
+    nrb_pure, for any dims; every other DensityMatrix takes nrb_two_qubit
+    with cfg, whose Fano form rejects dims other than (2, 2)."""
+    if isinstance(state, DensityMatrix):
+        if not _is_pure(state):
+            return nrb_two_qubit(state, cfg)
+        state = PureState(np.linalg.eigh(state.matrix)[1][:, -1], state.dims)
+    return nrb_pure(state)
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +328,28 @@ def _drop_objective(a, b, t, s_rho):
     return objective
 
 
-def _result(value, u, v, diagnostics=None) -> NrbResult:
+def _result(value, u, v, diagnostics=None, route="search") -> NrbResult:
     u = u / np.linalg.norm(u) + 0.0  # so no -0.0 reaches the printed argmax
     v = v / np.linalg.norm(v) + 0.0
     eta = min(abs(float(u @ v)), 1.0)
-    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics)
+    return NrbResult(max(value, 0.0), BlochVector(u), BlochVector(v), eta, diagnostics, route)
 
 
 def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> NrbResult:
     """Maximize the irreality drop over sharp qubit observable pairs.
 
-    Three routes, tried in this order:
+    Three routes, tried in this order, each named by the result's route:
 
-    - A pure state (_is_pure, purity above 1 - PURITY_CUTOFF) takes no
-      search: the maximum is the entanglement entropy, attained on the
+    - "pure": a state that passes _is_pure (purity above 1 - PURITY_CUTOFF)
+      takes no search: the maximum is the entanglement entropy, attained on the
       Schmidt bases. In the Schmidt frame T = diag(r, -r, 1), r <= 1, so
       argmax_u and argmax_v, the top singular pair of T, are the Bloch
       vectors of the leading Schmidt kets up to a joint sign (or any pair
       of the top singular plane as r -> 1). For a state inside the cutoff
       but not exactly pure, rho = (1 - eps)|psi><psi| + eps sigma, the
       value is still an attained drop, within O(eps ln eps) of the maximum.
-    - A state with maximally mixed marginals, |a| and |b| at most
-      MARGINAL_CUTOFF, takes no search either. Each dephased spectrum then
+    - "zero-marginal": a state with maximally mixed marginals, |a| and |b| at
+      most MARGINAL_CUTOFF, takes no search either. Each dephased spectrum then
       depends on one number: S(Phi_u rho) = ln 2 + H(|T^T u|),
       S(Phi_v rho) = ln 2 + H(|T v|) and S(Phi_u Phi_v rho) =
       ln 2 + H(u^T T v), with H(x) = h((1 + x)/2) decreasing in |x|. As
@@ -350,8 +358,8 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
       t_min the smallest singular value of T, and the bottom singular pair
       attains it (the route of Luo's discord of Bell-diagonal states,
       Phys. Rev. A 77, 042303, 2008). argmax_u and argmax_v are that pair.
-    - Every other state is searched (see _nrb_search), and cfg applies only
-      there.
+    - "search": every other state is searched (see _nrb_search), and cfg
+      applies only there.
 
     The first two routes read their pair from one SVD of T and return the
     drop evaluated there, with diagnostics None. u and -u are the same
@@ -369,7 +377,7 @@ def nrb_two_qubit(rho: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) 
     k = 0 if pure else -1
     u, v = left[:, k], right[k]
     value, _ = _drop_value(_fano_constants(a, b, t), rho.entropy(), np.stack([u, v])[None])
-    return _result(float(value[0]), u, v)
+    return _result(float(value[0]), u, v, route="pure" if pure else "zero-marginal")
 
 
 def _nrb_search(rho: DensityMatrix, cfg: OptimizerConfig) -> NrbResult:

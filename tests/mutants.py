@@ -8,10 +8,11 @@ A mutant gives a file, an exact text that occurs in it once, its
 replacement, the pytest ids to run, of which one must fail, and a budget in
 seconds. For each mutant the runner copies src, tests, demos, pyproject.toml
 and README.md to a temporary directory, applies the mutant there and runs the
-named tests in a pytest subprocess (stopping at the first failure) under the
-budget. It prints each mutant as killed (a test failed), survived (the tests
-passed), timed out, or error (the text was not found once, or pytest could not
-run the tests), with its wall time, and exits 1 unless every mutant was killed.
+named tests in a pytest subprocess (stopping at the first failure, with
+plugin autoload off) under the budget. It prints each mutant as killed (a
+test failed), survived (the tests passed), timed out, or error (the text was
+not found once, or pytest could not run the tests), with its wall time, and
+exits 1 unless every mutant was killed.
 
 The budgets hold because a test that sends a count over a cap patches the
 work behind that cap to fail (see guard_caps in test_cli_fuzz.py), so a
@@ -234,6 +235,15 @@ MUTANTS = (
     # a pure state takes the bottom singular pair of T, not the top one
     Mutant("pure-pair", NONLOCALITY, "k = 0 if pure else -1", "k = -1",
            ("tests/test_nonlocality.py::test_pure_states_take_the_schmidt_pair",)),
+    # nrb's routes: the zero-marginal closed form is labelled a search, and a
+    # pure density matrix skips nrb's purity test, so it reaches nrb_two_qubit,
+    # which returns no PureNrbResult for a (2, 2) state and refuses a (2, 3) one
+    Mutant("zero-marginal-labelled-search", NONLOCALITY,
+           'route="pure" if pure else "zero-marginal"', 'route="pure" if pure else "search"',
+           ("tests/test_nonlocality.py::test_nrb_names_the_route_it_took",)),
+    Mutant("nrb-purity-skipped", NONLOCALITY, "if not _is_pure(state):", "if True:",
+           ("tests/test_cli.py::test_state_route_is_the_nonlocality_route",
+            "tests/test_nonlocality.py::test_nrb_names_the_route_it_took")),
     # refine takes every step, also one that lowers the value
     Mutant("refine-accept-any", SEARCH, "up = active & (f1 > f)", "up = active",
            ("tests/test_search.py::test_diagnostics_describe_the_search",
@@ -268,6 +278,10 @@ MUTANTS = (
     Mutant("test-imports-test", "tests/test_search.py", "from corpora import (chsh_objective,",
            "from test_bell import chsh_objective\nfrom corpora import (chsh_objective,",
            ("tests/test_package.py::test_no_test_module_imports_another",)),
+    # a test file imports a third-party package other than numpy and pytest
+    Mutant("test-imports-third-party", "tests/test_realism.py", "import numpy as np\n",
+           "import numpy as np\nimport hypothesis\n",
+           ("tests/test_package.py::test_tests_need_only_numpy_and_pytest",)),
     # a README example reads an attribute that its result does not have
     Mutant("readme-example-broken", "README.md", "print(res.diagnostics)",
            "print(res.diagnostic)",
@@ -289,7 +303,11 @@ def run(mutant: Mutant, tree: Path) -> tuple[str, str]:
     if text.count(mutant.old) != 1:
         return "error", f"{mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}"
     target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # no third-party pytest plugin loads: tests/ uses none (see
+    # test_tests_need_only_numpy_and_pytest), and loading them took most of
+    # each child's start-up
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
     # a session of its own, so that a timeout ends any child of pytest too
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,

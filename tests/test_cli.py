@@ -16,7 +16,7 @@ import rbnl
 from rbnl import bell, cli
 from rbnl.bell import MAX_WORKERS, McEstimate
 from rbnl.cli import MAX_GRID, MAX_RESTARTS, MAX_SAMPLES, MAX_STEPS, _build_parser, main
-from rbnl.nonlocality import PURITY_CUTOFF, nrb_two_qubit, pure_state
+from rbnl.nonlocality import PURITY_CUTOFF, nrb, nrb_two_qubit
 from rbnl.states import (DensityMatrix, PureState, fano_form, random_density, random_pure,
                          save_state, singlet, state_to_json, werner)
 from corpora import child_env, rotated_bell_diagonal, zero_marginal_closed_form
@@ -223,8 +223,8 @@ def test_state_mixed_unsupported_dims(tmp_path, capsys):
 
 def test_state_route_is_the_nonlocality_route(tmp_path, capsys):
     # one purity test routes both: `state` reports "schmidt" exactly when
-    # nrb_two_qubit skips the search, here on either side of the cutoff
-    # (the marginals are nonzero, so the zero-marginal route is out)
+    # nrb and nrb_two_qubit take the route "pure", here on either side of the
+    # cutoff (the marginals are nonzero, so the zero-marginal route is out)
     proj = random_pure(2, 2, seed=61).density().matrix
     for scale in (0.99, 1.01):
         eps = scale * PURITY_CUTOFF / 1.5  # purity 1 - 1.5 eps + 0.75 eps^2
@@ -238,12 +238,17 @@ def test_state_route_is_the_nonlocality_route(tmp_path, capsys):
         code, out, _ = run(["state", str(path)], capsys)
         assert code == 0
         method = json.loads(out)["method"]
-        assert (method == "schmidt") == (nrb_two_qubit(rho).diagnostics is None) == pure
+        assert (method == "schmidt") == pure
+        assert {nrb(rho).route, nrb_two_qubit(rho).route} == {"pure" if pure else "search"}
     # (2, 3): the pure file takes the Schmidt route; the mixed one has no
     # route, and nrb_two_qubit refuses both
     for rank in (1, 3):
         rho = random_density(2, 3, rank=rank, seed=62)
-        assert (pure_state(rho) is not None) == (rank == 1)
+        if rank == 1:
+            assert nrb(rho).route == "pure"
+        else:
+            with pytest.raises(ValueError, match="dims"):
+                nrb(rho)
         with pytest.raises(ValueError, match="dims"):
             nrb_two_qubit(rho)
         path = tmp_path / f"rank{rank}.json"

@@ -5,10 +5,9 @@ import pytest
 
 from rbnl.linalg import entropy_from_eigenvalues, partial_trace, von_neumann_entropy
 from rbnl.nonlocality import (MARGINAL_CUTOFF, PURITY_CUTOFF, NrbResult, OptimizerConfig,
-                              SchmidtDecomposition, _nrb_search, _result,
-                              entanglement_entropy, nrb_pure, nrb_two_qubit,
-                              nrb_werner_closed_form, pure_state, schmidt,
-                              werner_dephased_spectra)
+                              PureNrbResult, SchmidtDecomposition, _nrb_search, _result,
+                              entanglement_entropy, nrb, nrb_pure, nrb_two_qubit,
+                              nrb_werner_closed_form, schmidt, werner_dephased_spectra)
 from rbnl.realism import LocalPVM, delta_irreality, dephase
 from rbnl.states import (PVM, BlochVector, DensityMatrix, PureState, bloch_pvm, fano_form,
                          random_density, random_pure, singlet, werner)
@@ -347,7 +346,7 @@ def test_structured_noise_outside_the_purity_cutoff_is_searched():
 def test_route_follows_the_purity_test_at_the_cutoff(factor):
     # (1 - eps)|psi><psi| + eps |phi><phi|, phi orthogonal to psi, has
     # 1 - purity = 2 eps (1 - eps), here factor * PURITY_CUTOFF; nrb_two_qubit
-    # takes the Schmidt pair exactly when pure_state finds a pure state
+    # takes the Schmidt pair exactly when nrb takes the route "pure"
     rng = np.random.default_rng(48)
     eps = (1 - math.sqrt(1 - 2 * factor * PURITY_CUTOFF)) / 2
     for _ in range(4):
@@ -358,9 +357,34 @@ def test_route_follows_the_purity_test_at_the_cutoff(factor):
         assert abs((1 - rho.purity()) / PURITY_CUTOFF - factor) < 1e-3
         a, b, _ = fano_form(rho)
         assert min(np.linalg.norm(a), np.linalg.norm(b)) > 1e-3  # not the zero-marginal route
-        pure = pure_state(rho) is not None
+        pure = nrb(rho).route == "pure"
         assert pure == (factor < 1)
-        assert (nrb_two_qubit(rho).diagnostics is None) == pure
+        assert nrb_two_qubit(rho).route == ("pure" if pure else "search")
+
+
+def test_nrb_names_the_route_it_took():
+    # nrb picks one route per state and the result names it; only a search
+    # carries diagnostics, and each result is that of the route's own function
+    psi = random_pure(2, 3, seed=63)
+    cfg = OptimizerConfig(theta_points=6, phi_points=12, restarts=3)
+    searched = random_density(2, 2, rank=3, seed=64)
+    cases = [(psi, "pure", nrb_pure(psi)), (singlet().density(), "pure", nrb_pure(singlet())),
+             (psi.density(), "pure", nrb_pure(psi)),
+             (werner(0.8), "zero-marginal", nrb_two_qubit(werner(0.8))),
+             (searched, "search", nrb_two_qubit(searched, cfg))]
+    for state, route, want in cases:
+        res = nrb(state, cfg)
+        assert res.route == want.route == route
+        assert isinstance(res, PureNrbResult) == (route == "pure")
+        assert (getattr(res, "diagnostics", None) is not None) == (route == "search")
+        assert abs(res.value - want.value) < 1e-12
+        if route != "pure":
+            assert np.float64(res.value).tobytes() == np.float64(want.value).tobytes()
+            assert res.argmax_u.components.tobytes() == want.argmax_u.components.tobytes()
+            assert res.diagnostics == want.diagnostics
+    # a mixed state of other dims has no route: the one-line dims error
+    with pytest.raises(ValueError, match=r"^need a two-qubit state, got dims \(2, 3\)$"):
+        nrb(random_density(2, 3, rank=2, seed=65))
 
 
 def test_nrb_two_qubit_rejects_wrong_dims():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,16 @@ Z = BlochVector(np.array([0.0, 0.0, 1.0]))
 
 SUBMODULES = ("linalg", "states", "realism", "search", "nonlocality", "bell",
               "closed_forms", "cli")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = [*sorted(TESTS.glob("*.py")), TESTS / "data" / "make_golden.py"]
+
+
+def _imports_of_tests():
+    """("file:line", node) for each import statement of the files in tests/."""
+    for path in TEST_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield f"{path.name}:{node.lineno}", node
 
 
 def test_every_public_name_is_its_home_module_object():
@@ -112,12 +123,25 @@ def test_array_types_compare_and_hash_by_identity(name):
 def test_no_test_module_imports_another():
     # every shared helper and corpus lives in tests/corpora.py, so a test
     # file imports no other one and each corpus has one home
-    tests = Path(__file__).resolve().parent
     found = []
-    for path in [*sorted(tests.glob("*.py")), tests / "data" / "make_golden.py"]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
-                found += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if any(part.startswith("test_") for part in name.split("."))]
+    for where, node in _imports_of_tests():
+        names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+        found += [f"{where} {name}" for name in names
+                  if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, found
+
+
+def test_tests_need_only_numpy_and_pytest():
+    # CI installs numpy and pytest alone, and the mutation and SIMD-level
+    # children run pytest with plugin autoload off: a test that imported
+    # another package would fail in CI, or test a plugin that is not loaded
+    allowed = {*sys.stdlib_module_names, "numpy", "pytest", "rbnl",
+               *(path.stem for path in TEST_FILES)}
+    found = []
+    for where, node in _imports_of_tests():
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:  # a relative from-import names no third-party module
+            modules = [node.module] if node.level == 0 else []
+        found += [f"{where} {m}" for m in modules if m.partition(".")[0] not in allowed]
     assert not found, found
